@@ -5,10 +5,11 @@ need network access — but the pipeline itself is the paper's: this
 example builds an actual git repository on disk (six months of commits
 with a schema that grows), then runs the same collection step the paper
 ran (`git log --name-status --no-merges --date=iso` + per-version
-`git show`) and the full measurement stack on it.
+`git show`) and the study pipeline on it — the same sharded, cached
+pipeline the 195-project study runs.
 
-Point `mine_clone()` at any local clone with a single-DDL-file schema to
-reproduce the study on real data.
+Point `load_clone()` at any local clone with a single-DDL-file schema
+to reproduce the study on real data.
 
 Run:  python examples/mine_real_clone.py   (requires the git binary)
 """
@@ -19,8 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.analysis import analyze_project
-from repro.mining import mine_clone
+from repro.mining import load_clone
+from repro.pipeline import MemoryStore, Pipeline
 from repro.report import render_joint_progress
 
 COMMITS = [
@@ -109,11 +110,13 @@ def main() -> int:
         clone.mkdir()
         build_repo(clone)
 
-        history = mine_clone(clone)
-        measures = analyze_project(history)
+        project = load_clone(clone)
+        study = Pipeline(corpus=[project], store=MemoryStore()).study()
+        measures = study.projects[0]
+        (ddl_path,) = project.repository.file_contents
 
-        print(f"Mined real clone: {history.name}")
-        print(f"DDL file: {history.ddl_path}")
+        print(f"Mined real clone: {measures.name}")
+        print(f"DDL file: {ddl_path}")
         print(
             f"Duration: {measures.duration_months} months, "
             f"{measures.schema_commits} schema commits "
@@ -122,7 +125,7 @@ def main() -> int:
         print(f"Schema activity: {measures.schema_total_activity:g}")
         print(f"Taxon: {measures.taxon.display_name}")
         print()
-        print(render_joint_progress(measures.joint, title=history.name))
+        print(render_joint_progress(measures.joint, title=measures.name))
         print()
         print(f"10%-synchronicity: {measures.sync10:.0%}")
         print(

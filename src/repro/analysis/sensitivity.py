@@ -129,12 +129,11 @@ def seed_sensitivity(
     ),
 ) -> list[SeedSpread]:
     """Re-run the whole study per seed; collect headline spreads."""
-    from ..corpus import generate_corpus
-    from .study import run_study
+    from ..pipeline import NullStore, Pipeline
 
     collected: dict[str, list[float]] = {key: [] for key in keys}
     for seed in seeds:
-        headline = run_study(generate_corpus(seed=seed)).headline()
+        headline = Pipeline(seed=seed, store=NullStore()).study().headline()
         for key in keys:
             collected[key].append(float(headline[key]))
     return [

@@ -1,34 +1,32 @@
-"""The study driver: corpus → measures → every figure and finding.
+"""The study entry points: corpus → measures → every figure and finding.
 
-``run_study`` is the one-call entry point used by the CLI, the examples
-and every benchmark: it mines each repository, computes the per-project
-measures and exposes the figure computations plus the headline numbers
-quoted in §4–§6 of the paper.
+Every study runs through one engine, the sharded stage-graph
+:class:`~repro.pipeline.graph.Pipeline`: it mines each repository,
+computes the per-project measures and resolves the figure computations
+plus the headline numbers quoted in §4–§6 of the paper.  The two
+functions here are thin conveniences over it:
 
-The pipeline is embarrassingly parallel across projects, so
-``run_study(corpus, jobs=N)`` fans the mine + analyze work out over a
-``ProcessPoolExecutor``; ``jobs=1`` (the default) keeps the original
-serial path, and the two are result-identical (deterministic per-project
-work, order-preserving collection — proven by the equivalence tests).
-Every result carries a :class:`~repro.perf.timing.StudyTimings` with the
-per-stage wall-clock breakdown and parse-cache hit rates.
+* :func:`run_study` — an in-memory corpus (generated, scenario, loaded
+  from disk or cloned), run against a store that keeps nothing;
+* :func:`canonical_study` — the seed-sampled canonical corpus, memoised
+  and resolved against the process-global store.
+
+``jobs=N`` fans the mine work out over a process pool; ``jobs=1`` (the
+default) keeps it in-process, and the two are result-identical
+(deterministic per-project work, order-preserving collection — proven
+by the equivalence tests).  Every result carries a
+:class:`~repro.perf.timing.StudyTimings` with the per-stage wall-clock
+breakdown and parse-cache hit rates.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from ..corpus import DEFAULT_SEED, GeneratedProject
-from ..heartbeat import ZeroTotalError
-from ..mining import mine_project
-from ..obs.events import get_recorder
+from ..corpus import DEFAULT_SEED
 from ..obs.metrics import MetricsSnapshot
-from ..obs.progress import ProgressTracker
-from ..obs.resources import get_monitor
-from ..obs.trace import get_tracer
 from ..perf.timing import StudyTimings
 from ..taxa import Taxon
 from .figures import (
@@ -43,7 +41,7 @@ from .figures import (
     fig8_attainment,
     headline_numbers,
 )
-from .measures import ProjectMeasures, analyze_project
+from .measures import ProjectMeasures
 from .statistics import StatisticsReport, sec7_statistics
 
 
@@ -174,128 +172,33 @@ class StudyResult:
         return [p for p in self.projects if p.taxon is taxon]
 
 
-class StudyAccumulator:
-    """Fold-style collection of worker results: ``update``/``finalize``.
-
-    One :class:`~repro.perf.parallel.MinedRow` at a time: rows and skips
-    accumulate, stage seconds / cache deltas / worker resource samples
-    fold into the run's :class:`~repro.perf.timing.StudyTimings`, the
-    metrics delta sums, worker span trees reattach under the driver's
-    dispatching span, and worker warnings replay through the driver
-    recorder.  Extracted from ``run_study``'s collection loop so the
-    streaming pipeline can fold results as the backpressured window
-    releases them — identical observability, never a corpus-wide list.
-    """
-
-    def __init__(self, timings: StudyTimings, *, jobs: int = 1):
-        self.timings = timings
-        self.jobs = jobs
-        self.rows: list[ProjectMeasures] = []
-        self.skipped: list[str] = []
-        self.metrics = MetricsSnapshot()
-        self.warnings: list[dict] = []
-        self._tracer = get_tracer()
-        self._recorder = get_recorder()
-
-    def update(self, result) -> None:
-        """Fold one worker result (a ``MinedRow``), corpus order."""
-        if result.row is not None:
-            self.rows.append(result.row)
-        else:
-            self.skipped.append(result.name)
-        self.timings.record("mine", result.mine_seconds)
-        self.timings.record("analyze", result.analyze_seconds)
-        self.timings.merge_cache(result.cache)
-        if result.resources is not None:
-            self.timings.record_resource("workers", result.resources)
-        self.metrics = self.metrics + result.metrics
-        # per-project span trees built in workers (or detached
-        # in-process on the serial path) reattach here; worker trees
-        # also replay their span-close events, which no in-process
-        # sink could observe
-        if result.trace is not None:
-            self._tracer.attach(result.trace, emit=self.jobs > 1)
-        if result.warnings:
-            self.warnings.extend(result.warnings)
-            if self.jobs > 1:
-                for record in result.warnings:
-                    self._recorder.replay(record)
-
-    def finalize(self) -> StudyResult:
-        self.metrics.fold_cache(self.timings.cache)
-        return StudyResult(
-            projects=self.rows,
-            skipped=self.skipped,
-            timings=self.timings,
-            metrics=self.metrics,
-            warnings=self.warnings,
-        )
-
-
-def run_study(
-    corpus: Iterable[GeneratedProject], *, jobs: int = 1
-) -> StudyResult:
-    """Mine and measure every project of a (generated) corpus.
+def run_study(corpus: Iterable, *, jobs: int = 1) -> StudyResult:
+    """Mine and measure every project of a materialised corpus.
 
     Args:
-        corpus: the projects to study (any iterable; materialised once).
-        jobs: worker processes for the mine + analyze fan-out.  ``1``
-            (the default) runs the serial in-process path; ``N > 1``
-            distributes chunks over a ``ProcessPoolExecutor`` while
-            preserving corpus order, producing identical results.
+        corpus: the projects to study — anything with ``name``,
+            ``repository`` and ``true_taxon`` (generated, loaded from a
+            saved corpus, or a real clone); materialised once.
+        jobs: worker processes for the mine fan-out.  ``1`` (the
+            default) mines in-process; ``N > 1`` distributes shards over
+            the warm process pool while preserving corpus order,
+            producing identical results.
+
+    The corpus runs as a :class:`~repro.pipeline.graph.Pipeline` over
+    a :class:`~repro.pipeline.store.NullStore`: nothing carries over
+    between calls, and each mined history is released once analysed.
+    The §7 statistics are computed on first read, not up front.
     """
-    from ..perf.parallel import MinedRow, mine_and_analyze, pool_chunksize
-    from ..perf.pool import warm_pool
+    from ..pipeline import NullStore, Pipeline
 
-    tracer = get_tracer()
-    projects = list(corpus)
-    timings = StudyTimings(jobs=max(1, jobs))
-    start = time.perf_counter()
-
-    acc = StudyAccumulator(timings, jobs=jobs)
-    with tracer.span(
-        "study", projects=len(projects), jobs=max(1, jobs)
-    ), get_monitor().window() as window:
-        with tracer.span("mine_analyze"):
-            # the heartbeat: one driver-side update per collected result
-            # (ETA from the live per-stage timings), emitted to the
-            # progress channel when --log-json / --progress listen
-            tracker = ProgressTracker(
-                "mine_analyze", len(projects), timings=timings
-            )
-            mined: Iterable[MinedRow]
-            if jobs <= 1:
-                mined = map(mine_and_analyze, projects)
-            else:
-                # executor.map yields in corpus order as chunks
-                # complete, so lazy collection keeps results
-                # identical to the serial path while letting the
-                # heartbeat fire mid-run; the warm pool is shared
-                # with generation and kept alive for the next run
-                mined = warm_pool(jobs).map(
-                    mine_and_analyze,
-                    projects,
-                    chunksize=pool_chunksize(len(projects), jobs),
-                )
-
-            for result in mined:
-                acc.update(result)
-                tracker.update(
-                    result.name,
-                    result.mine_seconds + result.analyze_seconds,
-                )
-            tracker.finish()
-    timings.record_resource("driver", window.sample)
-    timings.record("total", time.perf_counter() - start)
-    return acc.finalize()
+    return Pipeline(corpus=corpus, jobs=jobs, store=NullStore()).study()
 
 
 @lru_cache(maxsize=4)
 def canonical_study(seed: int = DEFAULT_SEED, *, jobs: int = 1) -> StudyResult:
     """The study over the canonical 195-project corpus (memoised).
 
-    Resolved through the stage-graph pipeline
-    (:func:`repro.pipeline.graph.pipeline_study`) against the
+    Resolved through the stage-graph pipeline against the
     process-global artifact store, so repeated calls — and CLI runs
     sharing a ``--store-dir`` — replay clean stages instead of
     recomputing.  ``jobs`` parallelises both corpus generation and
@@ -304,6 +207,6 @@ def canonical_study(seed: int = DEFAULT_SEED, *, jobs: int = 1) -> StudyResult:
     wall clock, set once by the pipeline — generation is *included* in
     it, not added on top.
     """
-    from ..pipeline.graph import pipeline_study
+    from ..pipeline import Pipeline
 
-    return pipeline_study(seed=seed, jobs=jobs)
+    return Pipeline(seed=seed, jobs=jobs).study()

@@ -649,8 +649,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_perf(args) -> int:
-    """Apply --cache-dir / --store-dir / --jobs; returns worker count."""
+def _configure_perf(args) -> None:
+    """Apply --cache-dir / --store-dir to the process-wide layers."""
     cache_dir = getattr(args, "cache_dir", None)
     store_dir = getattr(args, "store_dir", None)
     if store_dir:
@@ -665,7 +665,6 @@ def _configure_perf(args) -> int:
         from .perf import configure_cache
 
         configure_cache(cache_dir)
-    return max(1, getattr(args, "jobs", 1) or 1)
 
 
 def _configure_obs(args):
@@ -698,95 +697,82 @@ def _dialect_of(args) -> str | None:
     return None if dialect in (None, "default") else dialect
 
 
-def _get_study(args):
-    from .analysis import canonical_study, run_study
-    from .corpus import DEFAULT_SEED
+def _pipeline(args):
+    """The :class:`~repro.pipeline.graph.Pipeline` a command's flags ask for.
 
-    jobs = _configure_perf(args)
-    session = getattr(args, "obs_session", None)
-    if session is not None:
-        session.jobs = jobs
+    The one place the CLI turns flags into a run: ``study``, ``report``,
+    ``case``, ``generate``, every ``pipeline`` subcommand and the
+    ``/status`` endpoint of ``--serve`` / ``obs serve`` all build here,
+    so they agree on seed, corpus size, workload, jobs and report
+    format.  ``--corpus DIR`` loads a saved corpus as a materialised,
+    content-keyed corpus; flags a command lacks take their defaults.
+    """
+    from .corpus import DEFAULT_SEED
+    from .pipeline.graph import Pipeline
+
+    corpus = None
     if getattr(args, "corpus", None):
         from .io import load_corpus
 
-        # LoadedProject carries name/repository/true_taxon, all the
-        # study driver needs, so the saved-corpus path fans out too
-        # (ad-hoc corpora bypass the artifact store: their contents are
-        # not derivable from a fingerprintable parameter set)
-        study = run_study(load_corpus(args.corpus), jobs=jobs)
-        args._run_facts = {"study": study, "seed": None, "scale": None,
-                           "jobs": jobs, "dialect": None}
-    else:
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        if session is not None:
-            session.seed = seed
-        scale = max(1, getattr(args, "scale", 1) or 1)
-        projects = getattr(args, "projects", None)
-        limit_memory = getattr(args, "limit_memory", None)
-        dialect = _dialect_of(args)
-        # non-default workloads always resolve through the pipeline —
-        # that is where the (dialect, source) pair lives in shard keys
-        if (scale > 1 or projects is not None
-                or limit_memory is not None or dialect):
-            from .pipeline.graph import Pipeline
+        corpus = load_corpus(args.corpus)
+    seed = getattr(args, "seed", None)
+    return Pipeline(
+        seed=DEFAULT_SEED if seed is None else seed,
+        scale=max(1, getattr(args, "scale", 1) or 1),
+        projects=getattr(args, "projects", None),
+        corpus=corpus,
+        jobs=max(1, getattr(args, "jobs", 1) or 1),
+        report_format=getattr(args, "format", "markdown"),
+        limit_memory_mb=getattr(args, "limit_memory", None),
+        dialect=_dialect_of(args),
+    )
 
-            pipe = Pipeline(
-                seed=seed,
-                scale=scale,
-                jobs=jobs,
-                projects=projects,
-                limit_memory_mb=limit_memory,
-                dialect=dialect,
-            )
-            study = pipe.study()
-            args._pipeline = pipe
-        else:
-            study = canonical_study(seed, jobs=jobs)
-        args._run_facts = {"study": study, "seed": seed, "scale": scale,
-                           "jobs": jobs, "dialect": dialect}
+
+def _run_pipeline(args):
+    """Configure the stores, build the pipeline and resolve its study.
+
+    The pipeline goes on ``args`` before it runs: the ``--serve``
+    ``/status`` endpoint reads the running pipeline instead of loading
+    the corpus a second time, and the closing run-registry record names
+    its seed, workload and reduce-stage fingerprints.
+    """
+    _configure_perf(args)
+    pipe = _pipeline(args)
+    args._pipeline = pipe
+    session = getattr(args, "obs_session", None)
+    if session is not None:
+        session.jobs = pipe.jobs
+        if pipe.corpus is None:
+            session.seed = pipe.seed
+    study = pipe.study()
     if session is not None:
         session.study = study
-    return study
+    return pipe
 
 
 def _cmd_generate(args) -> int:
-    from .corpus import DEFAULT_SEED, generate_corpus
+    from .corpus import generate_corpus
     from .io import save_corpus
 
-    jobs = _configure_perf(args)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    _configure_perf(args)
+    pipe = _pipeline(args)
     session = getattr(args, "obs_session", None)
     if session is not None:
-        session.seed = seed
-        session.jobs = jobs
-    scale = max(1, getattr(args, "scale", 1) or 1)
-    projects = getattr(args, "projects", None)
-    dialect = _dialect_of(args)
-    if projects is not None:
-        from .corpus.profiles import sized_profiles
-
-        corpus = generate_corpus(
-            seed=seed, profiles=sized_profiles(projects), jobs=jobs,
-            dialect=dialect,
-        )
-    elif scale > 1:
-        from .corpus import scaled_profiles
-
-        corpus = generate_corpus(
-            seed=seed, profiles=scaled_profiles(scale), jobs=jobs,
-            dialect=dialect,
-        )
-    else:
-        corpus = generate_corpus(seed=seed, jobs=jobs, dialect=dialect)
+        session.seed = pipe.seed
+        session.jobs = pipe.jobs
+    corpus = generate_corpus(
+        seed=pipe.seed, profiles=pipe.profiles(), jobs=pipe.jobs,
+        dialect=pipe.dialect,
+    )
     if session is not None:
         session.corpus_size = len(corpus)
     root = save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} projects to {root}")
-    if dialect:
+    if pipe.dialect:
         from .report import render_vendor_mix
 
         print(
-            f"workload {dialect}: "
+            f"workload {pipe.dialect}: "
             + render_vendor_mix([p.spec.vendor for p in corpus])
         )
     return 0
@@ -805,7 +791,7 @@ def _cmd_study(args) -> int:
 
     from .obs import get_tracer
 
-    study = _get_study(args)
+    study = _run_pipeline(args).study()
     want = args.figure
     blocks: list[str] = []
     with get_tracer().span("figures", figure=args.figure), \
@@ -839,39 +825,9 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if getattr(args, "corpus", None):
-        from .report import build_html_report, build_study_report
-
-        study = _get_study(args)
-        if args.format == "html":
-            text = build_html_report(study)
-        else:
-            text = build_study_report(study)
-    else:
-        # seed-derived reports resolve through the stage pipeline, so a
-        # warm store replays the rendered document itself
-        from .corpus import DEFAULT_SEED
-        from .pipeline.graph import Pipeline
-
-        jobs = _configure_perf(args)
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        scale = max(1, getattr(args, "scale", 1) or 1)
-        dialect = _dialect_of(args)
-        session = getattr(args, "obs_session", None)
-        if session is not None:
-            session.jobs = jobs
-            session.seed = seed
-        pipe = Pipeline(
-            seed=seed, scale=scale, jobs=jobs, report_format=args.format,
-            dialect=dialect,
-        )
-        study = pipe.study()
-        if session is not None:
-            session.study = study
-        text = pipe.report()
-        args._pipeline = pipe
-        args._run_facts = {"study": study, "seed": seed, "scale": scale,
-                           "jobs": jobs, "dialect": dialect}
+    # the rendered document is itself a stage artifact, so a warm store
+    # replays it
+    text = _run_pipeline(args).report()
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -880,19 +836,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .corpus import DEFAULT_SEED
-    from .pipeline.graph import Pipeline
     from .pipeline.stages import STAGES
 
-    jobs = _configure_perf(args)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    scale = max(1, getattr(args, "scale", 1) or 1)
-    dialect = _dialect_of(args)
-    pipe = Pipeline(
-        seed=seed, scale=scale, jobs=jobs, report_format=args.format,
-        projects=getattr(args, "projects", None),
-        dialect=dialect,
-    )
+    _configure_perf(args)
+    pipe = _pipeline(args)
     if args.pipeline_command == "invalidate":
         stage = args.stage
         project = getattr(args, "project", None)
@@ -990,10 +937,10 @@ def _cmd_pipeline(args) -> int:
                 "kind": store.kind,
                 "dir": str(location) if location else None,
             },
-            "seed": seed,
-            "scale": scale,
+            "seed": pipe.seed,
+            "scale": pipe.scale,
             "format": args.format,
-            "dialect": dialect or "default",
+            "dialect": pipe.dialect or "default",
             "stages": pipe.status(),
             "drift": pipe.version_drift(),
         }
@@ -1007,8 +954,8 @@ def _cmd_pipeline(args) -> int:
         return 0
     print(
         f"store: {store.kind}" + (f" at {location}" if location else "")
-        + f" | seed {seed}, scale {scale}, format {args.format}"
-        + (f", dialect {dialect}" if dialect else "")
+        + f" | seed {pipe.seed}, scale {pipe.scale}, format {args.format}"
+        + (f", dialect {pipe.dialect}" if pipe.dialect else "")
     )
     header = (
         f"{'stage':<12} {'kind':<7} {'state':<8} {'ver':<4} "
@@ -1078,7 +1025,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_case(args) -> int:
     from .report import render_joint_progress
 
-    study = _get_study(args)
+    study = _run_pipeline(args).study()
     matches = [p for p in study.projects if args.name in p.name]
     if not matches:
         print(f"no project matching {args.name!r}", file=sys.stderr)
@@ -1315,21 +1262,14 @@ def _cmd_obs_timeline(args) -> int:
 
 
 def _cmd_obs_serve(args) -> int:
-    from .corpus import DEFAULT_SEED
     from .obs.server import ObservabilityServer
-    from .pipeline.graph import Pipeline
     from .pipeline.store import configure_store
 
     if args.store_dir:
         configure_store(args.store_dir)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    scale = max(1, args.scale or 1)
-
-    def factory() -> Pipeline:
-        return Pipeline(seed=seed, scale=scale, report_format=args.format)
-
     server = ObservabilityServer(
-        host=args.host, port=args.port, pipeline_factory=factory
+        host=args.host, port=args.port,
+        pipeline_factory=lambda: _pipeline(args),
     ).start()
     print(
         f"observability server listening on {server.url} "
@@ -1529,34 +1469,30 @@ def _append_run_record(args, session) -> None:
     is best-effort: a registry failure must never fail a run that
     already produced its results.
     """
-    facts = getattr(args, "_run_facts", None)
-    if facts is None:
+    pipe = getattr(args, "_pipeline", None)
+    if pipe is None:
         return
     from .obs.registry import build_run_record, registry_for_store
+    from .pipeline.stages import REDUCE_STAGE_NAMES
 
     registry = registry_for_store()
     if registry is None:
         return
-    fingerprints = None
-    pipe = getattr(args, "_pipeline", None)
-    if pipe is not None:
-        from .pipeline.stages import REDUCE_STAGE_NAMES
-
-        fingerprints = {
-            name: pipe.fingerprint(name) for name in REDUCE_STAGE_NAMES
-        }
+    sampled = pipe.corpus is None
     try:
         registry.append(build_run_record(
             command=args.command,
-            study=facts["study"],
-            seed=facts["seed"],
-            scale=facts["scale"],
-            jobs=facts["jobs"],
-            dialect=facts.get("dialect"),
+            study=pipe.study(),
+            seed=pipe.seed if sampled else None,
+            scale=pipe.scale if sampled else None,
+            jobs=pipe.jobs,
+            dialect=pipe.dialect,
             manifest=(
                 session.manifest_document if session is not None else None
             ),
-            fingerprints=fingerprints,
+            fingerprints={
+                name: pipe.fingerprint(name) for name in REDUCE_STAGE_NAMES
+            },
         ))
     except OSError as exc:
         print(f"warning: run registry append failed: {exc}", file=sys.stderr)
@@ -1575,19 +1511,11 @@ def _start_server(args):
         return None
     from .obs.server import ObservabilityServer
 
-    def factory():
-        from .corpus import DEFAULT_SEED
-        from .pipeline.graph import Pipeline
-
-        seed = getattr(args, "seed", None)
-        return Pipeline(
-            seed=seed if seed is not None else DEFAULT_SEED,
-            scale=max(1, getattr(args, "scale", 1) or 1),
-            report_format=getattr(args, "format", "markdown"),
-        )
-
     server = ObservabilityServer(
-        port=port, pipeline_factory=factory
+        port=port,
+        pipeline_factory=(
+            lambda: getattr(args, "_pipeline", None) or _pipeline(args)
+        ),
     ).start()
     print(
         f"observability server listening on {server.url}",

@@ -633,15 +633,17 @@ def generate_corpus(
         tracker = ProgressTracker("generate", len(pairs))
         projects = []
         if jobs > 1:
-            from ..perf.parallel import generate_one, pool_chunksize
             from ..perf.pool import warm_pool
 
             # the pool stays warm after generation: the mine fan-out
-            # that typically follows reuses the same worker processes
+            # that typically follows reuses the same worker processes;
+            # chunks of a quarter-pool amortise pickling without
+            # starving a worker
             for project in warm_pool(jobs).map(
-                generate_one,
-                pairs,
-                chunksize=pool_chunksize(len(pairs), jobs),
+                generate_project,
+                [spec for spec, _ in pairs],
+                [profile for _, profile in pairs],
+                chunksize=max(1, len(pairs) // (jobs * 4)),
             ):
                 projects.append(project)
                 tracker.update(project.name)

@@ -6,7 +6,9 @@ from .aggregates import (
     growth_vs_restructuring,
 )
 from .gitrepo import (
+    ClonedProject,
     GitCommandError,
+    load_clone,
     load_repository,
     mine_clone,
     read_git_log,
@@ -35,6 +37,7 @@ from .sources import (
 )
 
 __all__ = [
+    "ClonedProject",
     "GitCommandError",
     "HistoryAggregates",
     "SizeSnapshot",
@@ -51,6 +54,7 @@ __all__ = [
     "get_source",
     "register_source",
     "registered_sources",
+    "load_clone",
     "load_repository",
     "mine_clone",
     "read_git_log",

@@ -201,7 +201,7 @@ class AggregateAccumulator:
         self.rows = []
 
     def finalize(self) -> dict:
-        """The fused-engine payload shape: ``{"rows", "skipped"}``.
+        """The ``aggregate`` payload shape: ``{"rows", "skipped"}``.
 
         Spilled partials merge back in spill order (each partial is
         itself in fold order), then the in-memory tail — the exact row

@@ -4,7 +4,9 @@ The paper's own collection step: for each project, run
 ``git log --name-status --no-merges --date=iso`` on a local clone and
 extract the content of every version of the DDL file via ``git show``.
 The output is the same :class:`~repro.vcs.Repository` the synthetic
-corpus produces, so everything downstream is shared.
+corpus produces, so everything downstream is shared: :func:`load_clone`
+wraps a clone as a corpus project that the study pipeline
+(``Pipeline(corpus=...)``) mines, caches and explains like any other.
 
 Only read-only plumbing commands are issued; nothing in the clone is
 modified.
@@ -13,6 +15,7 @@ modified.
 from __future__ import annotations
 
 import subprocess
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..vcs import FileVersion, Repository, parse_repository
@@ -97,6 +100,32 @@ def load_repository(
     if not repo.versions_of(path):
         raise MiningError(f"{clone}: no versions of {path!r} extracted")
     return repo
+
+
+@dataclass
+class ClonedProject:
+    """A real clone as a corpus project: what the study pipeline mines."""
+
+    name: str
+    repository: Repository
+    #: A real project's taxon is what the study classifies, not an input.
+    true_taxon = None
+
+
+def load_clone(
+    clone: str | Path,
+    *,
+    ddl_path: str | None = None,
+    name: str | None = None,
+) -> ClonedProject:
+    """A local clone as a materialised corpus project.
+
+    Same arguments as :func:`load_repository`; the project is keyed by
+    its content in the pipeline's store, so re-running a study after
+    ``git pull`` recomputes exactly the clones whose history moved.
+    """
+    repo = load_repository(clone, ddl_path=ddl_path, name=name)
+    return ClonedProject(name=repo.name, repository=repo)
 
 
 def mine_clone(

@@ -1,8 +1,8 @@
 """Live run monitoring: heartbeat progress events and the TTY line.
 
-Long ``run_study --jobs N`` runs used to be silent until they finished.
+Long ``--jobs N`` studies used to be silent until they finished.
 This module threads a heartbeat through both executor fan-outs (corpus
-generation and mine+analyze): as each unit of work completes, the
+generation and the pipeline's map): as each unit of work completes, the
 driver-side loop calls :meth:`ProgressTracker.update`, and the tracker
 periodically emits a ``progress`` event —
 

@@ -137,6 +137,7 @@ def explain_target(
     current: dict,
     *,
     project: str | None = None,
+    present: bool = False,
 ) -> dict:
     """Classify one target (stage, or one shard of a map stage).
 
@@ -144,7 +145,9 @@ def explain_target(
     current fingerprint.  The stale path scans the store for the
     best-matching prior generation of the same stage (and project, for
     shards) and diffs breakdowns to produce the cause list; ties break
-    on sorted key order, so the answer is deterministic.
+    on sorted key order, so the answer is deterministic.  ``present``
+    marks a target that exists outside the store (a given project's
+    ``generate`` output): it is warm without a probe.
     """
     record = {
         "stage": stage,
@@ -155,7 +158,7 @@ def explain_target(
         "matched_key": None,
         "source_drift": False,
     }
-    if store.contains(key):
+    if present or store.contains(key):
         return record
     best: dict | None = None
     best_key: str | None = None

@@ -1,20 +1,20 @@
 """The ``make trace-smoke`` entry point: a small, fully-traced study.
 
 ``python -m repro.obs.smoke`` runs a scaled-down corpus through the
-study engine twice — untraced serial as the baseline, then traced with
-``jobs=2`` so worker span trees, metric deltas and warning windows all
-cross a real process boundary — and then checks the observability
+study pipeline twice — untraced serial as the baseline, then traced
+with ``jobs=2`` so worker span trees, metric deltas and warning windows
+all cross a real process boundary — and then checks the observability
 contract end to end:
 
 1. the traced run's measures CSV is byte-identical to the untraced one
    (observability must never change results);
 2. every line of the JSONL event log passes the schema validator;
-3. the span tree covers generate / mine / analyze with one ``project``
-   span per corpus project (reattached from the workers);
+3. the span tree covers generate / map / mine / analyze with one
+   ``project`` span per corpus project (reattached from the workers);
 4. the run manifest round-trips through ``json.loads`` and carries the
    seed, jobs, stage timings and metric snapshot;
 5. progress heartbeats land in the event log for both fan-out stages,
-   with the final ``mine_analyze`` heartbeat at done == total;
+   with the final ``map`` heartbeat at done == total;
 6. the exporters accept the run's own telemetry: the Chrome export has
    one complete event per span, the Prometheus page passes the
    exposition-grammar validator, and the folded stacks are non-empty;
@@ -134,7 +134,7 @@ def main() -> int:
 
         trace = json.loads(trace_path.read_text())
         names = _span_names(trace.get("spans", ()))
-        for required in ("generate", "study", "mine_analyze",
+        for required in ("generate", "pipeline", "map",
                          "mine", "analyze"):
             if required not in names:
                 failures.append(f"span {required!r} missing from trace")
@@ -145,7 +145,7 @@ def main() -> int:
             )
 
         # progress heartbeats: both fan-out stages must have reported,
-        # and the mine_analyze stage must have completed its count
+        # and the map stage must have completed its count
         heartbeats = [
             json.loads(line)
             for line in log_path.read_text().splitlines()
@@ -156,16 +156,16 @@ def main() -> int:
             failures.append("no generate progress heartbeat in the log")
         finals = [
             record for record in heartbeats
-            if record["stage"] == "mine_analyze"
+            if record["stage"] == "map"
         ]
         if not finals:
-            failures.append("no mine_analyze progress heartbeat in the log")
+            failures.append("no map progress heartbeat in the log")
         elif (
             finals[-1]["done"] != len(corpus)
             or finals[-1]["total"] != len(corpus)
         ):
             failures.append(
-                f"final mine_analyze heartbeat at "
+                f"final map heartbeat at "
                 f"{finals[-1]['done']}/{finals[-1]['total']}, "
                 f"expected {len(corpus)}/{len(corpus)}"
             )

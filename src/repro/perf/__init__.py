@@ -10,8 +10,8 @@ study scale:
   store shared across processes and runs;
 * :mod:`repro.perf.timing` — the per-stage wall-clock breakdown carried
   by :class:`~repro.analysis.study.StudyResult`;
-* :mod:`repro.perf.parallel` — picklable worker functions for the
-  ``ProcessPoolExecutor`` fan-out in ``run_study`` / ``generate_corpus``;
+* :mod:`repro.perf.parallel` — picklable worker functions and the
+  backpressured ``window_map`` behind the pipeline's map fan-out;
 * :mod:`repro.perf.fragments` — the incremental statement-level parse
   engine behind the cache's miss path (fragment + element reuse);
 * :mod:`repro.perf.pool` — the reusable warm worker pool shared by the

@@ -1,14 +1,14 @@
 """Picklable worker functions for the process-pool fan-out.
 
-``run_study(corpus, jobs=N)`` and ``generate_corpus(jobs=N)`` ship each
-project to a ``ProcessPoolExecutor`` worker through these module-level
-functions (bound methods and closures cannot cross the pickle
-boundary).  Each worker returns its own stage timings, parse-cache
-deltas, metrics deltas, warning window and (when tracing is enabled) the
-serialised span tree of its work, so the parent can aggregate a
-corpus-wide breakdown and reattach every worker span under its own
-dispatching span; every worker process warms its own in-memory cache
-(and shares the on-disk store when one is configured).
+The pipeline's map phase ships each cold project shard to a
+``ProcessPoolExecutor`` worker through :func:`map_shard` (bound methods
+and closures cannot cross the pickle boundary).  Each worker returns its
+own stage timings, parse-cache deltas, metrics deltas, warning window
+and (when tracing is enabled) the serialised span tree of its work, so
+the driver can aggregate a corpus-wide breakdown and reattach every
+worker span under its own dispatching span; every worker process warms
+its own in-memory cache (and shares the on-disk store when one is
+configured).
 
 The same functions run in-process on the serial path, so serial and
 parallel runs flow through identical instrumentation and produce
@@ -22,50 +22,19 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from ..analysis.measures import ProjectMeasures, analyze_project
 from ..corpus.generator import (
     GeneratedProject,
     ProjectSpec,
     generate_project,
 )
 from ..corpus.profiles import TaxonProfile
-from ..heartbeat import ZeroTotalError
 from ..mining import mine_project
 from ..obs.bus import reset_bus
-from ..obs.events import get_recorder, warn
+from ..obs.events import get_recorder
 from ..obs.metrics import MetricsSnapshot, get_metrics
 from ..obs.resources import cpu_times, peak_rss_bytes
 from ..obs.trace import get_tracer
 from .cache import CacheStats, get_cache
-
-
-@dataclass
-class MinedRow:
-    """One project's worker result: a measure row or a skip.
-
-    Besides the row itself, a ``MinedRow`` carries everything the driver
-    needs to reconstruct cross-process observability: stage seconds and
-    cache deltas (summed into :class:`~repro.perf.timing.StudyTimings`),
-    the metrics delta of the call, the warnings recorded during it, and
-    the project's serialised span tree when tracing is on.
-    """
-
-    name: str
-    row: ProjectMeasures | None
-    mine_seconds: float
-    analyze_seconds: float
-    cache: CacheStats
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    warnings: list[dict] = field(default_factory=list)
-    trace: dict | None = None
-    #: The worker process's lifetime footprint at result time
-    #: (``None`` on the in-process serial path, where the driver's own
-    #: sampler window already covers the work).
-    resources: dict | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.row is None
 
 
 #: CPU clock at :func:`worker_init` time; ``None`` means this process
@@ -83,7 +52,8 @@ def worker_init() -> None:
     written twice — once from the worker through the duplicated file
     descriptor and once when the driver replays it at attach time.
     Workers therefore run sink-less: their spans and warnings travel
-    back inside the :class:`MinedRow` and the driver alone emits them.
+    back inside the :class:`MinedHistory` and the driver alone emits
+    them.
     The telemetry bus is reset for the same reason — a forked worker
     inherits the driver's bus *with* its event-log sink attached, and
     publishing through it would write through the duplicated file
@@ -132,71 +102,18 @@ def _worker_sample() -> dict | None:
     }
 
 
-def mine_and_analyze(project: GeneratedProject) -> MinedRow:
-    """The per-project unit of study work (also used by the serial path).
-
-    Skips (``ZeroTotalError``) are carried in-band: raising across the
-    process boundary would poison the whole chunk.  The project's spans
-    are built detached (no parent) and shipped back as a dict; the
-    driver reattaches them under its dispatching span.
-    """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    recorder = get_recorder()
-    cache_before = get_cache().stats
-    metrics_before = metrics.snapshot()
-    warn_mark = recorder.mark()
-    # the worker pid becomes the span's thread lane in Chrome exports
-    with tracer.detached(
-        "project", project=project.name, worker=os.getpid()
-    ) as span:
-        start = time.perf_counter()
-        with tracer.span("mine") as mine_span:
-            history = mine_project(project.repository)
-            mine_span.set(
-                versions=history.schema_history.commit_count,
-                months=history.duration_months,
-            )
-        mined = time.perf_counter()
-        try:
-            with tracer.span("analyze"):
-                row = analyze_project(history, true_taxon=project.true_taxon)
-        except ZeroTotalError:
-            row = None
-        done = time.perf_counter()
-    metrics.inc("projects.mined")
-    if row is None:
-        metrics.inc("projects.skipped")
-        warn(
-            "empty-history",
-            f"{project.name}: zero total activity on one side; "
-            "project skipped",
-            project=project.name,
-        )
-    for kind, count in _change_counts(history).items():
-        metrics.inc(f"changes.{kind}", count)
-    return MinedRow(
-        name=project.name,
-        row=row,
-        mine_seconds=mined - start,
-        analyze_seconds=done - mined,
-        cache=get_cache().stats - cache_before,
-        metrics=metrics.snapshot() - metrics_before,
-        warnings=recorder.since(warn_mark),
-        trace=span.to_dict() if tracer.enabled else None,
-        resources=_worker_sample(),
-    )
-
-
 @dataclass
 class MinedHistory:
     """One project's mine-only worker result (the stage-graph unit).
 
     The pipeline's ``mine`` stage stops before analysis so its artifact
-    can be reused by every downstream consumer; like :class:`MinedRow`
-    it carries the cross-process observability channels, but its payload
-    is the full :class:`~repro.mining.ProjectHistory` plus the ground
-    truth the ``analyze`` stage needs.
+    can be reused by every downstream consumer.  Besides the full
+    :class:`~repro.mining.ProjectHistory` plus the ground truth the
+    ``analyze`` stage needs, it carries everything the driver needs to
+    reconstruct cross-process observability: stage seconds and cache
+    deltas (summed into :class:`~repro.perf.timing.StudyTimings`), the
+    metrics delta of the call, the warnings recorded during it, and the
+    project's serialised span tree when tracing is on.
     """
 
     name: str
@@ -210,17 +127,17 @@ class MinedHistory:
     resources: dict | None = None
 
 
-def mine_one(
-    project: GeneratedProject, *, source: str = "ddl"
-) -> MinedHistory:
+def mine_one(project, *, source: str = "ddl") -> MinedHistory:
     """The per-project unit of the pipeline's ``mine`` stage.
 
-    Mirrors :func:`mine_and_analyze` up to (and excluding) analysis:
-    the same detached ``project``/``mine`` span pair, the same
-    ``projects.mined`` and ``changes.*`` counters, the same cache /
-    metrics / warning deltas shipped back to the driver.  Analysis —
-    and the empty-history skip decision it makes — happens driver-side
-    in the ``analyze`` stage.  ``source`` names the
+    ``project`` is anything with ``name``, ``repository`` and
+    ``true_taxon`` — a generated project or a materialised one.  The
+    project's spans are built detached (no parent) and shipped back as
+    a dict; the driver reattaches them under its dispatching span.  The
+    ``projects.mined`` and ``changes.*`` counters, cache, metrics and
+    warning deltas ship back the same way.  Analysis — and the
+    empty-history skip decision it makes — happens driver-side in the
+    ``analyze`` stage.  ``source`` names the
     :class:`~repro.mining.sources.HistorySource` the schema half mines
     through (the workload's source half; ``"ddl"`` is canonical).
     """
@@ -261,17 +178,17 @@ def mine_one(
 class ShardTask:
     """One cold map shard shipped to the fan-out.
 
-    ``project`` carries a warm ``generate`` artifact payload when only
-    the mine work is cold; ``None`` means the worker generates first.
-    ``spec``/``profile`` are always present — they are the shard's
-    identity, and generation needs them.  ``source`` names the history
-    source the mine half runs through (the workload's source half;
-    the default keeps canonical tasks pickle-compatible).
+    ``project`` carries the project to mine when it already exists — a
+    warm ``generate`` artifact or a materialised corpus's own project;
+    ``None`` means the worker generates it first from ``spec`` and
+    ``profile``.  ``source`` names the history source the mine half
+    runs through (the workload's source half; the default keeps
+    canonical tasks pickle-compatible).
     """
 
-    spec: ProjectSpec
-    profile: TaxonProfile
-    project: GeneratedProject | None = None
+    spec: ProjectSpec | None
+    profile: TaxonProfile | None
+    project: object = None
     source: str = "ddl"
 
 
@@ -281,7 +198,7 @@ class ShardResult:
 
     ``generated`` is the freshly generated project when the worker had
     to generate (the driver stores it as the shard's ``generate``
-    artifact), ``None`` when the task arrived with a warm project.
+    artifact), ``None`` when the task arrived with its project.
     The mine half always runs; its observability channels ride on
     ``mined`` exactly as in the unsharded stage.
     """
@@ -311,7 +228,7 @@ def map_shard(task: ShardTask) -> ShardResult:
         generate_seconds = time.perf_counter() - start
         generated = project
     return ShardResult(
-        name=task.spec.name,
+        name=project.name,
         mined=mine_one(project, source=task.source),
         generated=generated,
         generate_seconds=generate_seconds,
@@ -326,27 +243,6 @@ def _change_counts(history) -> dict[str, int]:
             kind = change.kind.value
             totals[kind] = totals.get(kind, 0) + 1
     return totals
-
-
-def generate_one(
-    spec_and_profile: tuple[ProjectSpec, TaxonProfile]
-) -> GeneratedProject:
-    """Generate one project from its (spec, profile) pair.
-
-    Deterministic regardless of scheduling: every project draws from its
-    own ``spec.seed``-rooted RNG, so parallel generation is bit-identical
-    to the serial loop.  When tracing is enabled the project carries its
-    detached ``generate_project`` span in ``project.trace``.
-    """
-    spec, profile = spec_and_profile
-    return generate_project(spec, profile)
-
-
-def pool_chunksize(n_items: int, jobs: int) -> int:
-    """A chunk size amortising pickling without starving the pool."""
-    if jobs <= 1:
-        return max(1, n_items)
-    return max(1, n_items // (jobs * 4))
 
 
 @dataclass
@@ -389,8 +285,7 @@ def window_map(fn, items, *, executor=None, window=2, stats=None):
       so planning, submission and result memory are all bounded.
 
     Yields ``(tag, result)`` strictly in item order (the reduce fold
-    must see corpus order to stay byte-identical with the fused
-    engine).  ``window`` may be a callable returning the current limit —
+    must see corpus order to stay byte-identical with a serial run).  ``window`` may be a callable returning the current limit —
     the memory watchdog shrinks it under pressure; a limit drop takes
     effect at the next admission check, draining the surplus before any
     new submission.

@@ -2,7 +2,7 @@
 
 Every parallel entry point used to build (and tear down) its own
 ``ProcessPoolExecutor``: ``generate_corpus(jobs=N)`` spun one up, threw
-it away, and ``run_study``'s mine fan-out immediately paid worker
+it away, and the study's mine fan-out immediately paid worker
 start-up *again* — plus each fresh worker re-warmed its in-memory parse
 cache from nothing.  For the fused generate+mine flow that start-up tax
 is pure waste: the worker functions are stateless module-level callables

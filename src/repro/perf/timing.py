@@ -67,8 +67,8 @@ class StudyTimings:
     artifacts: dict[str, ArtifactStats] = field(default_factory=dict)
     resources: dict[str, dict] = field(default_factory=dict)
     #: Streaming-execution counters (backpressure window, spill stats,
-    #: watchdog state) — optional like ``resources``; absent on fused
-    #: runs and on records written before the streaming engine landed.
+    #: watchdog state) — optional like ``resources``; absent on
+    #: records written before the streaming engine landed.
     streaming: dict[str, object] = field(default_factory=dict)
 
     def record(self, stage: str, seconds: float) -> None:
@@ -224,8 +224,8 @@ class StudyTimings:
         """JSON-ready form (the ``BENCH_study.json`` payload core).
 
         The ``artifact_store`` block appears only when the run actually
-        resolved stages through the store, so fused-engine runs keep
-        their historical payload shape.
+        resolved stages through the store, so records of runs that
+        never touched it keep their historical payload shape.
         """
         payload: dict[str, object] = {
             "jobs": self.jobs,

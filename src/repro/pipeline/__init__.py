@@ -33,6 +33,7 @@ from .store import (
     ArtifactStore,
     DirStore,
     MemoryStore,
+    NullStore,
     StoreStats,
     configure_store,
     get_store,
@@ -40,7 +41,6 @@ from .store import (
 
 _LAZY = {
     "Pipeline": "graph",
-    "pipeline_study": "graph",
     "CODE_VERSIONS": "stages",
     "MAP_STAGE_NAMES": "stages",
     "REDUCE_STAGE_NAMES": "stages",
@@ -57,6 +57,7 @@ _LAZY = {
     "shard_batches": "shards",
     "spec_digest": "shards",
     "profile_digest": "shards",
+    "project_digest": "shards",
 }
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "MAP_STAGE_NAMES",
     "MemoryStore",
     "MinedProject",
+    "NullStore",
     "Pipeline",
     "REDUCE_STAGE_NAMES",
     "STAGES",
@@ -85,9 +87,9 @@ __all__ = [
     "digest_text",
     "family_fingerprint",
     "get_store",
-    "pipeline_study",
     "plan_shards",
     "profile_digest",
+    "project_digest",
     "shard_batches",
     "spec_digest",
     "stage_fingerprint",

@@ -20,6 +20,14 @@ shards enter the process-pool fan-out.  Editing one project of *N*
 therefore recomputes O(1) map work plus the reduce tail, and peak
 memory holds one project's history at a time, never the whole corpus.
 
+The corpus is either *sampled* — specs drawn from the seed, each
+project generated inside its shard — or *materialised*: projects that
+already exist (``corpus=``: a saved corpus, a real clone, a hand-built
+scenario), keyed by their content and mined as given.  Both run the same
+map/reduce path with the same tracing, progress, watchdog and
+provenance, so ``run_study`` over an in-memory corpus and ``repro study
+--corpus DIR`` are pipeline runs like any other.
+
 Artifacts carry their observability side-channels in the envelope meta:
 the warnings raised while computing and the stage's metrics delta.  On
 a hit both replay — warnings into the live recorder (so a warm run's
@@ -34,7 +42,9 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import replace
+from typing import Iterable
 
+from ..analysis.study import StudyResult
 from ..corpus.generator import DEFAULT_SEED, corpus_specs, iter_corpus_specs
 from ..corpus.profiles import corpus_size, scaled_profiles, sized_profiles
 from ..obs.bus import get_bus
@@ -57,7 +67,7 @@ from ..perf.timing import StudyTimings
 from ..workload import get_workload
 from .codec import SHARD_CODECS
 from .fingerprint import family_fingerprint, stage_fingerprint
-from .shards import ShardSpec, iter_shards, plan_shards
+from .shards import ShardSpec, iter_shards, plan_given_shard, plan_shards
 from .stages import (
     CODE_VERSIONS,
     MAP_STAGE_NAMES,
@@ -69,7 +79,7 @@ from .stages import (
     dependents_of,
     stage_source_digest,
 )
-from .store import Artifact, ArtifactStore, get_store
+from .store import Artifact, ArtifactStore, NullStore, get_store
 
 
 class Pipeline:
@@ -85,9 +95,13 @@ class Pipeline:
     ``project_overrides`` maps project name → replacement per-project
     seed: the named projects' specs are re-seeded before shard planning,
     so exactly their map cones (plus the reduce tail) re-key — the
-    surgical "edit one project" scenario.  ``plan`` injects an explicit
-    ``(spec, profile)`` list instead of sampling ``corpus_specs``
-    (degenerate-corpus tests and ad-hoc project sets).
+    surgical "edit one project" scenario.
+
+    ``corpus`` supplies materialised projects (anything with ``name``,
+    ``repository`` and ``true_taxon``) instead of sampling
+    ``corpus_specs``: each shard is keyed by the project's content
+    (:func:`~repro.pipeline.shards.project_digest`) and its ``generate``
+    stage is the given project, so seed, scale and size do not apply.
     """
 
     def __init__(
@@ -100,7 +114,7 @@ class Pipeline:
         store: ArtifactStore | None = None,
         code_versions: dict[str, str] | None = None,
         project_overrides: dict[str, int] | None = None,
-        plan: list[tuple] | None = None,
+        corpus: Iterable | None = None,
         projects: int | None = None,
         limit_memory_mb: int | None = None,
         window: int | None = None,
@@ -139,7 +153,14 @@ class Pipeline:
         #: Where the aggregate accumulator spills row batches; set for
         #: the duration of a bounded-memory aggregate recompute.
         self.spill_dir: str | None = None
-        self._plan = plan
+        #: The materialised projects, in corpus order (``None`` samples
+        #: the corpus from the seed).
+        self.corpus = None if corpus is None else list(corpus)
+        if self.corpus is not None and self.project_overrides:
+            raise ValueError(
+                "project_overrides re-seed sampled projects; "
+                "a materialised corpus has no seeds to override"
+            )
         self._shards: list[ShardSpec] | None = None
         self._fingerprints: dict[str, str] = {}
         self._resolved: dict[str, Artifact] = {}
@@ -147,7 +168,7 @@ class Pipeline:
         self._study = None
 
     # -- planning ------------------------------------------------------
-    def _profiles(self):
+    def profiles(self):
         """The corpus composition this pipeline samples from."""
         if self.projects is not None:
             return sized_profiles(self.projects)
@@ -157,9 +178,9 @@ class Pipeline:
         """How many projects the plan covers — O(1), nothing sampled."""
         if self._shards is not None:
             return len(self._shards)
-        if self._plan is not None:
-            return len(self._plan)
-        return corpus_size(self._profiles())
+        if self.corpus is not None:
+            return len(self.corpus)
+        return corpus_size(self.profiles())
 
     def iter_shards(self):
         """Stream the shard plan in corpus order, one spec at a time.
@@ -168,13 +189,13 @@ class Pipeline:
         path nothing is memoised — specs stream off
         :func:`~repro.corpus.generator.iter_corpus_specs` and each
         :class:`ShardSpec` is released after its consumer folds it, so
-        a 100k-project plan never exists as a list.  Injected plans and
-        override re-seeding fall back to the memoised list (they hold
-        the pairs anyway).
+        a 100k-project plan never exists as a list.  Materialised
+        corpora and override re-seeding fall back to the memoised list
+        (they hold the projects or pairs anyway).
         """
         if (
             self._shards is not None
-            or self._plan is not None
+            or self.corpus is not None
             or self.project_overrides
         ):
             yield from self.shards()
@@ -182,7 +203,7 @@ class Pipeline:
         yield from iter_shards(
             iter_corpus_specs(
                 seed=self.seed,
-                profiles=self._profiles(),
+                profiles=self.profiles(),
                 dialect=self.dialect,
             ),
             self.code_versions,
@@ -194,17 +215,21 @@ class Pipeline:
 
         Planning samples only project *specs* — no commit is generated —
         so a fully warm run never pays for generation.  Overridden
-        projects are re-seeded here, before keys are derived.
+        projects are re-seeded here, before keys are derived.  A
+        materialised corpus plans one content-keyed shard per project.
         """
-        if self._shards is None:
-            pairs = (
-                list(self._plan)
-                if self._plan is not None
-                else corpus_specs(
-                    seed=self.seed,
-                    profiles=self._profiles(),
-                    dialect=self.dialect,
+        if self._shards is None and self.corpus is not None:
+            self._shards = [
+                plan_given_shard(
+                    index, project, self.code_versions, self.dialect
                 )
+                for index, project in enumerate(self.corpus)
+            ]
+        if self._shards is None:
+            pairs = corpus_specs(
+                seed=self.seed,
+                profiles=self.profiles(),
+                dialect=self.dialect,
             )
             if self.project_overrides:
                 known = {spec.name for spec, _ in pairs}
@@ -318,8 +343,7 @@ class Pipeline:
             output = spec.compute(self, inputs)
             seconds = time.perf_counter() - start
         self.timings.record_resource(stage, window.sample)
-        if not output.self_timed:
-            self.timings.record(stage, seconds)
+        self.timings.record(stage, seconds)
         window = recorder.since(mark)
         self.warnings.extend(window)
         self.metrics = self.metrics + output.metrics
@@ -421,13 +445,14 @@ class Pipeline:
         Per shard: a warm ``analyze`` artifact wins outright (its
         ``mine``/``generate`` keys are never probed); a warm ``mine``
         artifact re-analyzes driver-side; otherwise the shard joins the
-        backpressured fan-out — carrying its warm ``generate`` payload
-        if one exists, generating in the worker if not.  The fan-out
-        runs through :func:`~repro.perf.parallel.window_map`, so at
+        backpressured fan-out — carrying its given project, or its warm
+        ``generate`` payload if one exists, generating in the worker if
+        neither.  The fan-out runs through
+        :func:`~repro.perf.parallel.window_map`, so at
         most :meth:`map_window` shards are in flight at once, the
         planner is not advanced while the window is full, and each
-        payload is yielded — then released — in corpus order, exactly
-        the order the fused engine folds.
+        payload is yielded — then released — in corpus order, the
+        order the aggregate folds.
 
         Under ``--limit-memory`` a
         :class:`~repro.obs.resources.MemoryWatchdog` probes the driver
@@ -463,17 +488,18 @@ class Pipeline:
                 if warm_mine is not None:
                     yield (shard, "ready", ("mine", warm_mine.payload))
                     continue
-                warm_generate = self._load_shard("generate", shard)
+                project = shard.given
+                if project is None:
+                    warm_generate = self._load_shard("generate", shard)
+                    if warm_generate is not None:
+                        project = warm_generate.payload
                 yield (
                     shard,
                     "task",
                     ShardTask(
                         spec=shard.spec,
                         profile=shard.profile,
-                        project=(
-                            None if warm_generate is None
-                            else warm_generate.payload
-                        ),
+                        project=project,
                         source=self.workload.source,
                     ),
                 )
@@ -582,7 +608,8 @@ class Pipeline:
         before = registry.snapshot()
         mark = recorder.mark()
         start = time.perf_counter()
-        payload = analyze_one(mined)
+        with get_tracer().span("analyze", project=shard.project):
+            payload = analyze_one(mined)
         seconds = time.perf_counter() - start
         self.timings.record("analyze", seconds)
         delta = registry.snapshot() - before
@@ -593,6 +620,16 @@ class Pipeline:
             warnings=recorder.since(mark), metrics=delta,
         )
         return payload
+
+    def _shard_present(self, stage: str, shard: ShardSpec) -> bool:
+        """Whether a shard's ``stage`` output exists — no accounting.
+
+        A given project *is* its shard's ``generate`` output, so that
+        stage counts as present although it is never stored.
+        """
+        if stage == "generate" and shard.given is not None:
+            return True
+        return self.store.contains(shard.keys[stage])
 
     def _load_shard(self, stage: str, shard: ShardSpec) -> Artifact | None:
         """One shard-key probe: hit replays its meta, miss counts one.
@@ -687,6 +724,7 @@ class Pipeline:
                     shard.keys[stage],
                     self._shard_provenance(stage, shard),
                     project=shard.project,
+                    present=self._shard_present(stage, shard),
                 )
                 for shard in shards
             ]
@@ -855,19 +893,30 @@ class Pipeline:
         the resolved artifacts, so accessors replay stored values
         instead of recomputing.  Memoised per pipeline: a second call
         returns the same object.
-        """
-        from ..analysis.study import StudyResult
 
+        Over a :class:`~repro.pipeline.store.NullStore` the
+        ``statistics`` stage is skipped: with nothing to replay later,
+        the result's own accessor computes the §7 battery from its rows
+        on first read, so a caller that never reads it never pays for
+        the Monte-Carlo test, the costliest reduce stage.
+        """
         if self._study is not None:
             return self._study
         tracer = get_tracer()
         start = time.perf_counter()
+        corpus_attrs = (
+            {"seed": self.seed, "scale": self.scale}
+            if self.corpus is None else {"corpus": len(self.corpus)}
+        )
         with tracer.span(
-            "pipeline", seed=self.seed, scale=self.scale, jobs=self.jobs
+            "pipeline", jobs=self.jobs, **corpus_attrs
         ), get_monitor().window() as window:
             aggregate = self.resolve("aggregate")
             figures = self.resolve("figures")
-            statistics = self.resolve("statistics")
+            battery = (
+                None if isinstance(self.store, NullStore)
+                else self.resolve("statistics")
+            )
         self.timings.record_resource("driver", window.sample)
         self.metrics.fold_cache(self.timings.cache)
         self.timings.record_wall(time.perf_counter() - start)
@@ -880,7 +929,8 @@ class Pipeline:
             warnings=list(self.warnings),
         )
         result.prime_artifacts(
-            figures=figures.payload, statistics=statistics.payload
+            figures=figures.payload,
+            statistics=None if battery is None else battery.payload,
         )
         self._study = result
         return result
@@ -895,8 +945,9 @@ class Pipeline:
 
         Map rows carry the shard totals (``shards`` planned versus
         ``warm_shards`` stored, ``size_bytes`` summed over the warm
-        ones) and count as warm only when *every* shard is; reduce rows
-        keep the one-artifact shape with ``shards`` set to ``None``.
+        ones) and count as warm only when *every* shard is; a given
+        project's ``generate`` shard is always warm.  Reduce rows keep
+        the one-artifact shape with ``shards`` set to ``None``.
         """
         rows = []
         shards = self.shards()
@@ -905,7 +956,7 @@ class Pipeline:
             if STAGES[name].kind == "map":
                 warm_keys = [
                     shard.keys[name] for shard in shards
-                    if self.store.contains(shard.keys[name])
+                    if self._shard_present(name, shard)
                 ]
                 rows.append(
                     {
@@ -964,7 +1015,7 @@ class Pipeline:
                 {
                     "project": shard.project,
                     **{
-                        stage: self.store.contains(shard.keys[stage])
+                        stage: self._shard_present(stage, shard)
                         for stage in MAP_STAGE_NAMES
                     },
                 }
@@ -1057,29 +1108,3 @@ class Pipeline:
         self._resolved.clear()
         self._study = None
         return removed
-
-
-def pipeline_study(
-    *,
-    seed: int = DEFAULT_SEED,
-    scale: int = 1,
-    jobs: int = 1,
-    store: ArtifactStore | None = None,
-    code_versions: dict[str, str] | None = None,
-    project_overrides: dict[str, int] | None = None,
-    projects: int | None = None,
-    limit_memory_mb: int | None = None,
-    dialect: str | None = None,
-):
-    """One-call stage-graph study (the pipeline twin of ``run_study``)."""
-    return Pipeline(
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
-        store=store,
-        code_versions=code_versions,
-        project_overrides=project_overrides,
-        projects=projects,
-        limit_memory_mb=limit_memory_mb,
-        dialect=dialect,
-    ).study()

@@ -14,6 +14,12 @@ Planning is cheap by construction: :func:`plan_shards` consumes the
 ``(spec, profile)`` pairs of :func:`~repro.corpus.generator.corpus_specs`
 — sampled from the corpus RNG without realising a single commit — so a
 fully warm run never pays for generation at all.
+
+A *materialised* corpus — projects that already exist in memory, read
+back from a saved corpus or a real clone — plans through
+:func:`plan_given_shard` instead: the identity is the project's name
+plus a digest of the content mining reads (:func:`project_digest`), and
+the shard's ``generate`` stage is the given project itself.
 """
 
 from __future__ import annotations
@@ -60,13 +66,17 @@ class ShardSpec:
 
     index: int
     project: str
-    spec: ProjectSpec = field(compare=False)
-    profile: TaxonProfile = field(compare=False)
     keys: dict = field(compare=False)
     #: The identity params the ``generate`` key folds (project name +
-    #: spec/profile digests) — kept on the shard so provenance records
-    #: can name *which* digest moved when a shard re-keys.
+    #: spec/profile digests, or the content digest of a given project)
+    #: — kept on the shard so provenance records can name *which*
+    #: digest moved when a shard re-keys.
     identity: dict = field(compare=False, default_factory=dict)
+    spec: ProjectSpec | None = field(compare=False, default=None)
+    profile: TaxonProfile | None = field(compare=False, default=None)
+    #: The materialised project when the corpus supplies it: its
+    #: ``generate`` stage is given, never computed or stored.
+    given: object = field(compare=False, default=None)
 
     def key(self, stage: str) -> str:
         return self.keys[stage]
@@ -78,6 +88,32 @@ class ShardSpec:
             return {}
         previous = SHARD_STAGES[i - 1]
         return {previous: self.keys[previous]}
+
+
+def _keyed_shard(
+    index: int, identity: dict, code_versions: dict[str, str], **fields
+) -> ShardSpec:
+    """The shard whose three map keys chain from ``identity``."""
+    generate_key = stage_fingerprint(
+        "generate", code_versions["generate"], identity, {}
+    )
+    mine_key = stage_fingerprint(
+        "mine", code_versions["mine"], {}, {"generate": generate_key}
+    )
+    analyze_key = stage_fingerprint(
+        "analyze", code_versions["analyze"], {}, {"mine": mine_key}
+    )
+    return ShardSpec(
+        index=index,
+        project=identity["project"],
+        keys={
+            "generate": generate_key,
+            "mine": mine_key,
+            "analyze": analyze_key,
+        },
+        identity=identity,
+        **fields,
+    )
 
 
 def plan_shard(
@@ -108,27 +144,58 @@ def plan_shard(
     }
     if dialect is not None:
         identity["dialect"] = dialect
-    generate_key = stage_fingerprint(
-        "generate", code_versions["generate"], identity, {}
+    return _keyed_shard(
+        index, identity, code_versions, spec=spec, profile=profile
     )
-    mine_key = stage_fingerprint(
-        "mine", code_versions["mine"], {}, {"generate": generate_key}
-    )
-    analyze_key = stage_fingerprint(
-        "analyze", code_versions["analyze"], {}, {"mine": mine_key}
-    )
-    return ShardSpec(
-        index=index,
-        project=spec.name,
-        spec=spec,
-        profile=profile,
-        keys={
-            "generate": generate_key,
-            "mine": mine_key,
-            "analyze": analyze_key,
-        },
-        identity=identity,
-    )
+
+
+def project_digest(project) -> str:
+    """A content digest of one materialised project: what mining reads.
+
+    Folds the repository's commits (sha, author, date, message, every
+    file change), the recorded versions of every tracked file and the
+    ground-truth taxon, so any edit to a saved corpus or a re-cloned
+    history re-keys exactly that project's shards.
+    """
+    repo = project.repository
+    taxon = project.true_taxon
+    parts = [repo.name, taxon.value if taxon is not None else ""]
+    for commit in repo.commits:
+        parts += (
+            commit.sha, commit.author, commit.email,
+            commit.date.isoformat(), commit.message,
+            str(len(commit.changes)),
+        )
+        for change in commit.changes:
+            parts += (change.status, change.path, change.old_path or "")
+    for path in sorted(repo.file_contents):
+        versions = repo.file_contents[path]
+        parts += (path, str(len(versions)))
+        for version in versions:
+            parts += (
+                version.sha, version.date.isoformat(), version.content,
+            )
+    # one joined update: hashing field by field costs more than mining
+    # a small project
+    return digest_text("project-content", "\x00".join(parts))
+
+
+def plan_given_shard(
+    index: int,
+    project,
+    code_versions: dict[str, str],
+    dialect: str | None = None,
+) -> ShardSpec:
+    """Plan the shard of a materialised project (a saved or real one).
+
+    The identity is the project's name plus its :func:`project_digest`,
+    so a warm store replays an unchanged project whatever corpus it
+    arrives in; ``dialect`` folds in exactly as for a sampled shard.
+    """
+    identity = {"project": project.name, "content": project_digest(project)}
+    if dialect is not None:
+        identity["dialect"] = dialect
+    return _keyed_shard(index, identity, code_versions, given=project)
 
 
 def iter_shards(pairs, code_versions: dict[str, str], dialect: str | None = None):
@@ -137,9 +204,10 @@ def iter_shards(pairs, code_versions: dict[str, str], dialect: str | None = None
     ``pairs`` may be any iterable — in the streaming pipeline it is the
     :func:`~repro.corpus.generator.iter_corpus_specs` generator, so a
     100k-project plan is never held whole.  Shards keep corpus order
-    (the reduce stages fold rows in corpus order, matching the fused
-    engine byte for byte); the *family* fingerprint over shard keys
-    sorts internally, so ordering here is presentation, not addressing.
+    (the reduce stages fold rows in corpus order, so every fan-out
+    width renders the same bytes); the *family* fingerprint over shard
+    keys sorts internally, so ordering here is presentation, not
+    addressing.
     """
     for index, (spec, profile) in enumerate(pairs):
         yield plan_shard(index, spec, profile, code_versions, dialect)

@@ -40,8 +40,8 @@ Reduce compute functions receive the owning
 the fan-out width) plus the payloads of their resolved dependencies,
 and return a :class:`StageOutput` carrying the payload and an explicit
 metrics delta — explicit because worker-process counters never reach
-the driver registry, exactly as in ``run_study``.  Map stages carry no
-corpus-level compute: the graph resolves them shard by shard through
+the driver registry.  Map stages carry no corpus-level compute: the
+graph resolves them shard by shard through
 :func:`~repro.perf.parallel.map_shard` and :func:`analyze_one`.
 """
 
@@ -80,9 +80,6 @@ class StageOutput:
 
     payload: object
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    #: True when the compute recorded its own stage seconds (the map
-    #: phase records summed worker seconds, like ``run_study``).
-    self_timed: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,10 +121,9 @@ def analyze_one(mined: MinedProject) -> dict:
     """``analyze`` one shard: ``{"project", "row"}``, skips in-band.
 
     Runs driver-side (analysis is orders of magnitude cheaper than
-    mining); the empty-history skip decision — and its warning, with
-    the exact message ``run_study`` emits — lives here.  A skipped
-    project stores ``row=None`` so a warm shard replays the skip
-    without recomputing.
+    mining); the empty-history skip decision — and its
+    ``empty-history`` warning — lives here.  A skipped project stores
+    ``row=None`` so a warm shard replays the skip without recomputing.
     """
     from ..analysis.measures import analyze_project
 
@@ -156,11 +152,12 @@ def compute_aggregate(pipe, inputs: dict) -> StageOutput:
     streaming map generator, each payload released after its fold — and
     folds them through an
     :class:`~repro.mining.aggregates.AggregateAccumulator` into the same
-    ``{"rows", "skipped"}`` shape the fused engine produces, so every
-    downstream stage — and the rendered report — is byte-identical to a
-    whole-corpus serial run.  Under ``--limit-memory`` the pipeline
-    hands the accumulator a spill directory, bounding even the
-    accumulated rows; the spilled fold is byte-identical too.
+    ``{"rows", "skipped"}`` shape whatever the fan-out width or store
+    state, so every downstream stage — and the rendered report — is
+    byte-identical to a whole-corpus serial run.  Under
+    ``--limit-memory`` the pipeline hands the accumulator a spill
+    directory, bounding even the accumulated rows; the spilled fold is
+    byte-identical too.
     """
     from ..mining.aggregates import AggregateAccumulator
 

@@ -238,6 +238,29 @@ class MemoryStore(ArtifactStore):
         return len(self._entries)
 
 
+class NullStore(ArtifactStore):
+    """A store that keeps nothing: every lookup misses.
+
+    For one-shot studies (``run_study``): each shard's history is
+    released once its analysis folds, as if no store were there.
+    """
+
+    def _raw_get(self, key: str) -> Artifact | None:
+        return None
+
+    def _raw_put(self, artifact: Artifact) -> None:
+        pass
+
+    def contains(self, key: str) -> bool:
+        return False
+
+    def delete(self, key: str) -> bool:
+        return False
+
+    def keys(self) -> list[str]:
+        return []
+
+
 class DirStore(ArtifactStore):
     """On-disk artifact store shared across processes and runs.
 

@@ -140,3 +140,15 @@ class TestMineClone:
         assert measures.schema_commits == 3
         assert measures.active_schema_commits == 2
         assert 0 <= measures.sync10 <= 1
+
+
+class TestCloneInTheStudyPipeline:
+    def test_clone_runs_through_the_pipeline(self, clone):
+        from repro.analysis import analyze_project
+        from repro.mining import load_clone
+        from repro.pipeline import MemoryStore, Pipeline
+
+        pipe = Pipeline(corpus=[load_clone(clone)], store=MemoryStore())
+        study = pipe.study()
+        assert study.projects == [analyze_project(mine_clone(clone))]
+        assert pipe.shards()[0].identity["project"] == "project"

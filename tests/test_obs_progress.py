@@ -289,7 +289,7 @@ class TestStudyIntegration:
             reset_progress()
         assert len(study) + len(study.skipped) == 3
         stages = {r["stage"] for r in records}
-        assert stages == {"generate", "mine_analyze"}
-        finals = [r for r in records if r["stage"] == "mine_analyze"]
+        assert stages == {"generate", "map"}
+        finals = [r for r in records if r["stage"] == "map"]
         assert finals[-1]["done"] == finals[-1]["total"] == 3
         assert all(validate_event(r) == [] for r in records)

@@ -153,7 +153,7 @@ class TestResultsUnchanged:
 class TestSpanTree:
     def test_covers_generate_mine_analyze(self, traced):
         names = _span_names(traced["trace"]["spans"])
-        for required in ("generate", "study", "mine_analyze",
+        for required in ("generate", "pipeline", "map",
                          "mine", "analyze"):
             assert required in names, f"span {required!r} missing"
 
@@ -163,15 +163,21 @@ class TestSpanTree:
         assert names.count("generate_project") == traced["corpus_size"]
 
     def test_worker_spans_reattach_under_the_dispatching_span(self, traced):
-        dispatch = _find_span(traced["trace"]["spans"], "mine_analyze")
+        dispatch = _find_span(traced["trace"]["spans"], "map")
         assert dispatch is not None
         children = dispatch["children"]
-        assert len(children) == traced["corpus_size"]
-        for project_span in children:
+        # each worker-built project span is followed by the driver-side
+        # analysis of the same project
+        assert len(children) == 2 * traced["corpus_size"]
+        for project_span, analyze_span in zip(children[::2], children[1::2]):
             assert project_span["name"] == "project"
             assert project_span["attributes"].get("project")
             child_names = [c["name"] for c in project_span["children"]]
-            assert child_names == ["mine", "analyze"]
+            assert child_names == ["mine"]
+            assert analyze_span["name"] == "analyze"
+            assert analyze_span["attributes"]["project"] == (
+                project_span["attributes"]["project"]
+            )
 
     def test_mine_spans_carry_history_attributes(self, traced):
         mine = _find_span(traced["trace"]["spans"], "mine")
@@ -211,10 +217,10 @@ class TestProgress:
 
     def test_both_fanout_stages_heartbeat(self, traced):
         stages = {r["stage"] for r in self._heartbeats(traced)}
-        assert stages == {"generate", "mine_analyze"}
+        assert stages == {"generate", "map"}
 
     def test_final_heartbeat_reaches_the_corpus_size(self, traced):
-        for stage in ("generate", "mine_analyze"):
+        for stage in ("generate", "map"):
             finals = [
                 r for r in self._heartbeats(traced) if r["stage"] == stage
             ]
@@ -223,7 +229,7 @@ class TestProgress:
             assert finals[-1]["percent"] == 100.0
 
     def test_done_counts_are_monotonic(self, traced):
-        for stage in ("generate", "mine_analyze"):
+        for stage in ("generate", "map"):
             dones = [
                 r["done"] for r in self._heartbeats(traced)
                 if r["stage"] == stage
@@ -234,7 +240,7 @@ class TestProgress:
     def test_mine_heartbeats_carry_slowest_projects(self, traced):
         finals = [
             r for r in self._heartbeats(traced)
-            if r["stage"] == "mine_analyze"
+            if r["stage"] == "map"
         ]
         slowest = finals[-1]["slowest"]
         assert 0 < len(slowest) <= 3
@@ -262,7 +268,7 @@ class TestExporters:
 
     def test_folded_stacks_cover_the_hot_path(self, traced):
         stacks = folded_stacks(traced["trace"])
-        assert "study;mine_analyze;project;mine " in stacks
+        assert "pipeline;stage:aggregate;map;project;mine " in stacks
 
 
 class TestManifest:
@@ -304,9 +310,9 @@ class TestTraceViewCommand:
             ["trace-view", str(traced["dir"] / "trace.json")]
         ) == 0
         out = capsys.readouterr().out
-        assert "study" in out
+        assert "pipeline" in out
         assert "project" in out
-        assert "mine_analyze" in out
+        assert "map" in out
 
     def test_depth_limits_the_output(self, traced, capsys):
         assert main(
@@ -314,8 +320,8 @@ class TestTraceViewCommand:
              "--depth", "0"]
         ) == 0
         out = capsys.readouterr().out
-        assert "study" in out
-        assert "mine_analyze" not in out
+        assert "pipeline" in out
+        assert "stage:aggregate" not in out
 
     def test_sort_by_self_time_reorders_siblings(self, traced, capsys):
         assert main(
@@ -325,7 +331,7 @@ class TestTraceViewCommand:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines()[1:] if l.strip()]
         # with --sort self the hottest root comes first, and project
-        # rows inside mine_analyze are ordered by descending self time
+        # rows inside map are ordered by descending self time
         assert lines, "no spans rendered"
 
     def test_min_ms_prunes_fast_subtrees(self, traced, capsys):

@@ -8,12 +8,12 @@ the active recorder, where the run manifest picks it up.
 
 import pytest
 
+from repro.analysis import run_study
 from repro.mining.history import SchemaHistory
 from repro.mining.miner import find_ddl_path
 from repro.obs.events import get_recorder, reset_recorder
 from repro.obs.metrics import get_metrics, reset_metrics
 from repro.perf.cache import ParseCache
-from repro.perf.parallel import mine_and_analyze
 from repro.vcs import Commit, FileChange, FileVersion, Repository, synthetic_sha, utc
 
 
@@ -125,8 +125,8 @@ class TestEmptyHistorySkip:
         return _Project()
 
     def test_skip_is_carried_with_a_warning(self):
-        result = mine_and_analyze(self._zero_schema_project())
-        assert result.skipped
+        result = run_study([self._zero_schema_project()])
+        assert result.skipped == ["demo/hollow"]
         assert [r["code"] for r in result.warnings] == ["empty-history"]
         assert result.warnings[0]["context"]["project"] == "demo/hollow"
         assert result.metrics.counters["projects.skipped"] == 1

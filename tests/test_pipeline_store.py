@@ -11,6 +11,7 @@ from repro.pipeline.store import (
     STORE_DIR_ENV,
     DirStore,
     MemoryStore,
+    NullStore,
     StoreStats,
     atomic_write_pickle,
     configure_store,
@@ -107,6 +108,20 @@ class TestMemoryStore:
         assert store.keys() == ["b"]
         assert store.clear() == 1
         assert len(store) == 0
+
+
+class TestNullStore:
+    def test_keeps_nothing(self):
+        store = NullStore()
+        artifact = store.put("k", {"rows": [1]}, meta={"stage": "mine"})
+        # the write still hands back the artifact the caller folds
+        assert artifact.payload == {"rows": [1]}
+        assert store.get("k") is None
+        assert not store.contains("k")
+        assert store.meta_of("k") is None
+        assert not store.delete("k")
+        assert store.keys() == []
+        assert store.stats == StoreStats(misses=1, writes=1)
 
 
 class TestDirStore:

@@ -1,22 +1,20 @@
-"""End-to-end pipeline studies: warm replays, fused-engine equivalence,
-degenerate corpora, corrupted stores.
+"""End-to-end pipeline studies: warm replays, sampled versus
+materialised corpora, degenerate corpora, corrupted stores.
 
 The acceptance contract of the sharded stage graph: a warm-store rerun
 is byte-identical to the cold run (serial or parallel) *and* to the
-fused whole-corpus engine, clean shards are served from the store, and
-a damaged store entry is recomputed — never served.
+same corpus run materialised in memory, clean shards are served from
+the store, and a damaged store entry is recomputed — never served.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.study import StudyResult
-from repro.corpus.generator import ProjectSpec
-from repro.corpus.profiles import profile_for
-from repro.heartbeat import Month
 from repro.obs.events import get_recorder, reset_recorder
 from repro.obs.metrics import reset_metrics
 from repro.pipeline import DirStore, MemoryStore, Pipeline
-from repro.taxa import Taxon
 from repro.vcs import (
     Commit,
     FileChange,
@@ -42,36 +40,16 @@ def _codes():
     return [record["code"] for record in get_recorder().warnings]
 
 
-def _hollow_plan(count: int) -> list[tuple]:
-    """An explicit shard plan of ``count`` all-skip projects."""
-    profile = profile_for(Taxon.FROZEN)
-    return [
-        (
-            ProjectSpec(
-                name=f"demo/hollow-{index}",
-                taxon=Taxon.FROZEN,
-                seed=index,
-                vendor="mysql",
-                duration_months=1,
-                start=Month(2020, 1),
-            ),
-            profile,
-        )
-        for index in range(count)
-    ]
-
-
 def _hollow_pipeline(store, count: int) -> Pipeline:
     """A pipeline over ``count`` projects whose analyses all skip.
 
-    The plan's ``generate`` shards are planted by hand with projects
-    whose recorded DDL never defines a table, so every analysis raises
-    ``ZeroTotalError`` — the empty-history skip — while mining still
-    runs for real.
+    The corpus is built by hand: every project's recorded DDL never
+    defines a table, so every analysis raises ``ZeroTotalError`` — the
+    empty-history skip — while mining still runs for real.
     """
-    pipe = Pipeline(store=store, plan=_hollow_plan(count))
-    for index, shard in enumerate(pipe.shards()):
-        repo = Repository(name=shard.project)
+    corpus = []
+    for index in range(count):
+        repo = Repository(name=f"demo/hollow-{index}")
         for i in range(3):
             repo.add_commit(
                 Commit(
@@ -85,18 +63,10 @@ def _hollow_pipeline(store, count: int) -> Pipeline:
             "schema.sql",
             FileVersion(synthetic_sha(index * 10), utc(2020, 1), ""),
         )
-
-        class _Project:
-            name = repo.name
-            repository = repo
-            true_taxon = None
-
-        store.put(
-            shard.keys["generate"],
-            _Project(),
-            meta={"stage": "generate", "warnings": [], "metrics": None},
+        corpus.append(
+            SimpleNamespace(name=repo.name, repository=repo, true_taxon=None)
         )
-    return pipe
+    return Pipeline(store=store, corpus=corpus)
 
 
 class TestWarmReplay:
@@ -112,9 +82,9 @@ class TestWarmReplay:
         assert warm.timings.artifact_totals.recomputes == 0
 
     def test_sharded_report_matches_the_fused_engine(self, tmp_path):
-        # the acceptance bar of the refactor: a sharded cold run, its
-        # warm replay and the whole-corpus fused engine all render the
-        # same bytes
+        # a sampled cold run, its warm replay and the same corpus
+        # generated up front and run as a materialised corpus all
+        # render the same bytes
         from repro.analysis.study import run_study
         from repro.corpus.generator import generate_corpus
         from repro.corpus.profiles import scaled_profiles
@@ -145,6 +115,31 @@ class TestWarmReplay:
         for stage in ("aggregate", "figures", "statistics"):
             assert stats[stage].hits == 1, stage
         assert parallel.timings.artifact_totals.recomputes == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_generate_feeds_a_cold_mine(self, tmp_path, jobs):
+        # invalidating mine keeps every generate artifact: the rerun
+        # ships each stored project to the fan-out instead of
+        # regenerating it, and renders the same bytes
+        store_dir = tmp_path / "artifacts"
+        cold = Pipeline(scale=SCALE, store=DirStore(store_dir))
+        cold_study = cold.study()
+        cold_text = cold.report()
+        n = len(cold.shards())
+        assert cold.invalidate("mine") > 0
+
+        rerun = Pipeline(scale=SCALE, jobs=jobs, store=DirStore(store_dir))
+        study = rerun.study()
+        stats = rerun.timings.artifacts
+        assert stats["generate"].hits == n
+        assert stats["generate"].recomputes == 0
+        # each hit replays its one generation; none runs again
+        assert study.metrics.counters["projects.generated"] == n
+        assert stats["mine"].recomputes == n
+        assert stats["analyze"].recomputes == n
+        assert study.projects == cold_study.projects
+        assert study.skipped == cold_study.skipped
+        assert rerun.report() == cold_text
 
     def test_parallel_cold_run_matches_serial_cold_run(self, tmp_path):
         serial = Pipeline(
@@ -189,7 +184,7 @@ class TestHeadlineMemo:
 
 class TestDegenerateCorpora:
     def test_empty_corpus_studies_cleanly(self):
-        pipe = Pipeline(store=MemoryStore(), plan=[])
+        pipe = Pipeline(store=MemoryStore(), corpus=[])
         study = pipe.study()
         assert study.projects == []
         assert study.skipped == []
@@ -197,7 +192,7 @@ class TestDegenerateCorpora:
         assert study.fig6() is not None  # no ZeroDivisionError
 
     def test_empty_corpus_report_renders(self):
-        pipe = Pipeline(store=MemoryStore(), plan=[])
+        pipe = Pipeline(store=MemoryStore(), corpus=[])
         text = pipe.report()
         assert "0 projects analysed" in text
         # the §7 battery cannot run on nothing; the report says so
@@ -205,8 +200,8 @@ class TestDegenerateCorpora:
 
     def test_empty_corpus_warm_replay_is_byte_identical(self):
         store = MemoryStore()
-        cold_text = Pipeline(store=store, plan=[]).report()
-        warm = Pipeline(store=store, plan=[])
+        cold_text = Pipeline(store=store, corpus=[]).report()
+        warm = Pipeline(store=store, corpus=[])
         assert warm.report() == cold_text
         assert warm.timings.artifact_totals.recomputes == 0
 
@@ -237,11 +232,11 @@ class TestDegenerateCorpora:
 
     def test_statistics_error_replays_from_the_artifact(self):
         store = MemoryStore()
-        pipe = Pipeline(store=store, plan=[])
+        pipe = Pipeline(store=store, corpus=[])
         with pytest.raises(ValueError):
             pipe.study().statistics()
 
-        warm = Pipeline(store=store, plan=[])
+        warm = Pipeline(store=store, corpus=[])
         with pytest.raises(ValueError):
             warm.study().statistics()
         assert warm.timings.artifacts["statistics"].hits == 1

@@ -74,8 +74,9 @@ class TestArtifactAccounting:
         assert driver.artifacts["mine"] == ArtifactStats(1, 1)
 
     def test_as_dict_omits_store_block_for_fused_runs(self):
-        # fused-engine runs never touch the store; their BENCH payload
-        # keeps its historical shape
+        # timings that never touched the store (records written before
+        # every run went through the pipeline) keep their historical
+        # BENCH payload shape
         assert "artifact_store" not in StudyTimings().as_dict()
 
     def test_as_dict_store_block(self):
@@ -127,14 +128,14 @@ class TestCanonicalStudyTotal:
     def test_canonical_study_is_memoised(self, monkeypatch):
         import repro.pipeline.graph as graph
 
-        calls: list[dict] = []
+        calls: list[tuple] = []
         sentinel = object()
 
-        def fake_pipeline_study(**kwargs):
-            calls.append(kwargs)
+        def fake_study(pipe):
+            calls.append((pipe.seed, pipe.jobs))
             return sentinel
 
-        monkeypatch.setattr(graph, "pipeline_study", fake_pipeline_study)
+        monkeypatch.setattr(graph.Pipeline, "study", fake_study)
         assert canonical_study(12345) is sentinel
         assert canonical_study(12345) is sentinel  # lru_cache, one compute
-        assert calls == [{"seed": 12345, "jobs": 1}]
+        assert calls == [(12345, 1)]
