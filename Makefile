@@ -13,7 +13,7 @@ PYTHON ?= python
 JOBS ?= 1
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test trace-smoke pipeline-smoke sqlite-smoke serve-smoke scale-smoke bench bench-mine bench-parallel bench-scale bench-check study clean
+.PHONY: test trace-smoke pipeline-smoke sqlite-smoke serve-smoke scale-smoke bench-selftest bench bench-mine bench-parallel bench-scale bench-check study clean
 
 test: trace-smoke pipeline-smoke sqlite-smoke serve-smoke
 	$(PYTHON) -m pytest -x -q
@@ -50,6 +50,12 @@ sqlite-smoke:
 # REPRO_SCALE_SMOKE_PROJECTS / REPRO_SCALE_SMOKE_LIMIT_MB
 scale-smoke:
 	$(PYTHON) -m repro.pipeline.scale_smoke
+
+# the end-to-end benchmark's own self-tests (python -m bench; 12-project
+# corpora, ~25 s): a refactor that moves a call site the per-layer trace
+# binds to (bench/tracing.py) fails here instead of at benchmark time
+bench-selftest:
+	$(PYTHON) -m pytest bench/tests -q
 
 # perf benchmarks (pytest-benchmark harness + BENCH_study.json writer);
 # the `test` prerequisite is the overwrite guard.

@@ -17,7 +17,8 @@ The generative story per project:
 3. source activity is allocated month-by-month from a Beta-shaped
    profile, with the initial import taking its share up front and spike
    months receiving coupled source work;
-4. everything is serialised to git-log text and re-parsed.
+4. everything is serialised to git-log text, which the project's
+   repository is parsed back from when it is first read.
 """
 
 from __future__ import annotations
@@ -81,19 +82,31 @@ class ProjectSpec:
 
 @dataclass
 class GeneratedProject:
-    """A generated project: repository plus generation ground truth.
+    """A generated project: the generator's text plus its ground truth.
+
+    The generator's output is the text a real clone yields: the
+    ``git log`` output (``git_log_text``) and the DDL file's versions in
+    commit order (``ddl_versions``), each written by the commit whose
+    SHA sits at the same index of ``ddl_shas``.  ``repository`` is a
+    view derived from that text: the first read parses the log with the
+    parser real clones go through and caches the result on the object.
+    Pickling leaves the cache out, so a stored or shipped project is
+    text, and is parsed again where its repository is read.
 
     ``trace`` transports the project's serialised ``generate_project``
     span across the worker boundary when tracing is enabled; the corpus
     driver reattaches it under the ``generate`` span and clears the
-    field.  It never participates in equality.
+    field.  Neither it nor the cache participates in equality.
     """
 
     spec: ProjectSpec
-    repository: Repository
     git_log_text: str
     ddl_versions: list[str]
+    ddl_shas: list[str]
     trace: dict | None = field(default=None, compare=False, repr=False)
+    _repository: Repository | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def true_taxon(self) -> Taxon:
@@ -102,6 +115,27 @@ class GeneratedProject:
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def repository(self) -> Repository:
+        """The project's repository, parsed from its text on first read."""
+        if self._repository is None:
+            self._repository = self._materialise()
+        return self._repository
+
+    def _materialise(self) -> Repository:
+        """Parse the log and attach each DDL version to its commit."""
+        repo = parse_repository(self.spec.name, self.git_log_text)
+        dates = {commit.sha: commit.date for commit in repo.commits}
+        for sha, content in zip(self.ddl_shas, self.ddl_versions):
+            repo.record_version(
+                self.spec.ddl_path,
+                FileVersion(sha=sha, date=dates[sha], content=content),
+            )
+        return repo
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_repository": None}
 
 
 @dataclass
@@ -354,7 +388,7 @@ def _generate_project(
             )
         )
 
-    return _materialise(spec, planned)
+    return _serialise(spec, planned)
 
 
 def _sample_ddl_delay(
@@ -451,10 +485,10 @@ def _monotone_minutes(
     return queue
 
 
-def _materialise(
+def _serialise(
     spec: ProjectSpec, planned: list[_PlannedCommit]
 ) -> GeneratedProject:
-    """Turn planned commits into git-log text, reparse, attach contents."""
+    """Turn planned commits into git-log text and DDL version texts."""
     planned.sort(key=lambda c: c.minute)
     rng = random.Random(spec.seed ^ 0x5F3759DF)
 
@@ -502,22 +536,11 @@ def _materialise(
         if plan.ddl_text is not None:
             ddl_sequence.append((sha, plan))
 
-    git_log_text = format_git_log(commits, newest_first=True)
-    repo = parse_repository(spec.name, git_log_text)
-
-    sha_to_date = {c.sha: c.date for c in repo.commits}
-    for sha, plan in ddl_sequence:
-        repo.record_version(
-            spec.ddl_path,
-            FileVersion(
-                sha=sha, date=sha_to_date[sha], content=plan.ddl_text or ""
-            ),
-        )
     return GeneratedProject(
         spec=spec,
-        repository=repo,
-        git_log_text=git_log_text,
+        git_log_text=format_git_log(commits, newest_first=True),
         ddl_versions=[plan.ddl_text or "" for _, plan in ddl_sequence],
+        ddl_shas=[sha for sha, _ in ddl_sequence],
     )
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..coevolution import JointProgress
-from ..heartbeat import Heartbeat, Month
+from ..heartbeat import Heartbeat
 from ..obs.events import warn
 from ..vcs import Repository
 from .history import SchemaHistory
@@ -82,14 +82,18 @@ def find_ddl_path(repo: Repository) -> str:
 
 
 def mine_project_activity(repo: Repository) -> Heartbeat:
-    """Monthly file-update counts over the whole project life."""
+    """Monthly file-update counts over the whole project life.
+
+    A commit counts in its printed (author-local) calendar month.  With
+    mixed offsets the chronologically first commit need not have the
+    earliest month, so the span is the events' own.
+    """
     if not repo.commits:
         raise MiningError(f"{repo.name}: empty repository")
-    span = (Month.of(repo.start_date), Month.of(repo.end_date))
     events = [
         (commit.date, float(commit.files_updated)) for commit in repo.commits
     ]
-    return Heartbeat.from_events(events, span=span, label="project")
+    return Heartbeat.from_events(events, label="project")
 
 
 def mine_schema_history(
@@ -152,13 +156,8 @@ def mine_project(
     """
     project_heartbeat = mine_project_activity(repo)
     path, schema_history = mine_schema_history(repo, ddl_path, source=source)
-    schema_events = schema_history.activity_events()
-    first_event_month = Month.of(schema_events[0][0])
-    last_event_month = Month.of(schema_events[-1][0])
     schema_heartbeat = Heartbeat.from_events(
-        schema_events,
-        span=(first_event_month, last_event_month),
-        label="schema",
+        schema_history.activity_events(), label="schema"
     )
     return ProjectHistory(
         name=repo.name,

@@ -181,9 +181,10 @@ class ShardTask:
     ``project`` carries the project to mine when it already exists — a
     warm ``generate`` artifact or a materialised corpus's own project;
     ``None`` means the worker generates it first from ``spec`` and
-    ``profile``.  ``source`` names the history source the mine half
-    runs through (the workload's source half; the default keeps
-    canonical tasks pickle-compatible).
+    ``profile``.  A generated project pickles as its text, so the
+    worker parses its repository again.  ``source`` names the history
+    source the mine half runs through (the workload's source half; the
+    default keeps canonical tasks pickle-compatible).
     """
 
     spec: ProjectSpec | None
@@ -198,7 +199,9 @@ class ShardResult:
 
     ``generated`` is the freshly generated project when the worker had
     to generate (the driver stores it as the shard's ``generate``
-    artifact), ``None`` when the task arrived with its project.
+    artifact), ``None`` when the task arrived with its project.  It
+    crosses the process boundary as text: the repository the worker
+    parsed to mine it stays behind, and the driver never reads it.
     The mine half always runs; its observability channels ride on
     ``mined`` exactly as in the unsharded stage.
     """

@@ -64,8 +64,9 @@ from .fingerprint import digest_text
 # stages jumped to "2" with the shard refactor: their artifacts changed
 # from whole-corpus containers to per-project payloads; ``mine`` jumped
 # to "3" when its shards moved to the tuple codec and the incremental
-# parse engine landed.
-GENERATE_VERSION = "2"
+# parse engine landed; ``generate`` went to "3" when its shards became
+# text only (the repository is parsed from the git-log text on read).
+GENERATE_VERSION = "3"
 MINE_VERSION = "3"
 ANALYZE_VERSION = "2"
 AGGREGATE_VERSION = "1"

@@ -4,7 +4,9 @@ from .gitlog import (
     GitLogError,
     format_git_log,
     parse_date,
+    parse_date_reference,
     parse_git_log,
+    parse_git_log_reference,
     parse_repository,
 )
 from .model import (
@@ -24,7 +26,9 @@ __all__ = [
     "Repository",
     "format_git_log",
     "parse_date",
+    "parse_date_reference",
     "parse_git_log",
+    "parse_git_log_reference",
     "parse_repository",
     "synthetic_sha",
     "utc",

@@ -1,7 +1,9 @@
 """Property-based tests for co-evolution metrics and text pipelines."""
 
+import dataclasses
 import random
 import string
+from datetime import datetime, timedelta, timezone
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,6 @@ from repro.vcs import (
     format_git_log,
     parse_git_log,
     synthetic_sha,
-    utc,
 )
 
 
@@ -106,36 +107,48 @@ _path_chars = st.text(
 )
 
 
+_message_lines = st.text(
+    alphabet=string.ascii_letters + string.digits + " .:-",
+    min_size=1,
+    max_size=30,
+)
+
+#: UTC offsets in whole minutes, as ``%z`` prints them (±HHMM).
+_offsets = st.integers(min_value=-(24 * 60 - 1), max_value=24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)
+
+
+@st.composite
+def file_changes(draw, i: int, j: int):
+    path = f"dir/{draw(_path_chars)}_{i}_{j}.py"
+    status = draw(st.sampled_from(["A", "M", "D", "R100", "C075"]))
+    if status[0] in "RC":
+        return FileChange(status, path, f"old/{draw(_path_chars)}.py")
+    return FileChange(status, path)
+
+
 @st.composite
 def commits(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     out = []
-    minute = 0
+    moment = datetime(2015, 1, 1, tzinfo=timezone.utc)
     for i in range(n):
-        minute += draw(st.integers(min_value=1, max_value=10_000))
+        moment += timedelta(minutes=draw(st.integers(1, 10_000)))
         n_files = draw(st.integers(min_value=1, max_value=5))
-        changes = [
-            FileChange(
-                draw(st.sampled_from(["A", "M", "D"])),
-                f"dir/{draw(_path_chars)}_{i}_{j}.py",
-            )
-            for j in range(n_files)
-        ]
-        message = draw(
-            st.text(
-                alphabet=string.ascii_letters + " ",
-                min_size=1,
-                max_size=40,
-            )
-        ).strip() or "msg"
+        changes = [draw(file_changes(i, j)) for j in range(n_files)]
+        # empty, one-line or multi-line (blank lines inside included);
+        # the log keeps a message minus its outer whitespace
+        lines = draw(st.lists(
+            st.one_of(_message_lines, st.just("")), max_size=4
+        ))
         out.append(
             Commit(
                 sha=synthetic_sha("prop", i),
-                author="Dev",
+                author=draw(st.sampled_from(["Dev", "Ann Lee", "X"])),
                 email="dev@example.org",
-                date=utc(2015, 1, 1) .replace(minute=0)
-                + __import__("datetime").timedelta(minutes=minute),
-                message=message,
+                date=moment.astimezone(draw(_offsets)),
+                message="\n".join(lines).strip(),
                 changes=changes,
             )
         )
@@ -143,19 +156,21 @@ def commits(draw):
 
 
 class TestGitLogRoundTrip:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(commits())
     def test_format_parse_roundtrip(self, commit_list):
         text = format_git_log(commit_list, newest_first=True)
         reparsed = parse_git_log(text)[::-1]  # back to chronological
-        assert len(reparsed) == len(commit_list)
-        for original, parsed in zip(commit_list, reparsed):
-            assert parsed.sha == original.sha
-            assert parsed.date == original.date
-            assert parsed.files_updated == original.files_updated
-            assert [c.path for c in parsed.changes] == [
-                c.path for c in original.changes
-            ]
+        expected = [
+            dataclasses.replace(
+                commit, message=commit.message or "(no message)"
+            )
+            for commit in commit_list
+        ]
+        assert reparsed == expected
+        assert [c.date.utcoffset() for c in reparsed] == [
+            c.date.utcoffset() for c in commit_list
+        ]
 
 
 _identifiers = st.text(

@@ -1,7 +1,11 @@
 """Unit tests for the VCS substrate and git-log text I/O."""
 
+from datetime import datetime, timezone
+
 import pytest
 
+from repro.heartbeat import Month
+from repro.mining import mine_project_activity
 from repro.vcs import (
     Commit,
     FileChange,
@@ -136,6 +140,53 @@ class TestParseDate:
     def test_garbage_raises(self):
         with pytest.raises(GitLogError):
             parse_date("yesterday-ish")
+
+    def test_date_without_offset_reads_as_utc(self):
+        assert parse_date("2015-12-01 17:05:44").tzinfo is timezone.utc
+
+
+#: One commit with an offset, one without: a real clone can print both.
+MIXED_OFFSET_LOG = """commit 1111567890123456789012345678901234567890
+Author: Alice <alice@example.org>
+Date:   2015-03-10 14:22:01 +0200
+
+    with offset
+
+M\tsrc/app.js
+
+commit 2222567890123456789012345678901234567890
+Author: Bob <bob@example.org>
+Date:   2015-03-09 10:00:00
+
+    without offset
+
+A\tsrc/app.js
+"""
+
+
+class TestMixedOffsets:
+    def test_mixed_offset_log_parses_and_sorts(self):
+        repo = parse_repository("mixed", MIXED_OFFSET_LOG)
+        assert [c.sha[:4] for c in repo.commits] == ["2222", "1111"]
+        assert all(c.date.tzinfo is not None for c in repo.commits)
+        assert repo.commits[0].date == datetime(
+            2015, 3, 9, 10, tzinfo=timezone.utc
+        )
+
+    def test_months_follow_the_printed_calendar_date(self):
+        # 23:30 at -0200 on March 31st is April 1st in UTC, and sorts
+        # after the April 1st 00:30 +0200 commit (March 31st in UTC):
+        # each still counts in the month its own date line prints
+        log = (
+            "commit aaaa\nDate:   2015-03-31 23:30:00 -0200\n\nM\tx\nM\ty\n"
+            "commit bbbb\nDate:   2015-04-01 00:30:00 +0200\n\nM\tx\n"
+        )
+        repo = parse_repository("boundary", log)
+        assert [c.sha for c in repo.commits] == ["bbbb", "aaaa"]
+        heartbeat = mine_project_activity(repo)
+        assert heartbeat.start == Month(2015, 3)
+        assert heartbeat.end == Month(2015, 4)
+        assert list(heartbeat.values) == [2.0, 1.0]
 
 
 class TestRepository:
