@@ -3,8 +3,11 @@
 The mine stage dominates the cold study run (see BENCH_study.json), so
 this harness times it in isolation: the canonical 195-project corpus is
 generated once, then every project is mined serially through a fresh
-memory-only parse cache (the cold pass) and once more through the now
-warm cache.  The payload is a ``bench-check``-compatible record — run
+memory-only parse cache (the cold pass).  The parse cache's in-memory
+layers live for one schema history, so the only reuse a second pass
+can find is the on-disk layer: an untimed pass fills a disk cache, and
+the warm pass is timed reading it back through a fresh cache.  The
+payload is a ``bench-check``-compatible record — run
 ``repro bench-check BENCH_mine.json <candidate> --stage mine`` to gate
 the hot path — and carries the statement-level fragment-cache counters
 that the incremental parse engine lives or dies by.
@@ -23,7 +26,7 @@ from pathlib import Path
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mine.json"
 
 
-def test_mine_only_breakdown_and_bench_json():
+def test_mine_only_breakdown_and_bench_json(tmp_path):
     """Cold + warm mine over the canonical corpus; persist the record."""
     import repro.perf.cache as cache_module
     from repro.corpus import generate_corpus
@@ -41,10 +44,15 @@ def test_mine_only_breakdown_and_bench_json():
         cold_seconds = time.perf_counter() - cold_start
         cold_stats = cache_module._active.stats
 
+        # untimed: fill the disk layer, then time a fresh cache over it
+        cache_module._active = ParseCache(cache_dir=tmp_path)
+        for project in corpus:
+            mine_project(project.repository)
+        cache_module._active = ParseCache(cache_dir=tmp_path)
         warm_start = time.perf_counter()
         rehistories = [mine_project(p.repository) for p in corpus]
         warm_seconds = time.perf_counter() - warm_start
-        warm_stats = cache_module._active.stats - cold_stats
+        warm_stats = cache_module._active.stats
     finally:
         cache_module._active = saved_cache
         if saved_env is not None:

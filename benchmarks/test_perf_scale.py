@@ -3,7 +3,7 @@
 The streaming engine's contract is that driver memory stays roughly
 flat as the corpus grows: the backpressured map window holds a constant
 number of shards in flight, the aggregate accumulator spills row
-batches, and the watchdog releases the parse cache under pressure.
+batches, and the parse cache holds one schema history at a time.
 This harness measures that directly — one cold capped study per corpus
 size (default 195 and 1000 projects, override with
 ``REPRO_BENCH_SCALE_POINTS=N,M,...``), each into a throwaway on-disk

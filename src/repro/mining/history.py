@@ -16,7 +16,7 @@ from ..diff import SchemaDelta, diff_schemas, initial_delta
 from ..diff.engine import diff_schemas_reference
 from ..obs.events import warn
 from ..obs.metrics import get_metrics
-from ..perf.cache import cached_parse_schema
+from ..perf.cache import cached_parse_schema, get_cache
 from ..schema import Schema
 from ..sqlparser import ParseIssue, parse_schema
 from ..vcs import FileVersion
@@ -72,15 +72,32 @@ class SchemaHistory:
         *,
         dialect: str | None = None,
     ) -> "SchemaHistory":
-        """Parse and diff a chronological sequence of DDL file versions."""
+        """Parse and diff a chronological sequence of DDL file versions.
+
+        The parse cache's in-memory layers live for this one history:
+        versions, fragments and elements are reused across its versions
+        and dropped on the way out, so mining memory tracks the largest
+        history rather than the corpus.  Only the opt-in disk layer
+        carries parses from one history to the next.
+        """
         if not file_versions:
             raise ValueError("a schema history needs at least one version")
+        try:
+            return cls._parse_and_diff(file_versions, dialect)
+        finally:
+            get_cache().clear()
+
+    @classmethod
+    def _parse_and_diff(
+        cls, file_versions: list[FileVersion], dialect: str | None
+    ) -> "SchemaHistory":
         metrics = get_metrics()
         metrics.inc("versions.parsed", len(file_versions))
         versions: list[SchemaVersion] = []
         for fv in file_versions:
-            # content-addressed: re-mining the same DDL text (within a
-            # run or, with a disk store, across runs) skips the parser
+            # content-addressed: the same DDL text again (within this
+            # history or, with a disk store, from any earlier run) skips
+            # the parser
             result = cached_parse_schema(fv.content, dialect=dialect)
             if result.issues:
                 metrics.inc("parse.issues", len(result.issues))

@@ -18,7 +18,11 @@ telemetry without any third-party dependency:
   the window's peak, so a stage that balloons mid-flight is caught even
   though its entry and exit footprints look modest.  Windows nest
   freely (the whole-run window coexists with per-stage windows) and
-  closing a window yields an immutable :class:`ResourceSample`.
+  closing a window yields an immutable :class:`ResourceSample`;
+* :class:`GcClock` is a ``gc.callbacks`` hook counting the cyclic
+  collector's oldest-generation passes and the seconds it spends
+  collecting.  A GC pause lands inside whichever span happened to
+  allocate, so no span or layer timer can show it; this clock does.
 
 Telemetry never perturbs results: samples land in
 :class:`~repro.perf.timing.StudyTimings` (and from there the manifest,
@@ -28,6 +32,7 @@ so cold and warm runs stay byte-identical.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -236,6 +241,66 @@ def get_monitor() -> ResourceMonitor:
     if _active is None:
         _active = ResourceMonitor()
     return _active
+
+
+class GcClock:
+    """Counts oldest-generation collections and seconds spent collecting.
+
+    Installed as a ``gc.callbacks`` hook only while it is measuring —
+    ``with GcClock() as clock:`` around a study, or :meth:`start` for a
+    pool worker's whole life — so a process that is not running a study
+    pays nothing.  :meth:`take` hands over the counts since the previous
+    take and starts a fresh interval, which is how a long-lived worker
+    reports each shard's share without double counting.
+    """
+
+    #: ``gc.collect``'s generation number for a full collection.
+    OLDEST = 2
+
+    __slots__ = ("full_collections", "seconds", "_started")
+
+    def __init__(self) -> None:
+        self.full_collections = 0
+        self.seconds = 0.0
+        self._started: float | None = None
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        if self._started is not None:
+            self.seconds += time.perf_counter() - self._started
+            self._started = None
+        if info.get("generation") == self.OLDEST:
+            self.full_collections += 1
+
+    def start(self) -> "GcClock":
+        gc.callbacks.append(self._on_gc)
+        return self
+
+    def stop(self) -> None:
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
+
+    def __enter__(self) -> "GcClock":
+        return self.start()
+
+    def __exit__(self, *exc) -> bool:
+        self.stop()
+        return False
+
+    def as_dict(self) -> dict:
+        return {
+            "gc_full_collections": self.full_collections,
+            "gc_seconds": round(self.seconds, 6),
+        }
+
+    def take(self) -> dict:
+        """:meth:`as_dict` of the interval so far; restarts the counts."""
+        counts = self.as_dict()
+        self.full_collections = 0
+        self.seconds = 0.0
+        return counts
 
 
 class MemoryLimitExceeded(RuntimeError):

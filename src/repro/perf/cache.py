@@ -6,12 +6,17 @@ repeated CLI / benchmark runs the very same scripts are re-lexed from
 scratch.  A :class:`ParseCache` keys parse results on the SHA-256 of the
 script text plus the dialect hint, so identical inputs are parsed once:
 
-* the in-memory layer is process-local and always on;
+* the in-memory layers (whole versions, statement fragments, body
+  elements) are process-local and always on, and live for one schema
+  history: :meth:`SchemaHistory.from_file_versions
+  <repro.mining.history.SchemaHistory.from_file_versions>` clears them
+  when it returns, so a process's parse memory is bounded by its
+  largest history, not by how many it has mined;
 * the optional on-disk layer (``cache_dir`` / ``REPRO_CACHE_DIR``)
   persists pickled :class:`~repro.sqlparser.ParseResult` objects across
-  processes and runs.  Writes are atomic (temp file + ``os.replace``),
-  so concurrent workers sharing a directory never observe torn entries;
-  each worker process still warms its own in-memory layer.
+  histories, processes and runs — the only reuse across histories.
+  Writes are atomic (temp file + ``os.replace``), so concurrent workers
+  sharing a directory never observe torn entries.
 
 Cached results are shared objects: callers must treat the returned
 schema as immutable (the mining pipeline only ever reads parsed
@@ -55,10 +60,11 @@ class CacheStats:
       the monolithic parser;
     * *parse units* (``unit_hits`` / ``unit_misses``): statements
       weighted by the work they carry — one unit per CREATE TABLE body
-      element (column / constraint, shared corpus-wide through the
-      element memo), one unit for any other statement.  A fully reused
-      statement scores all its units as hits; a statement that changed
-      in one column scores that column as the only unit miss.
+      element (column / constraint, shared across the history's
+      versions through the element memo), one unit for any other
+      statement.  A fully reused statement scores all its units as
+      hits; a statement that changed in one column scores that column
+      as the only unit miss.
 
     ``statement_reuse_rate`` is the unit-weighted rate — the number
     that actually reflects how much parse work the incremental engine

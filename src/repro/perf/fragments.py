@@ -76,8 +76,8 @@ class ElementCache:
     *does* change between versions, it usually changes in one column —
     the other body elements re-parse from this memo.  Keys deliberately
     exclude token line numbers, so the same column definition hits from
-    any file position and any project (``id INT NOT NULL`` is shared
-    corpus-wide).  Install via
+    any file position (``id INT NOT NULL`` is shared by every table of
+    the history that declares it).  Install via
     :func:`repro.sqlparser.parser.set_element_cache`; installation is
     scoped by :class:`~repro.perf.cache.ParseCache` so the reference
     oracles always take the direct parse path.

@@ -6,9 +6,9 @@ and closures cannot cross the pickle boundary).  Each worker returns its
 own stage timings, parse-cache deltas, metrics deltas, warning window
 and (when tracing is enabled) the serialised span tree of its work, so
 the driver can aggregate a corpus-wide breakdown and reattach every
-worker span under its own dispatching span; every worker process warms
-its own in-memory cache (and shares the on-disk store when one is
-configured).
+worker span under its own dispatching span.  A worker's parse cache
+holds one history at a time in memory (and shares the on-disk store
+when one is configured).
 
 The same functions run in-process on the serial path, so serial and
 parallel runs flow through identical instrumentation and produce
@@ -17,6 +17,7 @@ identical results.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import time
@@ -32,15 +33,19 @@ from ..mining import mine_project
 from ..obs.bus import reset_bus
 from ..obs.events import get_recorder
 from ..obs.metrics import MetricsSnapshot, get_metrics
-from ..obs.resources import cpu_times, peak_rss_bytes
+from ..obs.resources import GcClock, cpu_times, peak_rss_bytes
 from ..obs.trace import get_tracer
 from .cache import CacheStats, get_cache
 
 
-#: CPU clock at :func:`worker_init` time; ``None`` means this process
-#: is the driver (serial path), whose footprint the driver's own
-#: sampler windows already cover — workers alone ship samples back.
+#: CPU clock at this worker's previous shipped sample (or at
+#: :func:`worker_init`); ``None`` means this process is the driver
+#: (serial path), whose footprint the driver's own sampler windows
+#: already cover — workers alone ship samples back.
 _worker_cpu_baseline: tuple[float, float] | None = None
+
+#: The worker's cyclic-GC clock, running for the worker's whole life.
+_worker_gc: GcClock | None = None
 
 
 def worker_init() -> None:
@@ -59,10 +64,10 @@ def worker_init() -> None:
     publishing through it would write through the duplicated file
     descriptor.  Workers publish into a fresh, consumer-less bus.
 
-    Also marks the worker's CPU baseline so shipped resource samples
-    report the worker's *work*, not its import/fork overhead, and so
-    the serial path (where this initializer never runs) ships no
-    sample at all.
+    Also marks the worker's CPU baseline and starts its GC clock, so
+    shipped resource samples report the worker's *work*, not its
+    import/fork overhead, and so the serial path (where this
+    initializer never runs) ships no sample at all.
     """
     tracer = get_tracer()
     tracer.on_close = None
@@ -76,8 +81,15 @@ def worker_init() -> None:
     server_mod = sys.modules.get("repro.obs.server")
     if server_mod is not None:
         server_mod.close_inherited_sockets()
-    global _worker_cpu_baseline
+    global _worker_cpu_baseline, _worker_gc
     _worker_cpu_baseline = cpu_times()
+    # forked during a study, the worker inherits the driver's study
+    # clock in gc.callbacks: drop it so only the worker's own counts
+    gc.callbacks[:] = [
+        hook for hook in gc.callbacks
+        if not isinstance(getattr(hook, "__self__", None), GcClock)
+    ]
+    _worker_gc = GcClock().start()
 
 
 def _worker_sample() -> dict | None:
@@ -85,19 +97,22 @@ def _worker_sample() -> dict | None:
 
     A pool worker is a single-purpose process, so its lifetime peak RSS
     *is* its work's peak — no sampler window needs to cross the pickle
-    boundary.  CPU seconds are measured from the :func:`worker_init`
-    baseline.
+    boundary.  CPU seconds and GC counters cover the interval since
+    this worker's previous sample, so the driver's sum over shards is
+    the pool's total.
     """
+    global _worker_cpu_baseline
     if _worker_cpu_baseline is None:
         return None
     user, system = cpu_times()
+    cpu_seconds = max(0.0, user - _worker_cpu_baseline[0]) + max(
+        0.0, system - _worker_cpu_baseline[1]
+    )
+    _worker_cpu_baseline = (user, system)
     return {
         "peak_rss_bytes": peak_rss_bytes(),
-        "cpu_seconds": round(
-            max(0.0, user - _worker_cpu_baseline[0])
-            + max(0.0, system - _worker_cpu_baseline[1]),
-            6,
-        ),
+        "cpu_seconds": round(cpu_seconds, 6),
+        **_worker_gc.take(),
         "pid": os.getpid(),
     }
 

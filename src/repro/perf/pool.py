@@ -3,8 +3,7 @@
 Every parallel entry point used to build (and tear down) its own
 ``ProcessPoolExecutor``: ``generate_corpus(jobs=N)`` spun one up, threw
 it away, and the study's mine fan-out immediately paid worker
-start-up *again* — plus each fresh worker re-warmed its in-memory parse
-cache from nothing.  For the fused generate+mine flow that start-up tax
+start-up *again*.  For the fused generate+mine flow that start-up tax
 is pure waste: the worker functions are stateless module-level callables
 and the processes are perfectly reusable.
 
@@ -19,9 +18,10 @@ and the processes are perfectly reusable.
 Pools are retained LRU up to a small cap, a broken pool (a worker
 died; the executor poisons itself permanently) is detected and
 replaced transparently, and everything is shut down at interpreter
-exit.  Reuse is invisible to correctness: workers hold only their
-content-addressed parse caches, which return oracle-equivalent results
-whether warm or cold.
+exit.  Reuse is invisible to correctness: a worker keeps no parse state
+between histories (the parse cache's in-memory layers live for one),
+and its disk layer returns oracle-equivalent results whether warm or
+cold.
 """
 
 from __future__ import annotations

@@ -56,9 +56,12 @@ class StudyTimings:
     ``resources`` maps a scope name — a stage, ``"driver"`` for the
     whole run, ``"workers"`` for the pool processes — to its
     ``{"peak_rss_bytes", "cpu_seconds"}`` footprint, recorded by the
-    :mod:`repro.obs.resources` sampler.  Empty when telemetry is off or
-    the platform exposes no RSS source; consumers must treat the block
-    as optional.
+    :mod:`repro.obs.resources` sampler.  The ``driver`` and ``workers``
+    scopes also carry the cyclic GC's cost while the study ran
+    (``gc_full_collections``, ``gc_seconds``; see
+    :class:`~repro.obs.resources.GcClock`).  Empty when telemetry is
+    off or the platform exposes no RSS source; consumers must treat the
+    block as optional.
     """
 
     stages: dict[str, float] = field(default_factory=dict)
@@ -94,9 +97,11 @@ class StudyTimings:
         """Fold one resource sample into ``scope``.
 
         ``sample`` is a :class:`~repro.obs.resources.ResourceSample` or
-        an equivalent ``{"peak_rss_bytes", "cpu_seconds"}`` dict.
-        Peaks fold by ``max`` (a scope's footprint is its high-water
-        mark across however many windows fed it), CPU seconds sum —
+        an equivalent ``{"peak_rss_bytes", "cpu_seconds"}`` dict,
+        optionally with the GC counters of
+        :meth:`~repro.obs.resources.GcClock.as_dict`.  Peaks fold by
+        ``max`` (a scope's footprint is its high-water mark across
+        however many windows fed it), CPU seconds and GC counters sum —
         mirroring the seconds semantics of :meth:`record`.  All-zero
         samples (no readable RSS source) are dropped so the telemetry
         block stays absent rather than asserting a zero-byte run.
@@ -107,18 +112,19 @@ class StudyTimings:
         cpu = float(sample.get("cpu_seconds") or 0.0)
         if peak <= 0 and cpu <= 0.0:
             return
-        current = self.resources.get(scope)
-        if current is None:
-            self.resources[scope] = {
-                "peak_rss_bytes": peak,
-                "cpu_seconds": round(cpu, 6),
-            }
-        else:
-            current["peak_rss_bytes"] = max(
-                current["peak_rss_bytes"], peak
-            )
-            current["cpu_seconds"] = round(
-                current["cpu_seconds"] + cpu, 6
+        current = self.resources.setdefault(
+            scope, {"peak_rss_bytes": 0, "cpu_seconds": 0.0}
+        )
+        current["peak_rss_bytes"] = max(current["peak_rss_bytes"], peak)
+        current["cpu_seconds"] = round(current["cpu_seconds"] + cpu, 6)
+        if "gc_full_collections" in sample:
+            current["gc_full_collections"] = current.get(
+                "gc_full_collections", 0
+            ) + int(sample["gc_full_collections"])
+            current["gc_seconds"] = round(
+                current.get("gc_seconds", 0.0)
+                + float(sample.get("gc_seconds") or 0.0),
+                6,
             )
 
     def record_streaming(self, key: str, value) -> None:
@@ -319,6 +325,14 @@ class StudyTimings:
                 for name in sorted(self.resources)
             )
             lines.append(f"  peak RSS: {parts}")
+            gc_parts = ", ".join(
+                f"{name} {entry['gc_full_collections']} full / "
+                f"{entry['gc_seconds']:.3f}s"
+                for name, entry in sorted(self.resources.items())
+                if "gc_full_collections" in entry
+            )
+            if gc_parts:
+                lines.append(f"  cyclic GC: {gc_parts}")
         window = self.streaming.get("window")
         if window:
             lines.append(

@@ -39,6 +39,7 @@ what was reused versus recomputed, split map versus reduce.
 
 from __future__ import annotations
 
+import gc
 import tempfile
 import time
 from dataclasses import replace
@@ -52,9 +53,8 @@ from ..obs.events import get_recorder
 from ..obs.metrics import MetricsSnapshot, get_metrics
 from ..obs.progress import ProgressTracker
 from ..obs.provenance import PROVENANCE_FORMAT, explain_target
-from ..obs.resources import MemoryWatchdog, get_monitor
+from ..obs.resources import GcClock, MemoryWatchdog, get_monitor
 from ..obs.trace import get_tracer
-from ..perf.cache import get_cache
 from ..perf.parallel import (
     ShardResult,
     ShardTask,
@@ -457,18 +457,18 @@ class Pipeline:
         Under ``--limit-memory`` a
         :class:`~repro.obs.resources.MemoryWatchdog` probes the driver
         RSS after every fold: crossing the warn line halves the window
-        (floor 1) and drops the parse cache's in-memory layers — pure
-        memoisation, so releasing them costs re-parses, never bytes —
-        while crossing the cap raises
-        :class:`~repro.obs.resources.MemoryLimitExceeded`.  On the
-        serial path the parse cache is the one driver-side structure
-        that grows with corpus size, so the release is what keeps RSS
-        roughly flat as N climbs.
+        (floor 1), while crossing the cap raises
+        :class:`~repro.obs.resources.MemoryLimitExceeded`.
+
+        The heap that exists before the fan-out (imports, the plan's
+        inputs) is frozen out of the cyclic GC for the generator's
+        life, before the pool can fork: neither the driver nor its
+        forked workers re-walk it on every oldest-generation
+        collection.
         """
         total = self.n_projects()
         stats = WindowStats()
         limit = [self.map_window()]
-        cache_clears = 0
         watchdog = None
         if self.limit_memory_mb:
             watchdog = MemoryWatchdog(self.limit_memory_mb * 2 ** 20)
@@ -476,7 +476,6 @@ class Pipeline:
             "map", total, timings=self.timings,
             parallelism=min(self.jobs, limit[0]),
         )
-        executor = warm_pool(self.jobs) if self.jobs > 1 else None
 
         def planned():
             for shard in self.iter_shards():
@@ -504,7 +503,9 @@ class Pipeline:
                     ),
                 )
 
+        gc.freeze()
         try:
+            executor = warm_pool(self.jobs) if self.jobs > 1 else None
             with get_tracer().span("map", shards=total):
                 for shard, value in window_map(
                     map_shard,
@@ -524,23 +525,17 @@ class Pipeline:
                         else:
                             payload = self._analyze_shard(shard, warm)
                         tracker.update(shard.project)
-                    if watchdog is not None:
-                        if watchdog.check() == "pressure":
-                            if limit[0] > 1:
-                                limit[0] = max(1, limit[0] // 2)
-                                tracker.set_parallelism(
-                                    min(self.jobs, limit[0])
-                                )
-                            cache = get_cache()
-                            if len(cache):
-                                # shards are mined whole, so a clear
-                                # between folds never splits a
-                                # project's cross-version reuse
-                                cache.clear()
-                                cache_clears += 1
+                    if (
+                        watchdog is not None
+                        and watchdog.check() == "pressure"
+                        and limit[0] > 1
+                    ):
+                        limit[0] = max(1, limit[0] // 2)
+                        tracker.set_parallelism(min(self.jobs, limit[0]))
                     yield payload
             tracker.finish()
         finally:
+            gc.unfreeze()
             self.timings.record_streaming(
                 "window",
                 {
@@ -551,8 +546,7 @@ class Pipeline:
             )
             if watchdog is not None:
                 self.timings.record_streaming(
-                    "memory_watchdog",
-                    {**watchdog.as_dict(), "cache_clears": cache_clears},
+                    "memory_watchdog", watchdog.as_dict()
                 )
 
     def _finish_shard(self, shard: ShardSpec, result) -> dict:
@@ -910,14 +904,16 @@ class Pipeline:
         )
         with tracer.span(
             "pipeline", jobs=self.jobs, **corpus_attrs
-        ), get_monitor().window() as window:
+        ), get_monitor().window() as window, GcClock() as gc_clock:
             aggregate = self.resolve("aggregate")
             figures = self.resolve("figures")
             battery = (
                 None if isinstance(self.store, NullStore)
                 else self.resolve("statistics")
             )
-        self.timings.record_resource("driver", window.sample)
+        self.timings.record_resource(
+            "driver", {**window.sample.as_dict(), **gc_clock.as_dict()}
+        )
         self.metrics.fold_cache(self.timings.cache)
         self.timings.record_wall(time.perf_counter() - start)
         self._publish_metrics()

@@ -7,7 +7,8 @@ temporary on-disk artifact store **under a memory cap**
 warm, and checks the streaming-execution contract end to end:
 
 1. the cold run finishes under ``--limit-memory`` without tripping the
-   watchdog, and the driver's peak RSS recorded in the timings payload
+   watchdog — it never even reaches the warn line, so the window never
+   shrinks — and the driver's peak RSS recorded in the timings payload
    (what the run manifest carries) stays below the cap;
 2. the backpressure window actually bounded the fan-out: the streaming
    block reports every shard submitted through the window and an
@@ -121,10 +122,22 @@ def main() -> int:
                 f"in-flight high-water {window['max_in_flight']} exceeds "
                 f"the initial window {window['initial']}",
             )
+            check(
+                window["shrinks"] == 0,
+                f"the watchdog shrank the window {window['shrinks']} times",
+            )
+        watchdog = streaming.get("memory_watchdog")
         check(
-            "memory_watchdog" in streaming,
+            watchdog is not None,
             "the capped run recorded no watchdog state",
         )
+        if watchdog is not None:
+            check(
+                not watchdog["pressure"],
+                f"the driver reached the warn line "
+                f"(peak seen {watchdog['peak_seen_bytes'] / 2**20:.0f} "
+                f"MiB): mining memory grew with the corpus",
+            )
 
         # 3. the capped aggregate spilled at least one row batch
         if n_projects >= max(SPILL_ASSERT_FLOOR, spill_batch + 1):

@@ -240,7 +240,10 @@ def _monte_carlo_p(
     the remaining column capacities (the correct conditional
     distribution given fixed margins).  All ``samples`` tables are drawn
     simultaneously via numpy's element-wise hypergeometric sampler, so
-    the cost is ``(rows − 1) × (cols − 1)`` vectorised draws.
+    the cost is ``(rows − 1) × (cols − 1)`` vectorised draws.  Every
+    cell's log-factorial is a lookup into one ``gammaln`` table over
+    ``0..total``: the same floats ``gammaln`` would return per cell,
+    without evaluating it on ``samples``-long arrays.
     """
     import numpy as np
     from scipy.special import gammaln
@@ -249,6 +252,7 @@ def _monte_carlo_p(
     n_rows = len(row_sums)
     n_cols = len(col_sums)
     total = sum(row_sums)
+    log_fact = gammaln(np.arange(total + 1) + 1)
     log_margin = (
         float(sum(gammaln(s + 1) for s in row_sums))
         + float(sum(gammaln(s + 1) for s in col_sums))
@@ -270,11 +274,11 @@ def _monte_carlo_p(
                 )
             remaining[:, j] -= take
             left -= take
-            cell_log_fact += gammaln(take + 1)
+            cell_log_fact += log_fact[take]
         remaining[:, n_cols - 1] -= left
-        cell_log_fact += gammaln(left + 1)
+        cell_log_fact += log_fact[left]
     # the last row is forced to the remaining column capacities
-    cell_log_fact += gammaln(remaining + 1).sum(axis=1)
+    cell_log_fact += log_fact[remaining].sum(axis=1)
 
     log_p = log_margin - cell_log_fact
     hits = int(np.count_nonzero(log_p <= observed_log_p + 1e-9)) + 1

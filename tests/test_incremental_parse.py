@@ -143,6 +143,16 @@ class TestRandomizedHistories:
                 incremental.versions[i].schema,
             )
 
+    def test_reuse_within_a_history_is_unchanged(self):
+        # the counts an unbounded, corpus-lived cache recorded for this
+        # history: clearing between histories must not cost one reuse
+        # inside a history
+        SchemaHistory.from_file_versions(_random_history(3, length=30))
+        stats = get_cache().stats
+        assert (stats.hits, stats.misses) == (0, 30)
+        assert (stats.statement_hits, stats.statement_misses) == (52, 56)
+        assert (stats.unit_hits, stats.unit_misses) == (135, 21)
+
     @pytest.mark.parametrize("seed", [3, 11])
     def test_reuse_dominates_and_nothing_falls_back(self, seed):
         versions = _random_history(seed, length=30)
@@ -168,6 +178,47 @@ class TestRandomizedHistories:
         # very same ParseResult and reports an empty delta
         assert history.versions[0].schema is history.versions[1].schema
         assert history.transitions[1].delta.changes == []
+
+
+def _assert_cache_empty(cache: ParseCache) -> None:
+    assert len(cache) == 0
+    assert not cache._fragments
+    assert len(cache._elements) == 0
+
+
+class TestCacheLifetime:
+    """The in-memory layers live for one history, however it ends."""
+
+    def test_empty_after_a_history(self):
+        cache = get_cache()
+        SchemaHistory.from_file_versions(_random_history(5, length=12))
+        assert cache.stats.statement_hits > 0
+        _assert_cache_empty(cache)
+
+    def test_empty_after_a_failed_history(self, monkeypatch):
+        import repro.mining.history as history_module
+
+        def broken_diff(old, new):
+            raise RuntimeError("diff failed")
+
+        monkeypatch.setattr(history_module, "diff_schemas", broken_diff)
+        cache = get_cache()
+        with pytest.raises(RuntimeError, match="diff failed"):
+            SchemaHistory.from_file_versions(_random_history(5, length=12))
+        assert cache.stats.misses > 0
+        _assert_cache_empty(cache)
+
+    def test_disk_layer_carries_parses_across_histories(self, tmp_path):
+        versions = _random_history(7, length=10)
+        cache = configure_cache(tmp_path)
+        SchemaHistory.from_file_versions(versions)
+        before = cache.stats
+        again = SchemaHistory.from_file_versions(versions)
+        delta = cache.stats - before
+        assert delta.disk_hits == delta.hits == len(versions)
+        assert delta.misses == 0
+        _assert_histories_equal(again, parse_history_reference(versions))
+        _assert_cache_empty(cache)
 
 
 class TestTornStatements:

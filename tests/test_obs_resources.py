@@ -1,12 +1,14 @@
 """Resource telemetry: the /proc-backed sampler, the monitor's window
-protocol, and how per-scope footprints surface in timings payloads,
-manifests, and worker results."""
+protocol, the GC clock, and how per-scope footprints surface in timings
+payloads, manifests, and worker results."""
 
+import gc
 import threading
 
 import pytest
 
 from repro.obs.resources import (
+    GcClock,
     ResourceMonitor,
     ResourceSample,
     current_rss_bytes,
@@ -17,6 +19,21 @@ from repro.obs.resources import (
 from repro.perf.timing import StudyTimings
 
 MIB = 2**20
+
+
+def _gc_clocks_installed() -> int:
+    return sum(
+        isinstance(getattr(hook, "__self__", None), GcClock)
+        for hook in gc.callbacks
+    )
+
+
+@pytest.fixture
+def explicit_gc_only():
+    """Only the test's own ``gc.collect`` calls run while it counts."""
+    gc.disable()
+    yield
+    gc.enable()
 
 
 class TestSamplers:
@@ -70,6 +87,31 @@ class TestResourceMonitor:
         assert samplers
 
 
+@pytest.mark.usefixtures("explicit_gc_only")
+class TestGcClock:
+    def test_counts_full_collections_while_installed(self):
+        with GcClock() as clock:
+            gc.collect()
+            gc.collect(0)
+        assert clock.full_collections == 1
+        assert clock.seconds > 0
+        gc.collect()
+        assert clock.full_collections == 1
+        assert clock._on_gc not in gc.callbacks
+
+    def test_take_hands_over_the_interval(self):
+        clock = GcClock().start()
+        try:
+            gc.collect()
+            first = clock.take()
+            second = clock.take()
+        finally:
+            clock.stop()
+        assert first["gc_full_collections"] == 1
+        assert first["gc_seconds"] > 0
+        assert second == {"gc_full_collections": 0, "gc_seconds": 0.0}
+
+
 class TestTimingsResources:
     def test_record_resource_folds_peaks_and_sums_cpu(self):
         timings = StudyTimings()
@@ -120,6 +162,24 @@ class TestTimingsResources:
         assert block["peak_rss_bytes"] == 300
         assert set(block["scopes"]) == {"driver", "workers"}
 
+    def test_gc_counters_sum_across_samples(self):
+        timings = StudyTimings()
+        for _ in range(2):
+            timings.record_resource(
+                "workers",
+                {"peak_rss_bytes": 10, "cpu_seconds": 1.0,
+                 "gc_full_collections": 2, "gc_seconds": 0.25},
+            )
+        timings.record_resource(
+            "driver", {"peak_rss_bytes": 10, "cpu_seconds": 1.0}
+        )
+        assert timings.resources["workers"] == {
+            "peak_rss_bytes": 10, "cpu_seconds": 2.0,
+            "gc_full_collections": 4, "gc_seconds": 0.5,
+        }
+        assert "gc_full_collections" not in timings.resources["driver"]
+        assert "cyclic GC: workers 4 full / 0.500s" in timings.render()
+
     def test_no_telemetry_no_block(self):
         assert "resources" not in StudyTimings().as_dict()
 
@@ -147,8 +207,13 @@ class TestEndToEndTelemetry:
         resources = pipe.timings.resources
         assert "driver" in resources
         assert resources["driver"]["peak_rss_bytes"] > 10 * MIB
+        assert resources["driver"]["gc_seconds"] >= 0
+        assert resources["driver"]["gc_full_collections"] >= 0
         payload = pipe.timings.as_dict()
         assert payload["resources"]["peak_rss_bytes"] > 10 * MIB
+        # the study's GC hook and the map phase's frozen heap are gone
+        assert gc.get_freeze_count() == 0
+        assert _gc_clocks_installed() == 0
 
     def test_manifest_carries_the_resources_block(self, corpus):
         from repro.analysis.study import run_study
@@ -170,3 +235,43 @@ class TestEndToEndTelemetry:
         assert "workers" in resources
         assert resources["workers"]["peak_rss_bytes"] > 10 * MIB
         assert resources["workers"]["cpu_seconds"] > 0
+        assert resources["workers"]["gc_seconds"] >= 0
+        # forked mid-study, each worker runs its own clock and not the
+        # copy of the driver's it inherited
+        from repro.perf.pool import warm_pool
+
+        pool = warm_pool(2)
+        counts = [pool.submit(_gc_clocks_installed) for _ in range(4)]
+        assert [future.result(timeout=60) for future in counts] == [1] * 4
+
+
+class TestWorkerSample:
+    def test_driver_ships_no_sample(self):
+        from repro.perf.parallel import _worker_sample
+
+        assert _worker_sample() is None
+
+    def test_each_sample_covers_the_interval_since_the_last(
+        self, monkeypatch, explicit_gc_only
+    ):
+        import repro.perf.parallel as parallel
+        from repro.obs.resources import cpu_times
+
+        clock = GcClock().start()
+        monkeypatch.setattr(parallel, "_worker_gc", clock)
+        monkeypatch.setattr(parallel, "_worker_cpu_baseline", cpu_times())
+        try:
+            deadline = cpu_times()[0] + 0.05
+            while cpu_times()[0] < deadline:
+                sum(range(1000))
+            gc.collect()
+            first = parallel._worker_sample()
+            second = parallel._worker_sample()
+        finally:
+            clock.stop()
+        assert first["cpu_seconds"] >= 0.04
+        assert first["gc_full_collections"] == 1
+        # summed by the driver, so nothing is reported twice
+        assert second["cpu_seconds"] < first["cpu_seconds"]
+        assert second["gc_full_collections"] == 0
+        assert second["peak_rss_bytes"] >= first["peak_rss_bytes"] > 0

@@ -1,5 +1,10 @@
 """Unit tests for χ² and the from-scratch r×c Fisher exact test."""
 
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 import scipy.stats
 
@@ -107,3 +112,120 @@ class TestFisherExactRxC:
         result = fisher_exact_rxc(table)
         assert result.details["method"] == "monte_carlo"
         assert result.p_value < 0.05  # clearly taxon-dependent pattern
+
+
+class TestMonteCarloPinned:
+    """The canonical study's three lag tables, pinned to the last float.
+
+    The sampler is seeded, so the same draws must give the same hit
+    count: a change to how the log-probabilities are computed that
+    moves any float moves these p-values.
+    """
+
+    @pytest.mark.parametrize(
+        "table, p_value",
+        [
+            # time lag
+            ([[18, 15], [26, 36], [17, 12], [22, 19], [7, 3], [3, 17]],
+             0.013244933775331123),
+            # source lag
+            ([[18, 15], [15, 47], [18, 11], [14, 27], [4, 6], [2, 18]],
+             0.00023999880000599998),
+            # both
+            ([[18, 15], [15, 47], [14, 15], [14, 27], [4, 6], [2, 18]],
+             0.004114979425102874),
+        ],
+    )
+    def test_canonical_lag_tables(self, table, p_value):
+        result = fisher_exact_rxc(table)
+        assert result.details["method"] == "monte_carlo"
+        assert result.p_value == p_value
+
+
+def _brute_force_fisher(table: list[list[int]]) -> tuple[Fraction, Fraction]:
+    """(observed table probability, two-sided p) by full enumeration.
+
+    Every free cell of the top-left (r−1)×(c−1) block ranges over
+    ``0..min(row, column)``; the last row and column follow from the
+    margins, and a table is kept when none of its cells is negative.
+    Probabilities are exact rationals.
+    """
+    row_sums = [sum(row) for row in table]
+    col_sums = [sum(col) for col in zip(*table)]
+    n_rows, n_cols = len(row_sums), len(col_sums)
+    margins = math.prod(math.factorial(s) for s in row_sums + col_sums)
+    total = math.factorial(sum(row_sums))
+
+    def probability(cells: list[list[int]]) -> Fraction:
+        return Fraction(
+            margins,
+            total * math.prod(math.factorial(c) for row in cells for c in row),
+        )
+
+    ranges = [
+        range(min(row_sums[i], col_sums[j]) + 1)
+        for i in range(n_rows - 1)
+        for j in range(n_cols - 1)
+    ]
+    probabilities = []
+    for free in itertools.product(*ranges):
+        cells = [
+            list(free[i * (n_cols - 1):(i + 1) * (n_cols - 1)])
+            for i in range(n_rows - 1)
+        ]
+        for i, row in enumerate(cells):
+            row.append(row_sums[i] - sum(row))
+        cells.append(
+            [col_sums[j] - sum(row[j] for row in cells)
+             for j in range(n_cols)]
+        )
+        if min(min(row) for row in cells) < 0:
+            continue
+        probabilities.append(probability(cells))
+    assert sum(probabilities) == 1
+    observed = probability(table)
+    return observed, sum(p for p in probabilities if p <= observed)
+
+
+def _random_tables(shape: tuple[int, int], count: int, seed: int):
+    rng = random.Random(seed)
+    n_rows, n_cols = shape
+    tables = []
+    while len(tables) < count:
+        n = rng.randint(n_rows * n_cols, 15)
+        cells = [0] * (n_rows * n_cols)
+        for _ in range(n):
+            cells[rng.randrange(len(cells))] += 1
+        table = [cells[i * n_cols:(i + 1) * n_cols] for i in range(n_rows)]
+        if all(sum(row) for row in table) and all(
+            sum(col) for col in zip(*table)
+        ):
+            tables.append(table)
+    return tables
+
+
+class TestExactAgainstEnumeration:
+    """The exact path equals brute-force enumeration on small r×c tables."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[3, 1, 0], [1, 4, 1], [0, 1, 4]],
+            [[2, 2, 1], [2, 1, 2], [1, 2, 2]],
+            [[5, 0, 0], [0, 5, 0], [0, 0, 5]],
+            [[1, 2, 3, 1], [4, 1, 0, 3]],
+            [[2, 2, 2, 2], [2, 2, 2, 1]],
+            [[6, 1], [1, 3], [0, 2], [1, 1]],
+            [[1, 3], [2, 2], [3, 1], [3, 0]],
+            *_random_tables((3, 3), 8, seed=3),
+            *_random_tables((2, 4), 8, seed=24),
+            *_random_tables((4, 2), 8, seed=42),
+        ],
+    )
+    def test_matches_enumeration(self, table):
+        assert sum(map(sum, table)) <= 15
+        observed, p_value = _brute_force_fisher(table)
+        result = fisher_exact_rxc(table)
+        assert result.details["method"] == "exact"
+        assert result.p_value == pytest.approx(float(p_value), abs=1e-12)
+        assert result.statistic == pytest.approx(float(observed), abs=1e-12)
