@@ -1,55 +1,31 @@
 # Developer entry points for the study toolkit.
 #
-# `make bench` gates the perf benchmarks behind the tier-1 suite: if
-# tier-1 fails, the benchmarks never run, so a broken tree can never
-# overwrite BENCH_study.json with numbers measured against bad code.
-# `make test` is itself gated on `trace-smoke` — a small traced study
-# whose JSONL events are validated line-by-line against the event
-# schema and whose manifest must round-trip through json.loads — and on
-# `pipeline-smoke`, which proves a warm artifact-store rerun replays the
-# cold run byte-for-byte.  Both contracts hold before the suite starts.
+# `make test` is the tier-1 suite, and every gate this project keeps is
+# a tier-1 test: the traced-run telemetry contract (test_obs_study), the
+# served-run identity and --serve-linger path (test_obs_serve_identity),
+# warm-store replay and invalidation cones (test_pipeline_graph,
+# test_pipeline_study) and the sqlite workload (test_workloads).  The
+# one gate too slow for tier-1 is marked `gate`, deselected by default
+# and run by `make scale-smoke`.  `make bench` gates the perf benchmarks
+# behind tier-1: if tier-1 fails, the benchmarks never run, so a broken
+# tree can never overwrite BENCH_study.json with numbers measured
+# against bad code.
 
 PYTHON ?= python
 JOBS ?= 1
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test trace-smoke pipeline-smoke sqlite-smoke serve-smoke scale-smoke bench-selftest bench bench-mine bench-parallel bench-scale bench-check study clean
+.PHONY: test scale-smoke bench-selftest bench bench-mine bench-parallel bench-scale bench-check study clean
 
-test: trace-smoke pipeline-smoke sqlite-smoke serve-smoke
+test:
 	$(PYTHON) -m pytest -x -q
 
-# small traced study + event-schema validation + manifest round-trip
-trace-smoke:
-	$(PYTHON) -m repro.obs.smoke
-
-# live-telemetry endpoint gate: a --serve 0 study probed over HTTP
-# (/healthz, /metrics against the Prometheus grammar, /status, /runs,
-# first-N SSE envelopes + ring replay) and proven byte-identical to an
-# unserved run, with a clean port release on shutdown
-serve-smoke:
-	$(PYTHON) -m repro.obs.serve_smoke
-
-# cold -> warm artifact-store replay: byte-identical reports (serial and
-# jobs=4), every clean stage served from the store, invalidation cones,
-# and the incremental scenario — mutating one project against the warm
-# store recomputes exactly its map shards plus the reduce tail
-pipeline-smoke:
-	$(PYTHON) -m repro.pipeline.smoke
-
-# workload gate: a --dialect sqlite micro-study runs the full DAG cold
-# and replays byte-identical warm (serial and jobs=4), keys disjoint
-# from the canonical study in the same store, with explain attributing
-# the workload switch to params.dialect
-sqlite-smoke:
-	$(PYTHON) -m repro.pipeline.sqlite_smoke
-
-# bounded-memory gate: a 2000-project study under --limit-memory 512
-# (driver peak RSS asserted from the manifest-visible timings, the
-# backpressure window proven bounded, the aggregate spill proven used)
-# plus a byte-identical warm rerun; dial with
-# REPRO_SCALE_SMOKE_PROJECTS / REPRO_SCALE_SMOKE_LIMIT_MB
+# bounded-memory gate (tests/test_streaming_pipeline.py::
+# TestBoundedMemoryGate): a 2000-project study under a 512 MiB memory
+# cap, driver peak RSS below the cap, the backpressure window bounded,
+# the aggregate spill used, and a byte-identical warm rerun
 scale-smoke:
-	$(PYTHON) -m repro.pipeline.scale_smoke
+	$(PYTHON) -m pytest -m gate
 
 # the end-to-end benchmark's own self-tests (python -m bench; 12-project
 # corpora, ~25 s): a refactor that moves a call site the per-layer trace
@@ -92,5 +68,5 @@ study:
 	$(PYTHON) -m repro study --jobs $(JOBS) --profile
 
 clean:
-	rm -rf benchmarks/output .pytest_cache
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -57,6 +57,59 @@ import sys
 from pathlib import Path
 
 
+class InputError(Exception):
+    """An input file a command cannot use.
+
+    ``main`` prints it as one line naming the file and exits with
+    ``code`` instead of a traceback.
+    """
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
+
+
+def _read_text(path, *, what: str = "file", code: int = 2) -> str:
+    """A text input file, decoded like git output.
+
+    Undecodable bytes read as U+FFFD, with one warning line naming the
+    file, so a latin-1 comment never stops a diff.
+    """
+    from .mining.gitrepo import decode_utf8
+
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise InputError(f"no such {what}: {path}", code) from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}", code) from None
+    text, replaced = decode_utf8(data)
+    if replaced:
+        print(
+            f"warning: {path} is not UTF-8; undecodable bytes read as U+FFFD",
+            file=sys.stderr,
+        )
+    return text
+
+
+def _read_json_object(path, *, what: str = "file", code: int = 2) -> dict:
+    """A JSON object from an input file read by :func:`_read_text`."""
+    import json
+
+    text = _read_text(path, what=what, code=code)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}", code) from None
+    if not isinstance(payload, dict):
+        raise InputError(
+            f"{path} is not a JSON object (got {type(payload).__name__})",
+            code,
+        )
+    return payload
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -120,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="shrink the canonical corpus by N (each taxon keeps "
             "count/N projects, at least one) — micro-studies for CI "
-            "and smoke runs; ignored with --corpus",
+            "and tests; ignored with --corpus",
         )
         command.add_argument(
             "--projects",
@@ -714,7 +767,12 @@ def _pipeline(args):
     if getattr(args, "corpus", None):
         from .io import load_corpus
 
-        corpus = load_corpus(args.corpus)
+        try:
+            corpus = load_corpus(args.corpus)
+        except (OSError, ValueError) as exc:
+            raise InputError(
+                f"cannot load the corpus at {args.corpus}: {exc}"
+            ) from None
     seed = getattr(args, "seed", None)
     return Pipeline(
         seed=DEFAULT_SEED if seed is None else seed,
@@ -1053,7 +1111,7 @@ def _cmd_case(args) -> int:
 def _cmd_diff(args) -> int:
     from .diff import diff_ddl
 
-    delta = diff_ddl(Path(args.old).read_text(), Path(args.new).read_text())
+    delta = diff_ddl(_read_text(args.old), _read_text(args.new))
     for change in delta:
         print(change)
     breakdown = delta.breakdown
@@ -1068,8 +1126,8 @@ def _cmd_impact(args) -> int:
     from .diff import diff_ddl
     from .querydep import Impact, analyze_impact, extract_from_files
 
-    delta = diff_ddl(Path(args.old).read_text(), Path(args.new).read_text())
-    files = {src: Path(src).read_text() for src in args.sources}
+    delta = diff_ddl(_read_text(args.old), _read_text(args.new))
+    files = {src: _read_text(src) for src in args.sources}
     queries = extract_from_files(files)
     report = analyze_impact(queries, delta)
     print(
@@ -1091,8 +1149,8 @@ def _cmd_validate(args) -> int:
     from .querydep import extract_from_files, validate_queries
     from .sqlparser import parse_schema
 
-    schema = parse_schema(Path(args.schema).read_text()).schema
-    files = {src: Path(src).read_text() for src in args.sources}
+    schema = parse_schema(_read_text(args.schema)).schema
+    files = {src: _read_text(src) for src in args.sources}
     queries = extract_from_files(files)
     report = validate_queries(queries, schema)
     if report.ok:
@@ -1105,19 +1163,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace_view(args) -> int:
-    import json
-
     from .obs import render_trace
 
-    path = Path(args.file)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return 1
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
+    payload = _read_json_object(args.file, what="trace file", code=1)
     print(
         render_trace(
             payload,
@@ -1171,11 +1219,11 @@ def _cmd_obs_history(args) -> int:
 
         path = Path(args.import_file)
         try:
-            payload = json.loads(path.read_text())
-            record = record_from_payload(payload, source=path.name)
-        except (OSError, ValueError) as exc:
-            print(f"obs history: {exc}", file=sys.stderr)
-            return 2
+            record = record_from_payload(
+                _read_json_object(path), source=path.name
+            )
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
         registry.append(record)
         print(
             f"imported {path.name} as run {record['run_id']} "
@@ -1318,14 +1366,7 @@ def _cmd_obs_export(args) -> int:
     from .obs import chrome_trace, folded_stacks, prometheus_text
 
     path = Path(args.file)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return 1
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
+    payload = _read_json_object(path, code=1)
     try:
         if args.kind == "chrome":
             text = json.dumps(chrome_trace(payload), indent=2) + "\n"
@@ -1533,6 +1574,9 @@ def main(argv: list[str] | None = None) -> int:
         args.obs_session = session
     try:
         code = _COMMANDS[args.command](args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = exc.code
     except BaseException as exc:
         if session is not None:
             session.finalize(status="error")

@@ -18,6 +18,7 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..obs.events import warn
 from ..vcs import FileVersion, Repository, parse_repository
 from .miner import MiningError, ProjectHistory, find_ddl_path, mine_project
 
@@ -35,21 +36,46 @@ class GitCommandError(MiningError):
     """A git invocation failed."""
 
 
+def decode_utf8(data: bytes) -> tuple[str, bool]:
+    """Text from bytes a real clone produced, and whether any was lost.
+
+    UTF-8 with undecodable bytes replaced by U+FFFD, and newlines
+    translated as a text-mode read would, so valid UTF-8 reads exactly
+    as ``text=True`` / ``Path.read_text`` read it.  The flag is true
+    when a replacement happened (a latin-1 comment, say).
+    """
+    try:
+        text, replaced = data.decode("utf-8"), False
+    except UnicodeDecodeError:
+        text, replaced = data.decode("utf-8", errors="replace"), True
+    return text.replace("\r\n", "\n").replace("\r", "\n"), replaced
+
+
 def _run_git(clone: Path, *args: str) -> str:
+    command = f"git {' '.join(args[:2])}"
     try:
         completed = subprocess.run(
             ["git", "-C", str(clone), *args],
             capture_output=True,
-            text=True,
             check=True,
         )
     except FileNotFoundError as exc:
         raise GitCommandError("git binary not found on PATH") from exc
     except subprocess.CalledProcessError as exc:
+        stderr, _ = decode_utf8(exc.stderr)
         raise GitCommandError(
-            f"git {' '.join(args[:2])} failed: {exc.stderr.strip()}"
+            f"{command} failed: {stderr.strip()}"
         ) from exc
-    return completed.stdout
+    text, replaced = decode_utf8(completed.stdout)
+    if replaced:
+        warn(
+            "git-output-not-utf8",
+            f"{clone}: {command} printed bytes that are not UTF-8; "
+            "they read as U+FFFD",
+            clone=str(clone),
+            command=command,
+        )
+    return text
 
 
 def read_git_log(clone: str | Path) -> str:

@@ -3,8 +3,9 @@ markers.
 
 Every line of a ``--log-json`` file is one JSON object with a stable
 schema (see :data:`EVENT_FIELDS`); :func:`validate_event` /
-:func:`validate_event_log` check conformance line by line, and the
-``make trace-smoke`` target runs that validator over a real traced run.
+:func:`validate_event_log` check conformance line by line, and
+``tests/test_obs_study.py`` runs that validator over a real traced
+``jobs=4`` run.
 
 Four event kinds exist:
 

@@ -5,7 +5,8 @@ the auditable record replication work needs: the seed and corpus size,
 the parallelism and cache configuration, toolchain versions, per-stage
 wall-clock timings, the final metrics snapshot and every warning the run
 raised (aggregated by code).  It always round-trips through
-``json.loads`` — enforced by ``make trace-smoke`` and the obs tests.
+``json.loads`` — enforced on a real traced run by
+``tests/test_obs_study.py::TestManifest``.
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ PACKAGES = [
     "repro.io",
     "repro.migrate",
     "repro.mining",
+    "repro.obs",
+    "repro.perf",
+    "repro.pipeline",
     "repro.querydep",
     "repro.report",
     "repro.schema",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.pipeline.store import configure_store
 
 OLD_DDL = """
 CREATE TABLE users (id INT, name VARCHAR(40), email TEXT);
@@ -228,3 +229,53 @@ class TestReportCommand:
             ["report", "--out", str(out), "--format", "html"]
         ) == 0
         assert out.read_text().startswith("<!DOCTYPE html>")
+
+
+#: Input files that used to raise out of ``main``, by name.
+BAD_FILES = {
+    "ok.sql": OLD_DDL.encode(),
+    "latin1.sql": b"-- caf\xe9\n" + OLD_DDL.encode(),
+    "list.json": b"[1, 2]",
+    "empty-corpus": None,
+    "truncated-corpus/manifest.json": b'{"format": "repro-corpus-v1", "pro',
+}
+
+
+@pytest.mark.parametrize(
+    "argv, named, code",
+    [
+        (["diff", "{}/missing.sql", "{}/ok.sql"], "missing.sql", 2),
+        (["impact", "{}/ok.sql", "{}/ok.sql", "{}/missing.py"],
+         "missing.py", 2),
+        (["validate", "{}/missing.sql", "{}/ok.sql"], "missing.sql", 2),
+        (["study", "--corpus", "{}/empty-corpus"], "empty-corpus", 2),
+        (["study", "--corpus", "{}/truncated-corpus"],
+         "truncated-corpus", 2),
+        (["trace-view", "{}/list.json"], "list.json", 1),
+        (["obs", "export", "chrome", "{}/list.json"], "list.json", 1),
+        (["obs", "export", "prom", "{}/list.json"], "list.json", 1),
+        (["obs", "history", "--import", "{}/list.json",
+          "--store-dir", "{}/store"], "list.json", 2),
+        # not UTF-8 is not fatal: decoded like git output, with a warning
+        (["diff", "{}/latin1.sql", "{}/ok.sql"], "latin1.sql", 0),
+        (["impact", "{}/ok.sql", "{}/ok.sql", "{}/latin1.sql"],
+         "latin1.sql", 0),
+        (["validate", "{}/latin1.sql", "{}/ok.sql"], "latin1.sql", 0),
+    ],
+)
+def test_bad_input_file_prints_one_line_naming_it(
+    tmp_path, capsys, argv, named, code
+):
+    for name, data in BAD_FILES.items():
+        path = tmp_path / name
+        if data is None:
+            path.mkdir()
+        else:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+    try:
+        assert main([arg.format(tmp_path) for arg in argv]) == code
+    finally:
+        configure_store(None)  # --store-dir sets the process-wide store
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(tmp_path / named) in line

@@ -29,7 +29,10 @@ V2 = (
     "CREATE TABLE users (id INT, name VARCHAR(40), email TEXT);\n"
     "CREATE TABLE posts (pid INT);\n"
 )
-V3 = "-- cosmetic header\n" + V2
+#: Committed as latin-1, as real dumps often are: the é is the byte
+#: 0xE9, which is not UTF-8 and must read as U+FFFD, not crash mining.
+V3 = "-- cosmetic header, café\n" + V2
+V3_READ = V3.replace("é", "\ufffd")
 
 
 def _git(cwd, *args, date=None):
@@ -71,7 +74,7 @@ def clone(tmp_path):
     _git(root, "commit", "-q", "-m", "add posts table",
          date="2021-02-15T11:00:00 +0000")
 
-    (root / "schema.sql").write_text(V3)
+    (root / "schema.sql").write_bytes(V3.encode("latin-1"))
     _git(root, "add", ".")
     _git(root, "commit", "-q", "-m", "cosmetic",
          date="2021-03-20T12:00:00 +0000")
@@ -109,7 +112,17 @@ class TestLoadRepository:
     def test_ddl_versions_extracted(self, clone):
         repo = load_repository(clone)
         versions = repo.versions_of("schema.sql")
-        assert [v.content for v in versions] == [V1, V2, V3]
+        assert [v.content for v in versions] == [V1, V2, V3_READ]
+
+    def test_non_utf8_version_warns_once(self, clone):
+        from repro.obs.events import get_recorder, reset_recorder
+
+        reset_recorder()
+        load_repository(clone)
+        (record,) = get_recorder().warnings
+        assert record["code"] == "git-output-not-utf8"
+        assert record["context"]["command"].startswith("git show")
+        reset_recorder()
 
     def test_explicit_ddl_path(self, clone):
         repo = load_repository(clone, ddl_path="schema.sql")

@@ -5,14 +5,24 @@ the HTTP server attached (and a live SSE-style subscriber draining the
 bus) produces a byte-identical measures CSV, an equivalent event log
 (same records modulo wall-clock fields), the same artifact-store keys,
 and the same manifest modulo the new ``server`` block — serial and
-with ``--jobs 4``.
+with ``--jobs 4``.  ``--serve 0 --serve-linger`` keeps the endpoints up
+over the finished run until the server is stopped, then releases the
+port.
 """
 
+import contextlib
+import io
 import json
+import socket
+import threading
+import time
+import urllib.request
 
 import pytest
 
 from repro.cli import main
+from repro.obs import server as server_mod
+from repro.obs.export import validate_prometheus_text
 from repro.obs.bus import get_bus, reset_bus
 from repro.obs.events import reset_recorder
 from repro.obs.metrics import reset_metrics
@@ -159,3 +169,69 @@ class TestServedRunIsByteIdentical:
 
     def test_jobs_4(self, tmp_path):
         _compare(tmp_path, jobs=4, ordered=False)
+
+
+def _get(url):
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read().decode()
+
+
+class TestServeLinger:
+    def test_lingers_over_the_finished_run_until_stopped(
+        self, tmp_path, monkeypatch
+    ):
+        # capture the server off .start() so the probes and the final
+        # stop() need not scrape the ephemeral port from stderr
+        started = []
+        original_start = server_mod.ObservabilityServer.start
+
+        def capturing_start(self):
+            result = original_start(self)  # publish only after the bind
+            started.append(self)
+            return result
+
+        monkeypatch.setattr(
+            server_mod.ObservabilityServer, "start", capturing_start
+        )
+        argv = [
+            "study", "--figure", "headline", *SEED_ARGS,
+            "--store-dir", str(tmp_path / "store"),
+            "--serve", "0", "--serve-linger",
+        ]
+        exit_codes = []
+        thread = threading.Thread(
+            target=lambda: exit_codes.append(main(argv)), daemon=True
+        )
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            thread.start()
+            try:
+                deadline = time.monotonic() + 120
+                while "still serving" not in stderr.getvalue():
+                    assert thread.is_alive(), stderr.getvalue()
+                    assert time.monotonic() < deadline, "never lingered"
+                    time.sleep(0.05)
+                (srv,) = started
+                url, port = srv.url, srv.port
+                status = json.loads(_get(url + "/status"))
+                states = {row["stage"]: row["state"]
+                          for row in status["stages"]}
+                assert states.pop("report") == "cold"  # study renders none
+                assert set(states.values()) == {"warm"}
+                assert status["drift"] == []
+                assert json.loads(_get(url + "/runs"))["count"] >= 1
+                page = _get(url + "/metrics")
+                assert validate_prometheus_text(page) == []
+                assert "repro_bus_published_total" in page
+                assert "repro_server_requests_total" in page
+            finally:
+                for started_server in started:
+                    started_server.stop()  # releases the linger wait()
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert exit_codes == [0]
+        assert (
+            f"observability server listening on {url}" in stderr.getvalue()
+        )
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=0.5)

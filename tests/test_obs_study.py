@@ -26,6 +26,7 @@ from repro.io import export_measures_csv
 from repro.obs import (
     ObsSession,
     chrome_trace,
+    compare_samples,
     configure_tracing,
     folded_stacks,
     get_progress,
@@ -33,6 +34,7 @@ from repro.obs import (
     reset_metrics,
     reset_progress,
     reset_recorder,
+    sample_from_dict,
     validate_event_log,
     validate_prometheus_text,
 )
@@ -302,6 +304,10 @@ class TestManifest:
     def test_round_trips_through_json(self, traced):
         manifest = traced["manifest"]
         assert json.loads(json.dumps(manifest)) == manifest
+        # and bench-check reads it back: a self-comparison passes
+        sample = sample_from_dict(manifest, source="manifest")
+        verdict = compare_samples(sample, sample)
+        assert not verdict.failed, verdict.render()
 
 
 class TestTraceViewCommand:

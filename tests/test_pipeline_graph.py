@@ -145,6 +145,11 @@ class TestResolution:
         assert len(store) == 3 * n + 3
         assert store.stats.writes == 3 * n + 3
         assert store.stats.hits == 0
+        assert sorted(store.keys()) == sorted(
+            [s.keys[stage] for s in pipe.shards() for stage in MAP_STAGE_NAMES]
+            + [pipe.fingerprint(stage)
+               for stage in ("aggregate", "figures", "statistics")]
+        )
 
     def test_study_is_memoised_per_pipeline(self):
         pipe = Pipeline(scale=SCALE, store=MemoryStore())
@@ -166,6 +171,17 @@ class TestResolution:
         assert (totals.hits, totals.recomputes) == (3, 0)
         for stage in MAP_STAGE_NAMES:
             assert stage not in warm.timings.artifacts
+
+        # a figures version bump recomputes figures alone
+        bumped = Pipeline(
+            scale=SCALE, store=store, code_versions={"figures": "bumped"}
+        )
+        bumped.study()
+        stats = bumped.timings.artifacts
+        counts = {name: (s.hits, s.recomputes) for name, s in stats.items()}
+        assert counts == {
+            "aggregate": (1, 0), "figures": (0, 1), "statistics": (1, 0),
+        }
 
     def test_warm_rows_equal_cold_rows(self):
         store = MemoryStore()
@@ -304,6 +320,27 @@ class TestInvalidate:
         assert result.projects == cold.projects
         assert result.skipped == cold.skipped
         assert rerun.report() == cold_text
+
+        # mutating the project instead reaches the same cone through
+        # new keys, and the mutated corpus then replays fully warm
+        def mutated():
+            pipe = Pipeline(
+                scale=SCALE, store=store,
+                project_overrides={target: 999_999},
+            )
+            return pipe, pipe.study(), pipe.report()
+
+        touched, study, touched_text = mutated()
+        stats = touched.timings.artifacts
+        for stage in MAP_STAGE_NAMES:
+            assert stats[stage].recomputes == 1, stage
+        assert stats["analyze"].hits == n - 1
+        for stage in REDUCE_STAGE_NAMES:
+            assert stats[stage].recomputes == 1, stage
+        assert len(study.projects) + len(study.skipped) == n
+        retouched, _, retouched_text = mutated()
+        assert retouched_text == touched_text
+        assert retouched.timings.artifact_totals.recomputes == 0
 
     def test_invalidate_all(self):
         store = MemoryStore()

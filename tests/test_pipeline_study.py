@@ -69,13 +69,29 @@ def _hollow_pipeline(store, count: int) -> Pipeline:
     return Pipeline(store=store, corpus=corpus)
 
 
-class TestWarmReplay:
-    def test_cold_and_warm_reports_are_byte_identical(self, tmp_path):
-        store_dir = tmp_path / "artifacts"
-        cold = Pipeline(scale=SCALE, store=DirStore(store_dir))
-        cold_text = cold.report()
+#: The canonical workload and the sqlite (dialect, source) workload.
+DIALECTS = pytest.mark.parametrize("dialect", [None, "sqlite"])
 
-        warm = Pipeline(scale=SCALE, store=DirStore(store_dir))
+
+class TestWarmReplay:
+    @DIALECTS
+    def test_cold_and_warm_reports_are_byte_identical(
+        self, tmp_path, dialect
+    ):
+        store_dir = tmp_path / "artifacts"
+        cold = Pipeline(scale=SCALE, store=DirStore(store_dir),
+                        dialect=dialect)
+        cold_text = cold.report()
+        n = len(cold.shards())
+        totals = cold.timings.artifact_totals
+        assert (totals.hits, totals.recomputes) == (0, 3 * n + 4)
+        assert all(
+            shard.identity.get("dialect") == dialect
+            for shard in cold.shards()
+        )
+
+        warm = Pipeline(scale=SCALE, store=DirStore(store_dir),
+                        dialect=dialect)
         warm_text = warm.report()
         assert warm_text == cold_text
         assert warm.timings.artifact_totals.hits == 1  # report itself
@@ -102,12 +118,15 @@ class TestWarmReplay:
         assert cold_text == build_study_report(fused)
         assert warm_text == cold_text
 
-    def test_parallel_run_reuses_serial_artifacts(self, tmp_path):
+    @DIALECTS
+    def test_parallel_run_reuses_serial_artifacts(self, tmp_path, dialect):
         store_dir = tmp_path / "artifacts"
-        serial = Pipeline(scale=SCALE, jobs=1, store=DirStore(store_dir))
+        serial = Pipeline(scale=SCALE, jobs=1, store=DirStore(store_dir),
+                          dialect=dialect)
         serial_study = serial.study()
 
-        parallel = Pipeline(scale=SCALE, jobs=4, store=DirStore(store_dir))
+        parallel = Pipeline(scale=SCALE, jobs=4, store=DirStore(store_dir),
+                            dialect=dialect)
         parallel_study = parallel.study()
         assert parallel_study.projects == serial_study.projects
         # jobs is not a fingerprint input: every clean stage hits

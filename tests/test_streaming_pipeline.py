@@ -276,3 +276,56 @@ class TestShardStatusPagination:
 
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["shards"]) == 10
+
+
+@pytest.mark.gate
+class TestBoundedMemoryGate:
+    """A 2000-project study under a 512 MiB cap, cold then warm.
+
+    About a minute on two cores, so it stays out of tier-1: the
+    ``gate`` marker is deselected by default and ``make scale-smoke``
+    runs it with ``pytest -m gate``.
+    """
+
+    PROJECTS = 2000
+    LIMIT_MB = 512
+
+    def test_capped_study_stays_bounded_and_replays(self, tmp_path):
+        from repro.pipeline.store import DirStore
+
+        def run():
+            reset_recorder()
+            reset_metrics()
+            pipe = Pipeline(
+                seed=195_2023,
+                projects=self.PROJECTS,
+                limit_memory_mb=self.LIMIT_MB,
+                store=DirStore(tmp_path / "store"),
+            )
+            return pipe, pipe.report(), pipe.study()
+
+        cold, cold_text, study = run()
+        assert cold.n_projects() == self.PROJECTS
+        payload = cold.timings.as_dict()
+        # the manifest-visible driver peak stays below the cap
+        resources = payload["resources"]
+        assert resources["peak_rss_bytes"] is not None
+        driver_peak = resources["scopes"]["driver"]["peak_rss_bytes"]
+        assert driver_peak < self.LIMIT_MB * 2**20
+        # the driver never reached the warn line, so the window never
+        # shrank; it bounded the fan-out and saw every shard
+        streaming = payload["streaming"]
+        assert not streaming["memory_watchdog"]["pressure"]
+        window = streaming["window"]
+        assert window["shrinks"] == 0
+        assert 0 < window["max_in_flight"] <= window["initial"]
+        assert window["submitted"] == self.PROJECTS
+        # the capped fold spilled at least one row batch to disk and
+        # still accounts for every project
+        spilled = streaming["aggregate_spill"]["spilled_rows"]
+        assert spilled >= AggregateAccumulator().spill_batch
+        assert len(study.projects) + len(study.skipped) == self.PROJECTS
+
+        warm, warm_text, _ = run()
+        assert warm_text == cold_text
+        assert warm.timings.artifact_totals.recomputes == 0

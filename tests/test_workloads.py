@@ -6,7 +6,8 @@ the untouched reference oracles (``tokenize_reference`` /
 ``diff_schemas_reference`` / ``parse_history_reference``), mixed-dialect
 detection as a property over fragment permutations, the dialect
 component of shard identities, provenance attribution of a workload
-switch, and the run registry's tolerance for pre-dialect records.
+switch, canonical and sqlite studies sharing one store, and the run
+registry's tolerance for pre-dialect records.
 """
 
 import json
@@ -108,7 +109,8 @@ class TestCorpusOracleRoundTrip:
         from repro.diff.engine import diff_schemas_reference
 
         hint = get_workload(_dialect_arg(workload)).dialect_hint
-        for project in self._corpus(workload):
+        corpus = self._corpus(workload)
+        for project in corpus:
             versions = [
                 FileVersion(synthetic_sha(i), utc(2020, 1 + i % 12), text)
                 for i, text in enumerate(project.ddl_versions)
@@ -132,6 +134,24 @@ class TestCorpusOracleRoundTrip:
                     incremental.versions[i - 1].schema,
                     incremental.versions[i].schema,
                 )
+
+        if workload == "sqlite":
+            # the emitted DDL is sqlite throughout: every version
+            # detects as sqlite, carries the PRAGMA preamble, and the
+            # sqlite history source mines it as sqlite
+            from repro.sqlparser import detect_dialect
+
+            for project in corpus:
+                for text in project.ddl_versions:
+                    assert detect_dialect(text) == "sqlite"
+                assert "PRAGMA foreign_keys" in project.ddl_versions[-1]
+            _, history = get_source("sqlite").mine_schema_history(
+                corpus[0].repository
+            )
+            assert all(
+                version.schema.dialect == "sqlite"
+                for version in history.versions
+            )
 
     def test_vendors_come_from_the_workload_mix(self, workload):
         mix = set(get_workload(_dialect_arg(workload)).vendor_mix)
@@ -243,6 +263,50 @@ class TestDialectShardIdentity:
         }
         labels = [c["label"] for c in diff_components(current, stored)]
         assert "params.dialect added (sqlite)" in labels
+
+
+class TestWorkloadsShareAStore:
+    def test_canonical_and_sqlite_studies_keep_apart(self, tmp_path):
+        from repro.pipeline import DirStore, Pipeline
+
+        store = DirStore(tmp_path / "store")
+
+        def pipeline(dialect=None):
+            return Pipeline(
+                seed=DEFAULT_SEED, scale=SMALL_SCALE, store=store,
+                dialect=dialect,
+            )
+
+        canonical = pipeline()
+        canonical_text = canonical.report()
+        canonical_keys = set(store.keys())
+
+        # over a canonical-only store the sqlite plan finds the
+        # canonical artifact and blames the switch on params.dialect
+        sqlite = pipeline("sqlite")
+        target = sqlite.shards()[0].project
+        (record,) = sqlite.explain("generate", project=target)
+        assert record["state"] == "stale"
+        assert "params.dialect" in [
+            cause["component"] for cause in record["causes"]
+        ]
+
+        sqlite_text = sqlite.report()
+        study = sqlite.study()
+        n = len(sqlite.shards())
+        assert len(study.projects) + len(study.skipped) == n
+        # the dialect is shard identity: no sqlite artifact reuses a
+        # canonical key, and the workload changed the study
+        assert len(set(store.keys()) - canonical_keys) == 3 * n + 4
+        assert sqlite_text != canonical_text
+        (record,) = pipeline("sqlite").explain("generate", project=target)
+        assert record["state"] == "warm"
+
+        # only non-default workloads carry (dialect, source) in meta
+        meta = store.meta_of(sqlite.shards()[0].keys["generate"])
+        assert (meta["dialect"], meta["source"]) == ("sqlite", "sqlite")
+        meta = store.meta_of(canonical.shards()[0].keys["generate"])
+        assert "dialect" not in meta and "source" not in meta
 
 
 class TestRegistryDialectColumn:
