@@ -39,8 +39,8 @@ bench: test
 	$(PYTHON) -m pytest benchmarks/test_perf_pipeline.py benchmarks/test_perf_study.py -q -p no:cacheprovider
 
 # mine-only microbenchmark (cold + warm serial mine over the canonical
-# corpus, BENCH_mine.json writer); compare against the committed
-# pre-incremental-engine record with
+# corpus; writes BENCH_mine.json, a run-registry record); compare
+# against the committed pre-incremental-engine record with
 #   make bench-check BASELINE=BENCH_mine_baseline.json CANDIDATE=BENCH_mine.json STAGE=mine
 bench-mine: test
 	$(PYTHON) -m pytest benchmarks/test_perf_mine.py -q -p no:cacheprovider
@@ -50,14 +50,16 @@ bench-parallel: test
 	REPRO_STUDY_JOBS=4 $(PYTHON) -m pytest benchmarks/test_perf_pipeline.py benchmarks/test_perf_study.py -q -p no:cacheprovider
 
 # bounded-memory scaling benchmark (capped cold studies over growing
-# corpora, BENCH_scale.json writer); compare records with
+# corpora; writes BENCH_scale.json, a run-registry record); compare it
+# with a fresh record of the same corpus size with
 #   make bench-check BASELINE=BENCH_scale.json CANDIDATE=<fresh record>
 bench-scale: test
 	$(PYTHON) -m pytest benchmarks/test_perf_scale.py -q -p no:cacheprovider
 
 # perf-regression watchdog: self-comparison of the committed benchmark
-# record must always pass (override CANDIDATE with a fresh manifest or
-# BENCH payload to compare a real change)
+# record must always pass (override CANDIDATE with a fresh BENCH record
+# or a run manifest of the same projects, jobs and dialect to compare a
+# real change; the bounds are fixed in repro.obs.regress)
 BASELINE ?= BENCH_study.json
 CANDIDATE ?= BENCH_study.json
 STAGE ?=

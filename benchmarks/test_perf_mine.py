@@ -7,7 +7,7 @@ memory-only parse cache (the cold pass).  The parse cache's in-memory
 layers live for one schema history, so the only reuse a second pass
 can find is the on-disk layer: an untimed pass fills a disk cache, and
 the warm pass is timed reading it back through a fresh cache.  The
-payload is a ``bench-check``-compatible record — run
+file is one run-registry record (``command`` ``bench:mine``) — run
 ``repro bench-check BENCH_mine.json <candidate> --stage mine`` to gate
 the hot path — and carries the statement-level fragment-cache counters
 that the incremental parse engine lives or dies by.
@@ -31,7 +31,7 @@ def test_mine_only_breakdown_and_bench_json(tmp_path):
     import repro.perf.cache as cache_module
     from repro.corpus import generate_corpus
     from repro.mining import mine_project
-    from repro.obs.manifest import runtime_environment
+    from repro.obs.registry import build_run_record
     from repro.perf.cache import CACHE_DIR_ENV, ParseCache
 
     corpus = generate_corpus()
@@ -67,25 +67,25 @@ def test_mine_only_breakdown_and_bench_json(tmp_path):
     ), "warm mine must reproduce the cold activity totals"
     assert warm_stats.hit_rate > 0.95
 
-    payload = {
-        "benchmark": "mine_only",
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "projects": len(corpus),
-        "jobs": 1,
-        "environment": runtime_environment(),
-        "stages": {
-            "mine": round(cold_seconds, 6),
-            "total": round(cold_seconds, 6),
+    record = build_run_record(
+        {
+            "jobs": 1,
+            "stages": {
+                "mine": round(cold_seconds, 6),
+                "total": round(cold_seconds, 6),
+            },
+            "parse_cache": cold_stats.as_dict(),
         },
-        "parse_cache": cold_stats.as_dict(),
-        "total_activity": total_activity,
-        "warm_mine": {
-            "seconds": round(warm_seconds, 6),
-            "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
-            "parse_cache": warm_stats.as_dict(),
-        },
+        command="bench:mine",
+        projects=len(corpus),
+    )
+    record["total_activity"] = total_activity
+    record["warm_mine"] = {
+        "seconds": round(warm_seconds, 6),
+        "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
+        "parse_cache": warm_stats.as_dict(),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(
         f"\nmine (cold): {cold_seconds:.3f}s over {len(corpus)} projects; "
         f"warm: {warm_seconds:.3f}s\n[written to {BENCH_PATH}]"
@@ -93,18 +93,17 @@ def test_mine_only_breakdown_and_bench_json(tmp_path):
 
 
 def test_bench_mine_json_is_valid():
-    """The emitted record parses and is bench-check comparable."""
+    """The emitted record parses and self-compares clean."""
     if not BENCH_PATH.exists():
         import pytest
 
         pytest.skip("BENCH_mine.json not written yet (run the full file)")
-    payload = json.loads(BENCH_PATH.read_text())
-    assert payload["benchmark"] == "mine_only"
-    assert payload["stages"]["mine"] > 0
-    assert 0.0 <= payload["parse_cache"]["hit_rate"] <= 1.0
+    from repro.obs.registry import REGISTRY_FORMAT
+    from repro.obs.regress import compare_records
 
-    from repro.obs.regress import sample_from_dict
-
-    sample = sample_from_dict(payload, source=str(BENCH_PATH))
-    assert sample.kind == "bench"
-    assert "mine" in sample.stages
+    record = json.loads(BENCH_PATH.read_text())
+    assert record["format"] == REGISTRY_FORMAT
+    assert record["command"] == "bench:mine"
+    assert record["stages"]["mine"] > 0
+    assert 0.0 <= record["parse_cache"]["hit_rate"] <= 1.0
+    assert not compare_records(record, record, stage="mine").failed

@@ -10,18 +10,18 @@ size (default 195 and 1000 projects, override with
 store under ``--limit-memory`` (default 512 MiB,
 ``REPRO_BENCH_SCALE_LIMIT_MB``).
 
-The payload is a ``bench-check``-compatible record whose headline
-blocks (``stages`` / ``resources`` / ``streaming``) describe the
-*largest* corpus, plus a per-size ``scaling`` table; ``repro
-bench-check BENCH_scale.json <candidate>`` gates both absolute peak
-RSS and the peak-RSS-per-project ratio.  Run via ``make bench-scale``
-— gated on the tier-1 suite like every BENCH writer.
+The file is one run-registry record (``command`` ``bench:scale``)
+whose headline blocks (``stages`` / ``resources`` / ``streaming``)
+describe the *largest* corpus, plus a per-size ``scaling`` table that
+rides along; ``repro bench-check BENCH_scale.json <candidate>`` gates
+its stage seconds and peak RSS against a record of the same corpus
+size.  Run via ``make bench-scale`` — gated on the tier-1 suite like
+every BENCH writer.
 """
 
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
@@ -40,8 +40,8 @@ def _scale_points() -> tuple[int, ...]:
 def test_capped_scaling_and_bench_json():
     """Cold capped studies over growing corpora; persist the record."""
     from repro.obs.events import reset_recorder
-    from repro.obs.manifest import runtime_environment
     from repro.obs.metrics import reset_metrics
+    from repro.obs.registry import build_run_record
     from repro.pipeline.graph import Pipeline
     from repro.pipeline.store import DirStore
 
@@ -89,32 +89,25 @@ def test_capped_scaling_and_bench_json():
         "(linear or worse)"
     )
 
-    head = runs[large]["timings"]
-    payload = {
-        "benchmark": "scale_study",
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "projects": large,
-        "skipped": runs[large]["skipped"],
-        "jobs": 1,
-        "limit_memory_mb": limit_mb,
-        "environment": runtime_environment(),
-        "stages": head["stages"],
-        "parse_cache": head.get("parse_cache"),
-        "resources": head.get("resources"),
-        "streaming": head.get("streaming"),
-        "scaling": {
-            str(n): {
-                "projects": n,
-                "total_seconds": runs[n]["timings"]["stages"]["total"],
-                "peak_rss_bytes": runs[n]["timings"]["resources"][
-                    "peak_rss_bytes"
-                ],
-                "streaming": runs[n]["timings"].get("streaming"),
-            }
-            for n in points
-        },
+    record = build_run_record(
+        runs[large]["timings"],
+        command="bench:scale",
+        projects=large,
+        skipped=runs[large]["skipped"],
+    )
+    record["limit_memory_mb"] = limit_mb
+    record["scaling"] = {
+        str(n): {
+            "projects": n,
+            "total_seconds": runs[n]["timings"]["stages"]["total"],
+            "peak_rss_bytes": runs[n]["timings"]["resources"][
+                "peak_rss_bytes"
+            ],
+            "streaming": runs[n]["timings"].get("streaming"),
+        }
+        for n in points
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(
         f"\nscale: peak RSS {small_peak / 2**20:.0f} MiB @ {small} -> "
         f"{large_peak / 2**20:.0f} MiB @ {large} projects under a "
@@ -123,19 +116,17 @@ def test_capped_scaling_and_bench_json():
 
 
 def test_bench_scale_json_is_valid():
-    """The emitted record parses and is bench-check comparable."""
+    """The emitted record parses and self-compares clean."""
     if not BENCH_PATH.exists():
         import pytest
 
         pytest.skip("BENCH_scale.json not written yet (run the full file)")
-    payload = json.loads(BENCH_PATH.read_text())
-    assert payload["benchmark"] == "scale_study"
-    assert payload["resources"]["peak_rss_bytes"] > 0
+    from repro.obs.registry import REGISTRY_FORMAT
+    from repro.obs.regress import compare_records
 
-    from repro.obs.regress import sample_from_dict
-
-    sample = sample_from_dict(payload, source=str(BENCH_PATH))
-    assert sample.kind == "bench"
-    assert sample.peak_rss_bytes and sample.peak_rss_bytes > 0
-    assert sample.rss_per_project and sample.rss_per_project > 0
-    assert sample.streaming is not None
+    record = json.loads(BENCH_PATH.read_text())
+    assert record["format"] == REGISTRY_FORMAT
+    assert record["command"] == "bench:scale"
+    assert record["resources"]["peak_rss_bytes"] > 0
+    assert record["streaming"] is not None
+    assert not compare_records(record, record).failed

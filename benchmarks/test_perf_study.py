@@ -1,10 +1,12 @@
 """PERF — per-stage timing of the full study, written to BENCH_study.json.
 
 Not a paper artifact: the machine-readable perf trajectory of the
-extraction pipeline.  Each run records the stage breakdown (generate /
-mine / analyze / figures), the parse-cache hit rates and a warm-cache
-re-study measurement at the repo root, so future PRs can compare
-against the committed history of ``BENCH_study.json``.
+extraction pipeline.  Each run writes one run-registry record
+(``command`` ``bench:study``) at the repo root: the stage breakdown
+(generate / mine / analyze / figures), the parse-cache hit rates and,
+riding along, a warm-cache re-study measurement (``warm_restudy``), so
+future PRs can compare against the committed history of
+``BENCH_study.json`` with ``repro bench-check``.
 
 Run via ``make bench`` — the Makefile refuses to reach this file (and
 therefore to overwrite ``BENCH_study.json``) unless the tier-1 suite
@@ -73,37 +75,40 @@ def test_study_stage_breakdown_and_bench_json(study, tmp_path_factory):
     assert warm.projects == study.projects
     assert warm.timings.cache.hit_rate > 0.95
 
-    from repro.obs.manifest import runtime_environment
+    from repro.obs.registry import build_run_record
 
-    payload = {
-        "benchmark": "canonical_study",
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "projects": len(study),
-        "skipped": len(study.skipped),
-        # host fingerprint: `repro bench-check` refuses cross-machine
-        # comparisons against this record unless explicitly allowed
-        "environment": runtime_environment(),
-        **timings.as_dict(),
-        "warm_restudy": {
-            "cold_seconds": round(cold_seconds, 6),
-            "seconds": round(warm_seconds, 6),
-            "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
-            "parse_cache": warm.timings.cache.as_dict(),
-        },
+    record = build_run_record(
+        timings.as_dict(),
+        command="bench:study",
+        projects=len(study),
+        skipped=len(study.skipped),
+        warning_count=len(study.warnings),
+    )
+    record["warm_restudy"] = {
+        "cold_seconds": round(cold_seconds, 6),
+        "seconds": round(warm_seconds, 6),
+        "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
+        "parse_cache": warm.timings.cache.as_dict(),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\n{study.timings.render()}\n[written to {BENCH_PATH}]")
 
 
 def test_bench_json_is_valid_and_complete(study):
-    """The emitted file parses and names every pipeline stage."""
+    """The emitted record names every stage and self-compares clean."""
     if not BENCH_PATH.exists():
         import pytest
 
         pytest.skip("BENCH_study.json not written yet (run the full file)")
-    payload = json.loads(BENCH_PATH.read_text())
+    from repro.obs.registry import REGISTRY_FORMAT
+    from repro.obs.regress import compare_records
+
+    record = json.loads(BENCH_PATH.read_text())
+    assert record["format"] == REGISTRY_FORMAT
+    assert record["command"] == "bench:study"
     for stage in ("generate", "mine", "analyze", "figures", "total"):
-        assert stage in payload["stages"], f"missing stage {stage}"
-    assert 0.0 <= payload["parse_cache"]["hit_rate"] <= 1.0
-    assert payload["projects"] == len(study)
-    assert payload["warm_restudy"]["parse_cache"]["hit_rate"] > 0.95
+        assert stage in record["stages"], f"missing stage {stage}"
+    assert 0.0 <= record["parse_cache"]["hit_rate"] <= 1.0
+    assert record["projects"] == len(study)
+    assert record["warm_restudy"]["parse_cache"]["hit_rate"] > 0.95
+    assert not compare_records(record, record).failed

@@ -37,8 +37,9 @@ host environment, stage timings, metric snapshot and warnings, and
 
 ``obs export`` converts finished telemetry to standard formats (Chrome
 trace-event JSON for Perfetto, Prometheus text exposition, flamegraph
-folded stacks); ``bench-check`` compares two run manifests or
-``BENCH_study.json`` payloads and fails on perf regressions.
+folded stacks); ``bench-check`` compares two perf records (run-registry
+records such as the ``BENCH_*.json`` files, or run manifests) and fails
+on perf regressions.
 
 Live telemetry: ``repro-study study --serve [PORT]`` binds a loopback
 HTTP server next to the run (``/healthz``, ``/metrics``, ``/events``
@@ -488,9 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="import_file",
         default=None,
         metavar="FILE",
-        help="seed one record from a run manifest or BENCH payload "
-        "(CI uses this to bootstrap --against-history from the "
-        "committed baseline)",
+        help="append one record: a run-registry record (a BENCH_*.json "
+        "file) as is, or the record of a run manifest's run",
     )
     timeline = obs_sub.add_parser(
         "timeline",
@@ -611,11 +611,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench-check",
         help="compare two perf records and fail on regressions",
         description=(
-            "BASELINE and CANDIDATE are run manifests (--manifest) or "
-            "BENCH_study.json payloads, freely mixed; with "
-            "--against-history N the single positional is the candidate "
-            "and the baseline is the median of the store registry's "
-            "last N records"
+            "BASELINE and CANDIDATE are run-registry records (the "
+            "BENCH_*.json files) or run manifests (--manifest), freely "
+            "mixed; with --against-history N the single positional is "
+            "the candidate and the baseline is the median of the last N "
+            "store-registry records of the same projects, jobs and "
+            "dialect"
         ),
     )
     bench_check.add_argument("baseline", help="baseline perf record (JSON)")
@@ -631,8 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="compare against the median of the last N run-registry "
-        "records instead of a baseline file",
+        help="compare against the median of the last N comparable "
+        "run-registry records instead of a baseline file",
     )
     bench_check.add_argument(
         "--store-dir",
@@ -642,40 +643,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_STORE_DIR)",
     )
     bench_check.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative per-stage slowdown tolerated (default: 0.25)",
-    )
-    bench_check.add_argument(
-        "--threshold",
-        action="append",
-        default=None,
-        metavar="STAGE=FRACTION",
-        help="per-stage threshold override (repeatable)",
-    )
-    bench_check.add_argument(
-        "--min-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="noise floor: skip stages below S seconds on both sides "
-        "(default: 0.05)",
-    )
-    bench_check.add_argument(
         "--stage",
         default=None,
         metavar="NAME",
         help="focus the seconds comparison on one stage "
         "(e.g. 'mine' for the mine microbenchmark record)",
-    )
-    bench_check.add_argument(
-        "--max-rss-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative peak-RSS growth tolerated (default: 0.30)",
     )
     bench_check.add_argument(
         "--report-only",
@@ -692,11 +664,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-env-mismatch",
         action="store_true",
         help="downgrade a host-environment mismatch from fail to warn",
-    )
-    bench_check.add_argument(
-        "--allow-warnings",
-        action="store_true",
-        help="do not fail when the candidate has more warnings",
     )
 
     return parser
@@ -800,6 +767,7 @@ def _run_pipeline(args):
     session = getattr(args, "obs_session", None)
     if session is not None:
         session.jobs = pipe.jobs
+        session.dialect = pipe.dialect
         if pipe.corpus is None:
             session.seed = pipe.seed
     study = pipe.study()
@@ -818,6 +786,7 @@ def _cmd_generate(args) -> int:
     if session is not None:
         session.seed = pipe.seed
         session.jobs = pipe.jobs
+        session.dialect = pipe.dialect
     corpus = generate_corpus(
         seed=pipe.seed, profiles=pipe.profiles(), jobs=pipe.jobs,
         dialect=pipe.dialect,
@@ -1178,6 +1147,10 @@ def _cmd_trace_view(args) -> int:
 
 
 def _cmd_obs(args) -> int:
+    limit = getattr(args, "limit", None)
+    if limit is not None and limit < 1:
+        print(f"obs {args.obs_command}: --limit needs N >= 1", file=sys.stderr)
+        return 2
     if args.obs_command == "history":
         return _cmd_obs_history(args)
     if args.obs_command == "timeline":
@@ -1215,15 +1188,13 @@ def _cmd_obs_history(args) -> int:
     if registry is None:
         return 2
     if args.import_file:
-        from .obs.registry import record_from_payload
+        from .obs.registry import as_record
 
         path = Path(args.import_file)
         try:
-            record = record_from_payload(
-                _read_json_object(path), source=path.name
-            )
+            record = as_record(_read_json_object(path), str(path))
         except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+            raise InputError(str(exc)) from None
         registry.append(record)
         print(
             f"imported {path.name} as run {record['run_id']} "
@@ -1247,7 +1218,7 @@ def _cmd_obs_history(args) -> int:
             record for record in records
             if (record.get("recorded_at") or 0) >= cutoff
         ]
-    if args.limit:
+    if args.limit is not None:
         records = records[-args.limit:]
     if args.json:
         print(json.dumps(records, indent=2, default=str))
@@ -1392,12 +1363,11 @@ def _cmd_obs_export(args) -> int:
 def _cmd_bench_check(args) -> int:
     import json
 
-    from .obs import compare_samples, load_sample, sample_from_dict
-    from .obs.regress import (
-        DEFAULT_MAX_REGRESSION,
-        DEFAULT_MAX_RSS_REGRESSION,
-        DEFAULT_MIN_SECONDS,
-    )
+    from .obs.registry import as_record, history_baseline
+    from .obs.regress import compare_records
+
+    def read(path):
+        return as_record(_read_json_object(path), path)
 
     try:
         if args.against_history is not None:
@@ -1418,14 +1388,12 @@ def _cmd_bench_check(args) -> int:
             registry = _obs_registry(args)
             if registry is None:
                 return 2
-            from .obs.registry import history_baseline
-
-            records = registry.records(limit=args.against_history)
-            baseline = sample_from_dict(
-                history_baseline(records),
-                source=f"history-median[{len(records)}]@{registry.path}",
+            candidate_label = args.baseline
+            candidate = read(candidate_label)
+            baseline = history_baseline(
+                registry.records(), candidate, last=args.against_history
             )
-            candidate = load_sample(args.baseline)
+            baseline_label = f"{baseline['command']}@{registry.path}"
         else:
             if args.candidate is None:
                 print(
@@ -1434,48 +1402,18 @@ def _cmd_bench_check(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            baseline = load_sample(args.baseline)
-            candidate = load_sample(args.candidate)
+            baseline_label, candidate_label = args.baseline, args.candidate
+            baseline, candidate = read(baseline_label), read(candidate_label)
     except (OSError, ValueError) as exc:
         print(f"bench-check: {exc}", file=sys.stderr)
         return 2
-    thresholds: dict[str, float] = {}
-    for spec in args.threshold or ():
-        stage, sep, value = spec.partition("=")
-        try:
-            if not (sep and stage):
-                raise ValueError(spec)
-            thresholds[stage] = float(value)
-        except ValueError:
-            print(
-                f"bench-check: bad --threshold {spec!r} "
-                "(expected STAGE=FRACTION)",
-                file=sys.stderr,
-            )
-            return 2
-    report = compare_samples(
+    report = compare_records(
         baseline,
         candidate,
-        max_regression=(
-            args.max_regression
-            if args.max_regression is not None
-            else DEFAULT_MAX_REGRESSION
-        ),
-        stage_thresholds=thresholds,
-        min_seconds=(
-            args.min_seconds
-            if args.min_seconds is not None
-            else DEFAULT_MIN_SECONDS
-        ),
-        max_rss_regression=(
-            args.max_rss_regression
-            if args.max_rss_regression is not None
-            else DEFAULT_MAX_RSS_REGRESSION
-        ),
         stage=args.stage,
         allow_env_mismatch=args.allow_env_mismatch,
-        allow_warnings=args.allow_warnings,
     )
+    report.baseline, report.candidate = baseline_label, candidate_label
     print(report.render())
     if args.json:
         out = Path(args.json)
@@ -1520,10 +1458,14 @@ def _append_run_record(args, session) -> None:
     if registry is None:
         return
     sampled = pipe.corpus is None
+    study = pipe.study()
     try:
         registry.append(build_run_record(
+            study.timings.as_dict(),
             command=args.command,
-            study=pipe.study(),
+            projects=len(study.projects),
+            skipped=len(study.skipped),
+            warning_count=len(study.warnings),
             seed=pipe.seed if sampled else None,
             scale=pipe.scale if sampled else None,
             jobs=pipe.jobs,

@@ -19,8 +19,11 @@ run auditable end to end without changing any of its results:
   Prometheus text exposition, flamegraph folded stacks;
 * :mod:`repro.obs.progress` — the live heartbeat channel behind
   ``--progress`` and the ``progress`` events in ``--log-json``;
+* :mod:`repro.obs.registry` — the run-registry record, the one perf
+  record format: every run's line in ``<store>/runs/history.jsonl``
+  and every committed ``BENCH_*.json`` file;
 * :mod:`repro.obs.regress` — the ``bench-check`` perf-regression
-  watchdog comparing run manifests / ``BENCH_study.json`` payloads.
+  watchdog comparing two such records.
 
 :class:`ObsSession` is the CLI-facing glue: it wires ``--trace``,
 ``--log-json``, ``--manifest`` and ``--progress`` to the right globals
@@ -87,19 +90,12 @@ from .provenance import (
 from .registry import (
     REGISTRY_FORMAT,
     RunRegistry,
+    as_record,
     build_run_record,
     history_baseline,
-    record_from_payload,
     registry_for_store,
 )
-from .regress import (
-    Check,
-    PerfSample,
-    RegressionReport,
-    compare_samples,
-    load_sample,
-    sample_from_dict,
-)
+from .regress import Check, RegressionReport, compare_records
 from .resources import (
     ResourceMonitor,
     ResourceSample,
@@ -133,7 +129,6 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_SPAN",
     "ObsSession",
-    "PerfSample",
     "ProgressChannel",
     "ProgressTracker",
     "RegressionReport",
@@ -143,10 +138,11 @@ __all__ = [
     "Span",
     "Tracer",
     "aggregate_warnings",
+    "as_record",
     "build_manifest",
     "build_run_record",
     "chrome_trace",
-    "compare_samples",
+    "compare_records",
     "configure_tracing",
     "diff_components",
     "explain_target",
@@ -158,13 +154,11 @@ __all__ = [
     "get_recorder",
     "get_tracer",
     "history_baseline",
-    "load_sample",
     "peak_rss_bytes",
     "process_sample",
     "progress_event",
     "prometheus_text",
     "provenance_event",
-    "record_from_payload",
     "registry_for_store",
     "render_explanation",
     "render_progress_line",
@@ -176,7 +170,6 @@ __all__ = [
     "resource_event",
     "run_event",
     "runtime_environment",
-    "sample_from_dict",
     "span_event",
     "validate_event",
     "validate_event_line",
@@ -213,6 +206,7 @@ class ObsSession:
         # run facts, filled in by the command as it executes
         self.seed: int | None = None
         self.jobs: int | None = None
+        self.dialect: str | None = None
         self.study = None
         self.corpus_size: int | None = None
         self.finalized = False
@@ -270,6 +264,7 @@ class ObsSession:
                 status=status,
                 seed=self.seed,
                 jobs=self.jobs,
+                dialect=self.dialect,
                 study=self.study,
                 corpus_size=self.corpus_size,
                 warnings=get_recorder().warnings,

@@ -27,7 +27,7 @@ MANIFEST_FORMAT = "repro-run-manifest-v1"
 def runtime_environment() -> dict:
     """Host facts for apples-to-apples perf comparisons.
 
-    Recorded in every manifest (and the BENCH payload) so
+    Recorded in every manifest and run-registry record so
     ``repro bench-check`` can refuse cross-machine baselines with a
     clear warning instead of reporting phantom regressions.
     """
@@ -44,6 +44,7 @@ def build_manifest(
     status: str = "ok",
     seed: int | None = None,
     jobs: int | None = None,
+    dialect: str | None = None,
     study=None,
     corpus_size: int | None = None,
     warnings: list[dict] | None = None,
@@ -52,6 +53,8 @@ def build_manifest(
 ) -> dict:
     """Assemble the manifest document for one run.
 
+    ``dialect`` is recorded only for non-default workloads, as in the
+    run-registry record, so canonical manifests keep their shape.
     ``study`` (a :class:`~repro.analysis.study.StudyResult`) contributes
     project counts, stage timings and the metrics snapshot when the run
     produced one; corpus-only runs pass ``corpus_size`` instead.
@@ -91,6 +94,8 @@ def build_manifest(
             "stats": store.stats.as_dict(),
         },
     }
+    if dialect is not None:
+        manifest["dialect"] = dialect
     if study is not None:
         manifest["projects"] = len(study.projects)
         manifest["skipped"] = list(study.skipped)

@@ -1,4 +1,4 @@
-"""The append-only run-history registry under the artifact store.
+"""The run-registry record: the one perf record format, and its log.
 
 Every ``repro study`` / ``repro report`` run against a directory store
 appends one compact JSONL record to ``<store>/runs/history.jsonl``:
@@ -8,14 +8,14 @@ the store from a pile of artifacts into a *trajectory* — ``repro obs
 history`` tables it, ``repro obs timeline --stage mine`` plots a
 cross-run trend with regression markers, and ``bench-check
 --against-history N`` compares a candidate to the median of the last
-``N`` records instead of one hand-kept BENCH file.
+``N`` comparable records instead of one hand-kept BENCH file.
 
-Records are deliberately shaped like ``BENCH_study.json`` payloads
-(top-level ``stages`` / ``parse_cache`` / ``artifact_store`` /
-``resources``), so :func:`repro.obs.regress.sample_from_dict`
-normalises them without a special case.  The reader is tolerant:
-malformed lines are skipped, never fatal — an append-only log must
-survive a torn write.
+The committed ``BENCH_*.json`` files are records of this same format,
+built by the same :func:`build_run_record`; :func:`as_record` is the
+one reader that ``bench-check`` and ``obs history --import`` use, and
+it also turns a run manifest into the record of its run.  The log
+reader is tolerant: malformed lines are skipped, never fatal — an
+append-only log must survive a torn write.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import time
 from pathlib import Path
 from statistics import median
+
+from .manifest import MANIFEST_FORMAT, runtime_environment
 
 #: Format tag carried by every registry record.
 REGISTRY_FORMAT = "repro-run-registry-v1"
@@ -100,9 +102,12 @@ def registry_for_store(store=None) -> RunRegistry | None:
 
 
 def build_run_record(
+    timings: dict,
     *,
     command: str,
-    study,
+    projects: int | None,
+    skipped: int | None = None,
+    warning_count: int | None = None,
     seed: int | None = None,
     scale: int | None = None,
     jobs: int | None = None,
@@ -110,16 +115,15 @@ def build_run_record(
     manifest: dict | None = None,
     fingerprints: dict | None = None,
 ) -> dict:
-    """One registry record for a finished study/report run.
+    """One registry record from a ``StudyTimings.as_dict()`` block.
 
-    ``dialect`` is recorded only for non-default workloads, so
-    canonical records — and every record written before workloads
-    existed — are shape-identical; readers fall back with
-    ``record.get("dialect")``.
+    With a ``manifest`` the record describes that manifest's run: it
+    carries the manifest's digest and host environment.  Without one it
+    describes a run of this process, on this host.  ``dialect`` is
+    recorded only for non-default workloads, so canonical records — and
+    every record written before workloads existed — are shape-identical;
+    readers fall back with ``record.get("dialect")``.
     """
-    from .manifest import runtime_environment
-
-    timings = study.timings.as_dict()
     recorded_at = round(time.time(), 3)
     digest = manifest_digest(manifest) if manifest else None
     run_id = hashlib.sha256(
@@ -133,15 +137,15 @@ def build_run_record(
         "seed": seed,
         "scale": scale,
         "jobs": jobs if jobs is not None else timings.get("jobs"),
-        "projects": len(study.projects),
-        "skipped": len(study.skipped),
+        "projects": projects,
+        "skipped": skipped,
         "manifest_digest": digest,
         "stages": timings.get("stages") or {},
         "parse_cache": timings.get("parse_cache"),
-        "warning_count": len(study.warnings),
+        "warning_count": warning_count,
         "environment": (
             manifest.get("environment")
-            if manifest and manifest.get("environment")
+            if manifest is not None
             else runtime_environment()
         ),
     }
@@ -155,52 +159,40 @@ def build_run_record(
     return record
 
 
-def record_from_payload(payload: dict, *, source: str = "import") -> dict:
-    """Seed one registry record from a manifest or BENCH payload.
+def as_record(doc: dict, source: str) -> dict:
+    """The registry record a perf document stands for.
 
-    The CI trend seed: ``repro obs history --import BENCH_study.json``
-    turns the committed baseline into record zero so
-    ``--against-history`` has something to chew on from the first run.
+    A registry record (every ``BENCH_*.json`` file, every registry line)
+    comes back as is; a run manifest becomes the record of its run,
+    carrying the manifest's digest.  Anything else raises
+    ``ValueError`` naming ``source``.
     """
-    timings = (
-        payload.get("timings")
-        if isinstance(payload.get("timings"), dict)
-        else payload
-    )
-    if not isinstance(timings.get("stages"), dict):
-        raise ValueError(
-            f"{source}: neither a run manifest nor a BENCH payload "
-            "(no stages block)"
+    kind = doc.get("format")
+    if kind == REGISTRY_FORMAT:
+        return doc
+    if kind == MANIFEST_FORMAT:
+        timings = doc.get("timings")
+        if not isinstance(timings, dict):
+            raise ValueError(
+                f"{source}: run manifest without a timings block "
+                "(not a study run)"
+            )
+        skipped = doc.get("skipped")
+        return build_run_record(
+            timings,
+            command=doc.get("command"),
+            projects=doc.get("projects"),
+            skipped=len(skipped) if skipped is not None else None,
+            warning_count=doc.get("warning_count"),
+            seed=doc.get("seed"),
+            jobs=doc.get("jobs"),
+            dialect=doc.get("dialect"),
+            manifest=doc,
         )
-    recorded_at = round(time.time(), 3)
-    record: dict = {
-        "format": REGISTRY_FORMAT,
-        "run_id": hashlib.sha256(
-            f"{recorded_at}:{source}".encode()
-        ).hexdigest()[:12],
-        "recorded_at": recorded_at,
-        "command": f"import:{source}",
-        "seed": payload.get("seed"),
-        "scale": payload.get("scale"),
-        "jobs": payload.get("jobs") or timings.get("jobs"),
-        "projects": payload.get("projects"),
-        "skipped": (
-            len(payload["skipped"])
-            if isinstance(payload.get("skipped"), list)
-            else payload.get("skipped")
-        ),
-        "manifest_digest": None,
-        "stages": dict(timings["stages"]),
-        "parse_cache": timings.get("parse_cache"),
-        "warning_count": payload.get("warning_count"),
-        "environment": payload.get("environment"),
-    }
-    if payload.get("dialect"):
-        record["dialect"] = payload["dialect"]
-    for block in ("artifact_store", "resources", "streaming"):
-        if timings.get(block):
-            record[block] = timings[block]
-    return record
+    raise ValueError(
+        f"{source}: neither a run-registry record ({REGISTRY_FORMAT}) "
+        f"nor a run manifest ({MANIFEST_FORMAT})"
+    )
 
 
 def timeline_values(
@@ -304,26 +296,49 @@ def _median_merge(values: list):
     return present[-1]
 
 
-def history_baseline(records: list[dict]) -> dict:
-    """The median-of-history baseline payload for ``bench-check``.
+#: The fields a history record must share with the candidate to count
+#: in its baseline: a median over different corpora, worker counts or
+#: workloads describes no run.
+COMPARABLE_KEYS = ("projects", "jobs", "dialect")
 
-    Folds the given records (typically the last *N*) element-wise by
-    median into one BENCH-shaped payload; ``sample_from_dict``
-    normalises it like any other baseline.  Raises on an empty history
-    — a missing registry must fail loudly, not pass vacuously.
+
+def history_baseline(
+    records: list[dict], candidate: dict, *, last: int | None = None
+) -> dict:
+    """The median-of-history baseline record for ``bench-check``.
+
+    Takes the last ``last`` records (all when ``None``) that match the
+    candidate's :data:`COMPARABLE_KEYS` and are not the candidate's own
+    run — same ``run_id``, or the same manifest digest — and folds them
+    element-wise by median into one record.  Raises when no record is
+    left: a missing baseline must fail loudly, not pass vacuously.
     """
-    if not records:
-        raise ValueError("run registry is empty — nothing to compare against")
-    merged = _median_merge(list(records))
+    digest = candidate.get("manifest_digest")
+    comparable = [
+        record for record in records
+        if all(record.get(key) == candidate.get(key)
+               for key in COMPARABLE_KEYS)
+        and record.get("run_id") != candidate.get("run_id")
+        and not (digest and record.get("manifest_digest") == digest)
+    ]
+    if last is not None:
+        comparable = comparable[-last:]
+    if not comparable:
+        identity = ", ".join(
+            f"{key}={candidate.get(key)}" for key in COMPARABLE_KEYS
+        )
+        raise ValueError(
+            f"run registry holds no earlier record with {identity} "
+            "— nothing to compare against"
+        )
+    merged = _median_merge(comparable)
     merged["format"] = REGISTRY_FORMAT
-    merged["command"] = f"history-median[{len(records)}]"
-    # medians of identity fields are meaningless — pin the latest;
-    # `dialect` rides along via .get() so pre-dialect records (which
-    # simply lack the key) never fail the merge
-    latest = records[-1]
+    merged["command"] = f"history-median[{len(comparable)}]"
+    # medians of identity fields are meaningless — pin the latest
+    latest = comparable[-1]
     for key in (
         "run_id", "recorded_at", "environment", "manifest_digest",
-        "dialect",
+        *COMPARABLE_KEYS,
     ):
         merged[key] = latest.get(key)
     return merged

@@ -1,32 +1,28 @@
 """The perf-regression watchdog: baseline vs candidate comparison.
 
-``repro bench-check BASELINE CANDIDATE`` compares two performance
-records — run manifests (``--manifest``) or ``BENCH_study.json``
-payloads, freely mixed — and produces a machine-readable verdict.
-Checks cover:
+``repro bench-check BASELINE CANDIDATE`` compares two perf records and
+produces a machine-readable verdict.  Both sides are run-registry
+records (:func:`repro.obs.registry.as_record` reads a ``BENCH_*.json``
+file as is and turns a run manifest into the record of its run), and
+the bounds are fixed:
 
-* per-stage wall seconds (relative threshold, default +25 %, override
-  globally with ``--max-regression`` or per stage with
-  ``--threshold STAGE=FRACTION``); stages below the noise floor
-  (``min_seconds``) are skipped rather than flagged; ``--stage NAME``
-  focuses the seconds comparison on one stage (the mine
-  microbenchmark's ``--stage mine``);
-* parse-cache hit rate (absolute drop threshold);
-* statement-level parse-unit reuse rate (same absolute-drop threshold)
-  whenever both records carry the incremental engine's ``statements``
-  block with nonzero unit lookups — a reuse collapse is a mine-time
-  regression even before the seconds show it;
-* artifact-store hit rate (same absolute-drop threshold) whenever both
-  records carry store stats — a warm rerun that starts recomputing
-  stages it used to replay is a regression even when each recompute is
-  individually fast;
-* warning counts (any increase fails unless allowed);
-* comparability guards: corpus size must match, and when both records
-  carry a host ``environment`` (hostname / platform / cpu count —
-  recorded by the run manifest), a mismatch refuses the comparison
-  with a clear apples-to-oranges warning unless explicitly allowed.
-  A ``jobs`` mismatch only warns: stage rows are summed worker
-  seconds, so totals remain comparable but wall clock does not.
+* per-stage wall seconds may grow by :data:`MAX_REGRESSION` (+25 %);
+  stages below :data:`MIN_SECONDS` on both sides are noise and skip;
+  ``--stage NAME`` focuses the seconds comparison on one stage (the
+  mine microbenchmark's ``--stage mine``);
+* the parse-cache hit rate, the statement-level parse-unit reuse rate
+  and the artifact-store hit rate may each drop by
+  :data:`MAX_RATE_DROP` (10 points); a side that recorded zero lookups
+  has no rate, so the check skips — a fully warm run that never parses
+  is not a reuse collapse;
+* peak RSS may grow by :data:`MAX_RSS_REGRESSION` (+30 %);
+* the warning count may not grow;
+* comparability guards: corpus size and workload dialect must match,
+  and when both records carry a host ``environment`` (hostname /
+  platform / cpu count) a mismatch refuses the comparison with a clear
+  apples-to-oranges warning unless explicitly allowed.  A ``jobs``
+  mismatch only warns: stage rows are summed worker seconds, so totals
+  remain comparable but wall clock does not.
 
 The comparison is pure data-in/data-out (no clocks, no host access),
 so the watchdog itself can run anywhere — including CI in report-only
@@ -36,177 +32,41 @@ build.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from .manifest import MANIFEST_FORMAT
 
 #: Format tag of the verdict document written by ``bench-check --json``.
 VERDICT_FORMAT = "repro-bench-check-v1"
 
-#: Default relative stage-seconds regression threshold (+25 %).
-DEFAULT_MAX_REGRESSION = 0.25
+#: Relative stage-seconds regression bound (+25 %).
+MAX_REGRESSION = 0.25
 
 #: Stages where both sides sit below this many seconds are noise.
-DEFAULT_MIN_SECONDS = 0.05
+MIN_SECONDS = 0.05
 
-#: Default tolerated absolute parse-cache hit-rate drop.
-DEFAULT_MAX_HIT_RATE_DROP = 0.10
+#: Tolerated absolute drop of a reuse rate (cache, store, statements).
+MAX_RATE_DROP = 0.10
 
-#: Default relative peak-RSS growth threshold (+30 %).  Looser than the
-#: seconds threshold: RSS folds allocator and GC noise on top of real
-#: footprint, so a tight bound would flag phantom drift.
-DEFAULT_MAX_RSS_REGRESSION = 0.30
+#: Relative peak-RSS growth bound (+30 %).  Looser than the seconds
+#: bound: RSS folds allocator and GC noise on top of real footprint, so
+#: a tight bound would flag phantom drift.
+MAX_RSS_REGRESSION = 0.30
 
 #: Environment keys that must agree for an apples-to-apples comparison.
 ENVIRONMENT_KEYS = ("hostname", "platform", "cpu_count")
 
-
-@dataclass
-class PerfSample:
-    """One side of a comparison, normalised from either source format."""
-
-    source: str
-    kind: str  # "manifest" | "bench"
-    projects: int | None
-    jobs: int | None
-    stages: dict[str, float]
-    cache: dict | None
-    warning_count: int | None
-    environment: dict | None
-    store: dict | None = None
-    resources: dict | None = None
-    #: Streaming-execution counters (window / spill / watchdog blocks);
-    #: ``None`` on records written before the streaming engine landed —
-    #: every consumer must None-skip, like ``store`` and ``resources``.
-    streaming: dict | None = None
-
-    @property
-    def peak_rss_bytes(self) -> int | None:
-        """The run's headline peak RSS, when telemetry recorded one."""
-        if not self.resources:
-            return None
-        peak = self.resources.get("peak_rss_bytes")
-        return int(peak) if peak else None
-
-    @property
-    def rss_per_project(self) -> float | None:
-        """Peak RSS bytes per corpus project — the bounded-memory yard.
-
-        The scale-out guard: a streaming run's footprint should stay
-        roughly flat as the corpus grows, so *per-project* RSS must
-        fall (or at least not balloon) with N.  ``None`` whenever
-        either ingredient is missing, so pre-telemetry records and
-        corpus-less bench payloads skip instead of failing.
-        """
-        peak = self.peak_rss_bytes
-        if peak is None or not self.projects:
-            return None
-        return peak / self.projects
-
-    @property
-    def hit_rate(self) -> float | None:
-        if not self.cache:
-            return None
-        rate = self.cache.get("hit_rate")
-        return float(rate) if rate is not None else None
-
-    @property
-    def store_hit_rate(self) -> float | None:
-        """Artifact-store hit rate, when the run actually looked up keys.
-
-        A run that recorded *zero* lookups (hits + recomputes == 0 —
-        an empty corpus, or a path that never touched the store) has no
-        meaningful rate: its recorded 0.0 would read as "everything
-        recomputed" and flag a phantom regression against any warm
-        baseline, so it reports ``None`` and the comparison skips.
-        """
-        if not self.store:
-            return None
-        rate = self.store.get("hit_rate")
-        if rate is None:
-            return None
-        lookups = (
-            self.store.get("hits", 0) or 0
-        ) + (self.store.get("recomputes", 0) or 0)
-        if not lookups:
-            return None
-        return float(rate)
-
-    @property
-    def statement_reuse_rate(self) -> float | None:
-        """Statement-level parse-unit reuse, when the run recorded any.
-
-        Mirrors :attr:`store_hit_rate`: records predating the
-        incremental parse engine carry no ``statements`` block, and a
-        run with zero unit lookups (fully warm — every version answered
-        at whole-file granularity) has no meaningful rate.  Both report
-        ``None`` so the comparison skips instead of flagging a phantom
-        reuse collapse.
-        """
-        if not self.cache:
-            return None
-        statements = self.cache.get("statements")
-        if not statements:
-            return None
-        rate = statements.get("reuse_rate")
-        if rate is None:
-            return None
-        lookups = (
-            statements.get("unit_hits", 0) or 0
-        ) + (statements.get("unit_misses", 0) or 0)
-        if not lookups:
-            return None
-        return float(rate)
-
-
-def sample_from_dict(data: dict, *, source: str = "<dict>") -> PerfSample:
-    """Normalise a decoded manifest or BENCH payload into a sample."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: not a JSON object")
-    if data.get("format") == MANIFEST_FORMAT or "timings" in data:
-        timings = data.get("timings") or {}
-        return PerfSample(
-            source=source,
-            kind="manifest",
-            projects=data.get("projects"),
-            jobs=data.get("jobs") or timings.get("jobs"),
-            stages=dict(timings.get("stages") or {}),
-            cache=timings.get("parse_cache"),
-            warning_count=data.get("warning_count"),
-            environment=data.get("environment"),
-            store=timings.get("artifact_store"),
-            resources=timings.get("resources"),
-            streaming=timings.get("streaming") or data.get("streaming"),
-        )
-    if "stages" in data:
-        return PerfSample(
-            source=source,
-            kind="bench",
-            projects=data.get("projects"),
-            jobs=data.get("jobs"),
-            stages=dict(data.get("stages") or {}),
-            cache=data.get("parse_cache"),
-            warning_count=data.get("warning_count"),
-            environment=data.get("environment"),
-            store=data.get("artifact_store"),
-            resources=data.get("resources"),
-            streaming=data.get("streaming"),
-        )
-    raise ValueError(
-        f"{source}: neither a run manifest nor a BENCH_study.json payload"
-    )
-
-
-def load_sample(path: str | Path) -> PerfSample:
-    """Load and normalise one comparison side from a JSON file."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return sample_from_dict(data, source=str(path))
+#: The reuse rates compared, as (check name, label, block of the record,
+#: rate key, the counters whose sum is the block's lookup count).
+RATE_CHECKS = (
+    ("cache_hit_rate", "parse-cache hit rate",
+     lambda record: record.get("parse_cache"),
+     "hit_rate", ("hits", "misses")),
+    ("store_hit_rate", "artifact-store hit rate",
+     lambda record: record.get("artifact_store"),
+     "hit_rate", ("hits", "recomputes")),
+    ("statement_reuse", "statement parse-unit reuse",
+     lambda record: (record.get("parse_cache") or {}).get("statements"),
+     "reuse_rate", ("unit_hits", "unit_misses")),
+)
 
 
 @dataclass
@@ -267,14 +127,10 @@ class RegressionReport:
         for check in self.checks:
             detail = check.message
             if check.ratio is not None and not detail:
-                limit = (
-                    f" (limit {check.threshold:+.0%})"
-                    if check.threshold is not None
-                    else ""
-                )
+                # a stage-seconds check: the only kind without a message
                 detail = (
                     f"{check.baseline:.3f}s -> {check.candidate:.3f}s "
-                    f"{check.ratio:+.1%}{limit}"
+                    f"{check.ratio:+.1%} (limit {check.threshold:+.0%})"
                 )
             lines.append(
                 f"  {check.status.upper():<4} {check.name:<24} {detail}"
@@ -283,225 +139,160 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def compare_samples(
-    baseline: PerfSample,
-    candidate: PerfSample,
+def compare_records(
+    baseline: dict,
+    candidate: dict,
     *,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-    stage_thresholds: dict[str, float] | None = None,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-    max_hit_rate_drop: float = DEFAULT_MAX_HIT_RATE_DROP,
-    max_rss_regression: float = DEFAULT_MAX_RSS_REGRESSION,
-    allow_env_mismatch: bool = False,
-    allow_warnings: bool = False,
     stage: str | None = None,
+    allow_env_mismatch: bool = False,
 ) -> RegressionReport:
-    """Compare two perf samples and return the full verdict.
+    """Compare two run-registry records and return the full verdict.
 
     ``stage`` focuses the seconds comparison on one stage (``--stage
     mine`` for the mine microbenchmark); the comparability guards and
-    the cache / statement-reuse checks still run, the other stages'
-    seconds are ignored.
+    the rate checks still run, the other stages' seconds are ignored.
+    The report is labelled with each record's ``command``.
     """
-    stage_thresholds = stage_thresholds or {}
     report = RegressionReport(
-        baseline=baseline.source, candidate=candidate.source
+        baseline=str(baseline.get("command")),
+        candidate=str(candidate.get("command")),
     )
     checks = report.checks
 
     # -- comparability guards ------------------------------------------
-    checks.append(_environment_check(baseline, candidate, allow_env_mismatch))
-    if (
-        baseline.projects is not None
-        and candidate.projects is not None
-        and baseline.projects != candidate.projects
-    ):
+    checks.append(_environment_check(
+        baseline.get("environment"), candidate.get("environment"),
+        allow_env_mismatch,
+    ))
+    base_n, cand_n = baseline.get("projects"), candidate.get("projects")
+    if base_n is not None and cand_n is not None and base_n != cand_n:
         checks.append(Check(
             name="projects",
             status="fail",
-            baseline=float(baseline.projects),
-            candidate=float(candidate.projects),
+            baseline=float(base_n),
+            candidate=float(cand_n),
             message=(
-                f"corpus size differs ({baseline.projects} vs "
-                f"{candidate.projects}) — stage seconds are not comparable"
+                f"corpus size differs ({base_n} vs {cand_n}) — stage "
+                "seconds are not comparable"
             ),
         ))
-    if (
-        baseline.jobs is not None
-        and candidate.jobs is not None
-        and baseline.jobs != candidate.jobs
-    ):
+    base_dialect = baseline.get("dialect") or "canonical"
+    cand_dialect = candidate.get("dialect") or "canonical"
+    if base_dialect != cand_dialect:
+        checks.append(Check(
+            name="dialect",
+            status="fail",
+            message=(
+                f"workload differs ({base_dialect} vs {cand_dialect}) — "
+                "different corpora, nothing is comparable"
+            ),
+        ))
+    base_jobs, cand_jobs = baseline.get("jobs"), candidate.get("jobs")
+    if base_jobs is not None and cand_jobs is not None \
+            and base_jobs != cand_jobs:
         checks.append(Check(
             name="jobs",
             status="warn",
-            baseline=float(baseline.jobs),
-            candidate=float(candidate.jobs),
+            baseline=float(base_jobs),
+            candidate=float(cand_jobs),
             message=(
-                f"jobs differ ({baseline.jobs} vs {candidate.jobs}); "
-                "stage rows are summed worker seconds, wall clock is not "
-                "comparable"
+                f"jobs differ ({base_jobs} vs {cand_jobs}); stage rows "
+                "are summed worker seconds, wall clock is not comparable"
             ),
         ))
 
     # -- per-stage wall seconds ----------------------------------------
-    if stage is not None:
-        focus = [stage]
-        if stage not in baseline.stages and stage not in candidate.stages:
+    base_stages = baseline.get("stages") or {}
+    cand_stages = candidate.get("stages") or {}
+    focus = [stage] if stage is not None else [*base_stages] + [
+        name for name in cand_stages if name not in base_stages
+    ]
+    for name in focus:
+        if name not in base_stages and name not in cand_stages:
             checks.append(Check(
-                name=f"stage:{stage}",
+                name=f"stage:{name}",
                 status="fail",
                 message="focused stage missing from both sides",
             ))
-            focus = []
-    else:
-        focus = list(baseline.stages)
-    for name in focus:
-        if name not in baseline.stages:
+            continue
+        if name not in base_stages or name not in cand_stages:
+            side = "baseline" if name not in base_stages else "candidate"
             checks.append(Check(
                 name=f"stage:{name}",
                 status="skip",
-                message="stage missing from baseline",
+                message=f"stage missing from {side}",
             ))
             continue
-        if name not in candidate.stages:
-            checks.append(Check(
-                name=f"stage:{name}",
-                status="skip",
-                message="stage missing from candidate",
-            ))
-            continue
-        base = float(baseline.stages[name])
-        cand = float(candidate.stages[name])
-        if base < min_seconds and cand < min_seconds:
+        base = float(base_stages[name])
+        cand = float(cand_stages[name])
+        if base < MIN_SECONDS and cand < MIN_SECONDS:
             checks.append(Check(
                 name=f"stage:{name}",
                 status="skip",
                 baseline=base,
                 candidate=cand,
-                message=f"below the {min_seconds}s noise floor",
+                message=f"below the {MIN_SECONDS}s noise floor",
             ))
             continue
-        threshold = stage_thresholds.get(name, max_regression)
-        ratio = (cand - base) / max(base, min_seconds)
+        ratio = (cand - base) / max(base, MIN_SECONDS)
         checks.append(Check(
             name=f"stage:{name}",
-            status="fail" if ratio > threshold else "pass",
+            status="fail" if ratio > MAX_REGRESSION else "pass",
             baseline=base,
             candidate=cand,
             ratio=ratio,
-            threshold=threshold,
-        ))
-    if stage is None:
-        for name in candidate.stages:
-            if name not in baseline.stages:
-                checks.append(Check(
-                    name=f"stage:{name}",
-                    status="skip",
-                    message="stage missing from baseline",
-                ))
-
-    # -- parse-cache hit rate ------------------------------------------
-    base_rate, cand_rate = baseline.hit_rate, candidate.hit_rate
-    if base_rate is not None and cand_rate is not None:
-        drop = base_rate - cand_rate
-        checks.append(Check(
-            name="cache_hit_rate",
-            status="fail" if drop > max_hit_rate_drop else "pass",
-            baseline=base_rate,
-            candidate=cand_rate,
-            ratio=-drop,
-            threshold=max_hit_rate_drop,
-            message=(
-                f"hit rate {base_rate:.1%} -> {cand_rate:.1%} "
-                f"(tolerated drop {max_hit_rate_drop:.0%})"
-            ),
-        ))
-    else:
-        checks.append(Check(
-            name="cache_hit_rate",
-            status="skip",
-            message="parse-cache stats missing from one side",
+            threshold=MAX_REGRESSION,
         ))
 
-    # -- artifact-store hit rate ---------------------------------------
-    # a warm-run regression (stages recomputing that used to replay from
-    # the store) shows up as a hit-rate drop between comparable runs
-    base_store, cand_store = (
-        baseline.store_hit_rate, candidate.store_hit_rate
-    )
-    if base_store is not None and cand_store is not None:
-        drop = base_store - cand_store
-        checks.append(Check(
-            name="store_hit_rate",
-            status="fail" if drop > max_hit_rate_drop else "pass",
-            baseline=base_store,
-            candidate=cand_store,
-            ratio=-drop,
-            threshold=max_hit_rate_drop,
-            message=(
-                f"artifact-store hit rate {base_store:.1%} -> "
-                f"{cand_store:.1%} "
-                f"(tolerated drop {max_hit_rate_drop:.0%})"
-            ),
-        ))
-    elif base_store is not None or cand_store is not None:
-        checks.append(Check(
-            name="store_hit_rate",
-            status="skip",
-            message=(
-                "artifact-store stats missing from one side "
-                "(or one side recorded zero lookups)"
-            ),
-        ))
-
-    # -- statement-level parse reuse -----------------------------------
-    # a reuse-rate collapse means the incremental engine stopped sharing
-    # parse work between versions — cold mine time follows it down
-    base_reuse, cand_reuse = (
-        baseline.statement_reuse_rate, candidate.statement_reuse_rate
-    )
-    if base_reuse is not None and cand_reuse is not None:
-        drop = base_reuse - cand_reuse
-        checks.append(Check(
-            name="statement_reuse",
-            status="fail" if drop > max_hit_rate_drop else "pass",
-            baseline=base_reuse,
-            candidate=cand_reuse,
-            ratio=-drop,
-            threshold=max_hit_rate_drop,
-            message=(
-                f"statement parse-unit reuse {base_reuse:.1%} -> "
-                f"{cand_reuse:.1%} "
-                f"(tolerated drop {max_hit_rate_drop:.0%})"
-            ),
-        ))
-    elif base_reuse is not None or cand_reuse is not None:
-        checks.append(Check(
-            name="statement_reuse",
-            status="skip",
-            message=(
-                "statement-reuse stats missing from one side "
-                "(pre-incremental record, or zero unit lookups)"
-            ),
-        ))
+    # -- reuse rates ----------------------------------------------------
+    # a rate collapse is a regression before the seconds show it: the
+    # parse cache or the incremental engine stopped sharing parse work,
+    # or a warm rerun recomputes stages it used to replay
+    for name, label, block, key, counters in RATE_CHECKS:
+        base_rate = _rate(block(baseline), key, counters)
+        cand_rate = _rate(block(candidate), key, counters)
+        if base_rate is not None and cand_rate is not None:
+            drop = base_rate - cand_rate
+            checks.append(Check(
+                name=name,
+                status="fail" if drop > MAX_RATE_DROP else "pass",
+                baseline=base_rate,
+                candidate=cand_rate,
+                ratio=-drop,
+                threshold=MAX_RATE_DROP,
+                message=(
+                    f"{label} {base_rate:.1%} -> {cand_rate:.1%} "
+                    f"(tolerated drop {MAX_RATE_DROP:.0%})"
+                ),
+            ))
+        elif base_rate is not None or cand_rate is not None:
+            checks.append(Check(
+                name=name,
+                status="skip",
+                message=(
+                    f"{label} missing from one side (not recorded, or "
+                    "zero lookups)"
+                ),
+            ))
 
     # -- peak RSS drift -------------------------------------------------
-    # the memory-budget guard (ROADMAP item 2): a run whose footprint
-    # grows past the threshold fails even when its seconds look fine
-    base_rss, cand_rss = baseline.peak_rss_bytes, candidate.peak_rss_bytes
+    # the memory-budget guard: a run whose footprint grows past the
+    # bound fails even when its seconds look fine
+    base_rss = (baseline.get("resources") or {}).get("peak_rss_bytes")
+    cand_rss = (candidate.get("resources") or {}).get("peak_rss_bytes")
     if base_rss and cand_rss:
         ratio = (cand_rss - base_rss) / base_rss
         checks.append(Check(
             name="peak_rss",
-            status="fail" if ratio > max_rss_regression else "pass",
+            status="fail" if ratio > MAX_RSS_REGRESSION else "pass",
             baseline=float(base_rss),
             candidate=float(cand_rss),
             ratio=ratio,
-            threshold=max_rss_regression,
+            threshold=MAX_RSS_REGRESSION,
             message=(
                 f"peak RSS {base_rss / 2**20:.0f} MiB -> "
                 f"{cand_rss / 2**20:.0f} MiB {ratio:+.1%} "
-                f"(limit +{max_rss_regression:.0%})"
+                f"(limit +{MAX_RSS_REGRESSION:.0%})"
             ),
         ))
     elif base_rss or cand_rss:
@@ -514,56 +305,16 @@ def compare_samples(
             ),
         ))
 
-    # -- peak RSS per project -------------------------------------------
-    # the streaming-scale guard: with equal corpora this mirrors
-    # peak_rss, but across BENCH_scale.json records it catches the
-    # O(corpus) driver-footprint regression the absolute check cannot
-    # see (a 10k-project record has no same-size baseline to diff)
-    base_ppp, cand_ppp = (
-        baseline.rss_per_project, candidate.rss_per_project
-    )
-    if base_ppp is not None and cand_ppp is not None:
-        ratio = (cand_ppp - base_ppp) / base_ppp
-        checks.append(Check(
-            name="rss_per_project",
-            status="fail" if ratio > max_rss_regression else "pass",
-            baseline=base_ppp,
-            candidate=cand_ppp,
-            ratio=ratio,
-            threshold=max_rss_regression,
-            message=(
-                f"peak RSS/project {base_ppp / 2**10:.0f} KiB -> "
-                f"{cand_ppp / 2**10:.0f} KiB {ratio:+.1%} "
-                f"(limit +{max_rss_regression:.0%})"
-            ),
-        ))
-    elif base_ppp is not None or cand_ppp is not None:
-        checks.append(Check(
-            name="rss_per_project",
-            status="skip",
-            message=(
-                "RSS-per-project undefined on one side (no resource "
-                "telemetry or no corpus size recorded) — skipping, "
-                "pre-streaming records stay comparable"
-            ),
-        ))
-
     # -- warning counts -------------------------------------------------
-    if (
-        baseline.warning_count is not None
-        and candidate.warning_count is not None
-    ):
-        increase = candidate.warning_count - baseline.warning_count
-        grew = increase > 0 and not allow_warnings
+    base_warn = baseline.get("warning_count")
+    cand_warn = candidate.get("warning_count")
+    if base_warn is not None and cand_warn is not None:
         checks.append(Check(
             name="warnings",
-            status="fail" if grew else "pass",
-            baseline=float(baseline.warning_count),
-            candidate=float(candidate.warning_count),
-            message=(
-                f"warning count {baseline.warning_count} -> "
-                f"{candidate.warning_count}"
-            ),
+            status="fail" if cand_warn > base_warn else "pass",
+            baseline=float(base_warn),
+            candidate=float(cand_warn),
+            message=f"warning count {base_warn} -> {cand_warn}",
         ))
     else:
         checks.append(Check(
@@ -575,29 +326,42 @@ def compare_samples(
     return report
 
 
+def _rate(block: dict | None, key: str, counters: tuple) -> float | None:
+    """A reuse rate, or ``None`` when there is none to compare.
+
+    ``None`` when the block or its rate is absent (a record older than
+    the counter) and when the counters sum to zero lookups: a run that
+    looked nothing up records a vacuous 0.0 that would read as
+    "everything missed" against any warm baseline.
+    """
+    if not block or block.get(key) is None:
+        return None
+    if not sum(block.get(counter) or 0 for counter in counters):
+        return None
+    return float(block[key])
+
+
 def _environment_check(
-    baseline: PerfSample, candidate: PerfSample, allow: bool
+    baseline: dict | None, candidate: dict | None, allow: bool
 ) -> Check:
-    if not baseline.environment or not candidate.environment:
+    if not baseline or not candidate:
         return Check(
             name="environment",
             status="skip",
             message=(
                 "host environment not recorded on both sides "
-                "(older manifest or BENCH payload); cross-machine drift "
-                "cannot be ruled out"
+                "(older record); cross-machine drift cannot be ruled out"
             ),
         )
     mismatched = [
         key
         for key in ENVIRONMENT_KEYS
-        if baseline.environment.get(key) != candidate.environment.get(key)
+        if baseline.get(key) != candidate.get(key)
     ]
     if not mismatched:
         return Check(name="environment", status="pass")
     detail = ", ".join(
-        f"{key}: {baseline.environment.get(key)!r} vs "
-        f"{candidate.environment.get(key)!r}"
+        f"{key}: {baseline.get(key)!r} vs {candidate.get(key)!r}"
         for key in mismatched
     )
     return Check(

@@ -25,9 +25,10 @@ telemetry without any third-party dependency:
   allocate, so no span or layer timer can show it; this clock does.
 
 Telemetry never perturbs results: samples land in
-:class:`~repro.perf.timing.StudyTimings` (and from there the manifest,
-``BENCH_study.json`` and ``bench-check``), never in artifact payloads,
-so cold and warm runs stay byte-identical.
+:class:`~repro.perf.timing.StudyTimings` (and from there the manifest
+and the run-registry record — the ``BENCH_*.json`` files included —
+that ``bench-check`` compares), never in artifact payloads, so cold and
+warm runs stay byte-identical.
 """
 
 from __future__ import annotations

@@ -227,7 +227,7 @@ class StudyTimings:
         return known + extras
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready form (the ``BENCH_study.json`` payload core).
+        """JSON-ready form (the timings block of a run-registry record).
 
         The ``artifact_store`` block appears only when the run actually
         resolved stages through the store, so records of runs that

@@ -261,6 +261,9 @@ BAD_FILES = {
         (["impact", "{}/ok.sql", "{}/ok.sql", "{}/latin1.sql"],
          "latin1.sql", 0),
         (["validate", "{}/latin1.sql", "{}/ok.sql"], "latin1.sql", 0),
+        (["bench-check", "{}/missing.json", "{}/list.json"],
+         "missing.json", 2),
+        (["bench-check", "{}/list.json", "{}/list.json"], "list.json", 2),
     ],
 )
 def test_bad_input_file_prints_one_line_naming_it(

@@ -8,18 +8,19 @@ import pytest
 
 from repro.obs.events import reset_recorder
 from repro.obs.metrics import reset_metrics
+from repro.obs.manifest import MANIFEST_FORMAT
 from repro.obs.registry import (
     REGISTRY_FORMAT,
     RunRegistry,
+    as_record,
     build_run_record,
     history_baseline,
     manifest_digest,
-    record_from_payload,
     registry_for_store,
     render_timeline,
     timeline_values,
 )
-from repro.obs.regress import sample_from_dict
+from repro.obs.regress import compare_records
 from repro.pipeline import DirStore, MemoryStore, Pipeline
 from repro.pipeline.store import configure_store
 
@@ -104,32 +105,39 @@ class TestRunRegistry:
         assert registry.root == tmp_path / "s"
 
 
+def study_record(study, **identity) -> dict:
+    """The record the CLI appends for ``study``."""
+    return build_run_record(
+        study.timings.as_dict(),
+        projects=len(study.projects),
+        skipped=len(study.skipped),
+        warning_count=len(study.warnings),
+        **identity,
+    )
+
+
 class TestBuildRunRecord:
     @pytest.fixture(scope="class")
     def study(self):
         return Pipeline(scale=32, seed=77, store=MemoryStore()).study()
 
     def test_record_is_bench_shaped(self, study):
-        record = build_run_record(
-            command="study", study=study, seed=77, scale=32, jobs=1,
+        record = study_record(
+            study, command="study", seed=77, scale=32, jobs=1,
         )
         assert record["format"] == REGISTRY_FORMAT
         assert record["projects"] == len(study.projects)
         assert "total" in record["stages"]
         assert record["environment"]["hostname"]
-        # the registry's whole point: sample_from_dict needs no
-        # special case for a registry record
-        sample = sample_from_dict(record, source="registry")
-        assert sample.kind == "bench"
-        assert sample.stages == record["stages"]
-        assert sample.peak_rss_bytes == (
-            record.get("resources", {}).get("peak_rss_bytes")
-        )
+        # the one record format: a BENCH file, a registry line and this
+        # record all read back as is and compare directly
+        assert as_record(record, "registry") is record
+        assert not compare_records(record, record).failed
 
     def test_manifest_digest_and_fingerprints_land(self, study):
         manifest = {"format": "x", "environment": {"hostname": "h"}}
-        record = build_run_record(
-            command="study", study=study, manifest=manifest,
+        record = study_record(
+            study, command="study", manifest=manifest,
             fingerprints={"aggregate": "f" * 64},
         )
         assert record["manifest_digest"] == manifest_digest(manifest)
@@ -137,45 +145,56 @@ class TestBuildRunRecord:
         assert record["fingerprints"] == {"aggregate": "f" * 64}
 
     def test_run_ids_differ_across_commands(self, study):
-        a = build_run_record(command="study", study=study)
-        b = build_run_record(command="report", study=study)
+        a = study_record(study, command="study")
+        b = study_record(study, command="report")
         assert a["run_id"] != b["run_id"]
 
 
 class TestRecordFromPayload:
+    """as_record: the one reader of BENCH files, manifests and records."""
+
     def test_from_a_bench_payload(self):
-        payload = {
-            "projects": 7, "jobs": 2, "warning_count": 1,
-            "stages": {"total": 3.0},
-            "parse_cache": {"hit_rate": 0.9},
-            "resources": {"peak_rss_bytes": 1},
-        }
-        record = record_from_payload(payload, source="BENCH_study.json")
-        assert record["command"] == "import:BENCH_study.json"
-        assert record["stages"] == {"total": 3.0}
-        assert record["resources"] == {"peak_rss_bytes": 1}
-        assert sample_from_dict(record).kind == "bench"
+        record = bench_shaped(command="bench:study")
+        assert as_record(record, "BENCH_study.json") is record
 
     def test_from_a_manifest_payload(self):
-        payload = {
-            "projects": 7,
-            "skipped": ["a/b"],
-            "timings": {"jobs": 4, "stages": {"total": 1.0}},
+        timings = {
+            "jobs": 4,
+            "stages": {"total": 1.0},
+            "parse_cache": {"hit_rate": 0.9, "hits": 9, "misses": 1},
+            "artifact_store": {"hit_rate": 1.0, "hits": 3, "recomputes": 0},
+            "resources": {"peak_rss_bytes": 1},
+            "streaming": {"window": {"submitted": 7}},
         }
-        record = record_from_payload(payload, source="m.json")
-        assert record["stages"] == {"total": 1.0}
-        assert record["jobs"] == 4
-        assert record["skipped"] == 1
+        manifest = {
+            "format": MANIFEST_FORMAT, "command": "study", "seed": 3,
+            "jobs": 4, "dialect": "sqlite", "projects": 7,
+            "skipped": ["a/b"], "warning_count": 2, "timings": timings,
+            "environment": {"hostname": "h"},
+        }
+        expected = {
+            "format": REGISTRY_FORMAT, "command": "study", "seed": 3,
+            "jobs": 4, "dialect": "sqlite", "projects": 7, "skipped": 1,
+            "warning_count": 2, "environment": {"hostname": "h"},
+            "manifest_digest": manifest_digest(manifest),
+            **{key: block for key, block in timings.items() if key != "jobs"},
+        }
+        record = as_record(manifest, "m.json")
+        assert {key: record[key] for key in expected} == expected
 
     def test_rejects_a_stageless_payload(self):
-        with pytest.raises(ValueError, match="no stages block"):
-            record_from_payload({"hello": 1}, source="x.json")
+        with pytest.raises(ValueError, match="x.json: neither"):
+            as_record({"stages": {"total": 1.0}}, "x.json")
+        with pytest.raises(ValueError, match="m.json: run manifest without"):
+            as_record({"format": MANIFEST_FORMAT, "projects": 7}, "m.json")
 
 
 class TestHistoryBaseline:
+    CANDIDATE = bench_shaped(run_id="candidate")
+
     def test_empty_history_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            history_baseline([])
+        with pytest.raises(ValueError, match="no earlier record"):
+            history_baseline([], self.CANDIDATE)
 
     def test_median_over_numbers_nested_in_blocks(self):
         records = [
@@ -183,7 +202,7 @@ class TestHistoryBaseline:
             bench_shaped(total=9.0, rss=300),
             bench_shaped(total=2.0, rss=200),
         ]
-        merged = history_baseline(records)
+        merged = history_baseline(records, self.CANDIDATE)
         assert merged["stages"]["total"] == 2.0
         assert merged["resources"]["peak_rss_bytes"] == 200
         assert merged["command"] == "history-median[3]"
@@ -193,7 +212,7 @@ class TestHistoryBaseline:
             bench_shaped(run_id="old", recorded_at=1.0),
             bench_shaped(run_id="new", recorded_at=2.0),
         ]
-        merged = history_baseline(records)
+        merged = history_baseline(records, self.CANDIDATE)
         assert merged["run_id"] == "new"
         assert merged["recorded_at"] == 2.0
 
@@ -203,14 +222,38 @@ class TestHistoryBaseline:
         records = [
             bench_shaped(rss=100), sparse, bench_shaped(rss=300),
         ]
-        merged = history_baseline(records)
+        merged = history_baseline(records, self.CANDIDATE)
         assert merged["resources"]["peak_rss_bytes"] == 200
 
     def test_baseline_feeds_bench_check(self):
-        merged = history_baseline([bench_shaped(), bench_shaped()])
-        sample = sample_from_dict(merged, source="median")
-        assert sample.stages["total"] == 2.0
-        assert sample.peak_rss_bytes == 100 * 2**20
+        merged = history_baseline(
+            [bench_shaped(), bench_shaped()], self.CANDIDATE
+        )
+        assert merged["stages"]["total"] == 2.0
+        assert merged["resources"]["peak_rss_bytes"] == 100 * 2**20
+        assert not compare_records(merged, self.CANDIDATE).failed
+
+    def test_mixed_registry_keeps_only_comparable_earlier_runs(self):
+        candidate = bench_shaped(run_id="cand", manifest_digest="d" * 64)
+        records = [
+            bench_shaped(total=1.0, run_id="a"),
+            bench_shaped(total=50.0, run_id="other-corpus", projects=195),
+            bench_shaped(total=60.0, run_id="other-jobs", jobs=2),
+            bench_shaped(total=70.0, run_id="sqlite", dialect="sqlite"),
+            bench_shaped(total=3.0, run_id="b"),
+            # the candidate's own run, appended before bench-check ran
+            bench_shaped(total=80.0, run_id="own", manifest_digest="d" * 64),
+            bench_shaped(total=90.0, run_id="cand"),
+        ]
+        merged = history_baseline(records, candidate)
+        assert merged["command"] == "history-median[2]"
+        assert merged["stages"]["total"] == 2.0
+        assert (merged["projects"], merged["jobs"]) == (7, 1)
+        assert merged.get("dialect") is None
+        last = history_baseline(records, candidate, last=1)
+        assert (last["command"], last["run_id"]) == ("history-median[1]", "b")
+        sqlite = history_baseline(records, bench_shaped(dialect="sqlite"))
+        assert (sqlite["run_id"], sqlite["dialect"]) == ("sqlite", "sqlite")
 
 
 class TestTimelineDegenerateHistories:
@@ -392,7 +435,7 @@ class TestRegistryCli:
     def test_history_import_seeds_a_record(self, run_dir, capsys):
         from repro.cli import main
 
-        payload = bench_shaped()
+        payload = bench_shaped(command="bench:study")
         seed_file = run_dir / "seed.json"
         seed_file.write_text(json.dumps(payload))
         store_dir = run_dir / "imported-store"
@@ -400,10 +443,32 @@ class TestRegistryCli:
             "obs", "history", "--import", str(seed_file),
             "--store-dir", str(store_dir),
         ]) == 0
-        assert "imported seed.json as run" in capsys.readouterr().out
-        records = RunRegistry(store_dir).records()
-        assert len(records) == 1
-        assert records[0]["command"] == "import:seed.json"
+        assert "imported seed.json as run abc123" in capsys.readouterr().out
+        # a record is appended as is; a manifest as its run's record
+        assert main([
+            "obs", "history", "--import", str(run_dir / "candidate.json"),
+            "--store-dir", str(store_dir),
+        ]) == 0
+        seeded, imported = RunRegistry(store_dir).records()
+        assert seeded == payload
+        assert imported["command"] == "study"
+        assert imported["manifest_digest"] == manifest_digest(
+            json.loads((run_dir / "candidate.json").read_text())
+        )
+
+    @pytest.mark.parametrize("command", ["history", "timeline"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_an_error(self, run_dir, capsys, command,
+                                         limit):
+        from repro.cli import main
+
+        assert main([
+            "obs", command, "--limit", limit,
+            "--store-dir", str(run_dir / "artifacts"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"obs {command}: --limit needs N >= 1\n"
 
     def test_timeline_total(self, run_dir, capsys):
         from repro.cli import main
@@ -452,9 +517,24 @@ class TestRegistryCli:
             "--report-only",
         ]) == 0
         out = capsys.readouterr().out
-        assert "history-median[3]" in out
+        # the third record is the candidate's own run: not its baseline
+        assert "history-median[2]" in out
         assert "peak_rss" in out
         assert "verdict:" in out
+
+    def test_against_history_without_a_comparable_record(
+        self, run_dir, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        store_dir = tmp_path / "mixed"
+        RunRegistry(store_dir).append(bench_shaped(projects=195))
+        assert main([
+            "bench-check", str(run_dir / "candidate.json"),
+            "--against-history", "2", "--store-dir", str(store_dir),
+        ]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "no earlier record with projects=7, jobs=1, dialect=None" in line
 
     def test_against_history_refuses_two_positionals(self, run_dir, capsys):
         from repro.cli import main

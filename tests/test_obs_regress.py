@@ -1,9 +1,9 @@
 """Unit + CLI tests for the perf-regression watchdog (`repro.obs.regress`).
 
-The comparator is pure data-in/data-out, so every scenario is a small
-dict fixture: self-comparisons must pass, synthetically slowed
-candidates must fail, sub-noise stages must be skipped, and
-cross-machine records must be refused unless explicitly allowed.
+The comparator is pure data-in/data-out over two run-registry records,
+so every scenario is a small dict fixture: self-comparisons must pass,
+synthetically slowed candidates must fail, sub-noise stages must be
+skipped, and cross-machine or cross-corpus records must be refused.
 """
 
 import json
@@ -13,12 +13,11 @@ import pytest
 
 from repro.cli import main
 from repro.obs.manifest import MANIFEST_FORMAT
+from repro.obs.registry import REGISTRY_FORMAT, as_record
 from repro.obs.regress import (
-    DEFAULT_MAX_REGRESSION,
+    MAX_REGRESSION,
     VERDICT_FORMAT,
-    compare_samples,
-    load_sample,
-    sample_from_dict,
+    compare_records,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +30,7 @@ def _manifest(*, stages=None, env=ENV, projects=12, jobs=2,
               store=None):
     manifest = {
         "format": MANIFEST_FORMAT,
+        "command": "study",
         "projects": projects,
         "jobs": jobs,
         "warning_count": warning_count,
@@ -62,7 +62,8 @@ ZERO_LOOKUP_STORE = {"hit_rate": 0.0, "hits": 0, "recomputes": 0,
 
 def _bench(*, stages=None, projects=195, jobs=1):
     return {
-        "benchmark": "canonical_study",
+        "format": REGISTRY_FORMAT,
+        "command": "bench:study",
         "projects": projects,
         "jobs": jobs,
         "stages": dict(stages or {"generate": 2.0, "mine": 8.0,
@@ -73,52 +74,19 @@ def _bench(*, stages=None, projects=195, jobs=1):
 
 def _slowed(data, factor):
     slow = json.loads(json.dumps(data))
-    block = slow["timings"]["stages"] if "timings" in slow else slow["stages"]
+    block = slow["timings"]["stages"]
     for stage in block:
         block[stage] *= factor
     return slow
 
 
-class TestSampleNormalisation:
-    def test_manifest_kind(self):
-        sample = sample_from_dict(_manifest(), source="m.json")
-        assert sample.kind == "manifest"
-        assert sample.projects == 12
-        assert sample.jobs == 2
-        assert sample.stages["mine"] == 4.0
-        assert sample.hit_rate == 0.5
-        assert sample.environment == ENV
-
-    def test_bench_kind(self):
-        sample = sample_from_dict(_bench(), source="b.json")
-        assert sample.kind == "bench"
-        assert sample.projects == 195
-        assert sample.stages["mine"] == 8.0
-        assert sample.environment is None
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError, match="neither a run manifest"):
-            sample_from_dict({"hello": "world"}, source="x.json")
-        with pytest.raises(ValueError, match="not a JSON object"):
-            sample_from_dict([1, 2, 3], source="x.json")
-
-    def test_load_sample_from_disk(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(_manifest()))
-        assert load_sample(path).kind == "manifest"
-
-    def test_load_sample_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{nope")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_sample(path)
-
-
 class TestCompareSamples:
+    """compare_records over two records (manifests read through as_record)."""
+
     def _cmp(self, baseline, candidate, **kwargs):
-        return compare_samples(
-            sample_from_dict(baseline, source="baseline"),
-            sample_from_dict(candidate, source="candidate"),
+        return compare_records(
+            as_record(baseline, "baseline"),
+            as_record(candidate, "candidate"),
             **kwargs,
         )
 
@@ -138,25 +106,10 @@ class TestCompareSamples:
         assert "stage:mine" in failing
         mine = next(c for c in report.checks if c.name == "stage:mine")
         assert mine.ratio == pytest.approx(1.0)
-        assert mine.threshold == DEFAULT_MAX_REGRESSION
+        assert mine.threshold == MAX_REGRESSION
 
     def test_within_threshold_passes(self):
         assert not self._cmp(_manifest(), _slowed(_manifest(), 1.2)).failed
-
-    def test_max_regression_override(self):
-        report = self._cmp(_manifest(), _slowed(_manifest(), 1.2),
-                           max_regression=0.10)
-        assert report.failed
-
-    def test_per_stage_threshold_override(self):
-        baseline = _manifest()
-        candidate = _manifest(stages={"generate": 1.0, "mine": 6.0,
-                                      "analyze": 0.5, "total": 8.0})
-        strict = self._cmp(baseline, candidate)
-        assert strict.failed  # mine +50% over the default 25%
-        relaxed = self._cmp(baseline, candidate,
-                            stage_thresholds={"mine": 0.6, "total": 0.6})
-        assert not relaxed.failed
 
     def test_noise_floor_skips_tiny_stages(self):
         baseline = _manifest(stages={"figures": 0.001, "mine": 4.0})
@@ -203,6 +156,14 @@ class TestCompareSamples:
         projects = next(c for c in report.checks if c.name == "projects")
         assert projects.status == "fail"
         assert "not comparable" in projects.message
+
+    def test_dialect_mismatch_fails(self):
+        sqlite = dict(_manifest(), dialect="sqlite")
+        report = self._cmp(_manifest(), sqlite)
+        dialect = next(c for c in report.checks if c.name == "dialect")
+        assert dialect.status == "fail"
+        assert "canonical vs sqlite" in dialect.message
+        assert not self._cmp(sqlite, sqlite).failed
 
     def test_jobs_mismatch_only_warns(self):
         report = self._cmp(_manifest(jobs=1), _manifest(jobs=4))
@@ -271,19 +232,17 @@ class TestCompareSamples:
         report = self._cmp(_manifest(), _manifest())
         assert all(c.name != "store_hit_rate" for c in report.checks)
 
-    def test_warning_increase_fails_unless_allowed(self):
+    def test_warning_increase_fails(self):
         baseline = _manifest(warning_count=2)
         candidate = _manifest(warning_count=5)
         assert self._cmp(baseline, candidate).failed
-        assert not self._cmp(baseline, candidate,
-                             allow_warnings=True).failed
         # fewer warnings is never a failure
         assert not self._cmp(candidate, baseline).failed
 
     def test_mixed_manifest_vs_bench(self):
         report = self._cmp(_bench(projects=12, jobs=2), _manifest())
-        # bench carries no environment or warnings -> those skip;
-        # shared stages compare normally (8.0 -> 4.0 is a speedup)
+        # the BENCH record carries no environment or warnings -> those
+        # skip; shared stages compare normally (8.0 -> 4.0 is a speedup)
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["environment"] == "skip"
         assert statuses["warnings"] == "skip"
@@ -356,9 +315,12 @@ class TestCompareSamples:
         baseline = self._with_statements(_manifest(), 0.95)
         candidate = self._with_statements(_manifest(), 0.0,
                                           unit_hits=0, unit_misses=0)
+        # a fully warm replay never parses: zero parse-cache lookups too
+        candidate["timings"]["parse_cache"].update(hits=0, misses=0)
         report = self._cmp(baseline, candidate)
-        reuse = next(c for c in report.checks if c.name == "statement_reuse")
-        assert reuse.status == "skip"
+        for name in ("statement_reuse", "cache_hit_rate"):
+            check = next(c for c in report.checks if c.name == name)
+            assert check.status == "skip", name
         assert not report.failed
 
     def test_no_statements_on_either_side_drops_the_check(self):
@@ -370,7 +332,7 @@ class TestCompareSamples:
         verdict = report.as_dict()
         assert verdict["format"] == VERDICT_FORMAT
         assert verdict["verdict"] == "fail"
-        assert verdict["baseline"] == "baseline"
+        assert verdict["baseline"] == "study"  # the record's command
         assert all(set(c) >= {"name", "status"} for c in verdict["checks"])
         assert json.loads(json.dumps(verdict)) == verdict
         rendered = report.render()
@@ -412,15 +374,6 @@ class TestBenchCheckCommand:
         assert verdict["format"] == VERDICT_FORMAT
         assert verdict["verdict"] == "fail"
 
-    def test_threshold_flags(self, records):
-        base, slow = records
-        # everything doubled: +100% — pass only with a generous limit
-        assert main(["bench-check", str(base), str(slow),
-                     "--max-regression", "1.5"]) == 0
-        assert main(["bench-check", str(base), str(slow),
-                     "--max-regression", "1.5",
-                     "--threshold", "mine=0.5"]) == 1
-
     def test_stage_focus_flag(self, tmp_path, capsys):
         base = tmp_path / "base.json"
         base.write_text(json.dumps(_manifest()))
@@ -436,16 +389,17 @@ class TestBenchCheckCommand:
         assert "stage:mine" in out
         assert "stage:generate" not in out
 
-    def test_bad_threshold_spec_exits_two(self, records, capsys):
-        base, _ = records
-        assert main(["bench-check", str(base), str(base),
-                     "--threshold", "minefast"]) == 2
-        assert "STAGE=FRACTION" in capsys.readouterr().err
-
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["bench-check", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
-        assert "bench-check:" in capsys.readouterr().err
+        assert "a.json" in capsys.readouterr().err
+
+    def test_neither_record_nor_manifest_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"stages": {"total": 1.0}}))
+        assert main(["bench-check", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bench-check:") and str(path) in err
 
     def test_garbage_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -464,9 +418,13 @@ class TestBenchCheckCommand:
         assert main(["bench-check", str(base), str(other),
                      "--allow-env-mismatch"]) == 0
 
-    def test_committed_bench_record_self_compares_clean(self, capsys):
-        bench = REPO_ROOT / "BENCH_study.json"
-        assert bench.exists(), "BENCH_study.json missing from the repo root"
+    @pytest.mark.parametrize("name", [
+        "BENCH_study.json", "BENCH_mine.json", "BENCH_mine_baseline.json",
+        "BENCH_scale.json",
+    ])
+    def test_committed_bench_record_self_compares_clean(self, name, capsys):
+        bench = REPO_ROOT / name
+        assert json.loads(bench.read_text())["format"] == REGISTRY_FORMAT
         assert main(["bench-check", str(bench), str(bench)]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
@@ -480,85 +438,51 @@ class TestStreamingCounterTolerance:
 
     Records written before the streaming engine carry no ``streaming``
     block, no ``resources`` telemetry, and sometimes no corpus size —
-    every derived check (peak RSS per project, the streaming counters
-    themselves) must None-skip against them instead of failing, so an
-    old baseline stays usable.
+    every check that reads them must skip instead of failing, so an old
+    baseline stays usable.
     """
 
-    def _with_telemetry(self, *, projects=200, peak=100 * 2**20,
-                        streaming=True):
-        manifest = _manifest(projects=projects)
+    def _with_telemetry(self, *, peak=100 * 2**20):
+        manifest = _manifest(projects=200)
         manifest["timings"]["resources"] = {
             "peak_rss_bytes": peak,
             "scopes": {"driver": {"peak_rss_bytes": peak,
                                   "cpu_seconds": 1.0}},
         }
-        if streaming:
-            manifest["timings"]["streaming"] = {
-                "window": {"initial": 2, "final": 2, "submitted": projects,
-                           "completed": projects, "max_in_flight": 2,
-                           "shrinks": 0},
-            }
-        return manifest
+        manifest["timings"]["streaming"] = {
+            "window": {"initial": 2, "final": 2, "submitted": 200,
+                       "completed": 200, "max_in_flight": 2, "shrinks": 0},
+        }
+        return as_record(manifest, "manifest")
 
-    def test_sample_normalises_streaming_from_both_shapes(self):
-        manifest = sample_from_dict(self._with_telemetry())
-        assert manifest.streaming is not None
-        assert manifest.rss_per_project == pytest.approx(
-            100 * 2**20 / 200
-        )
-        bench = sample_from_dict({
-            "stages": {"total": 1.0},
-            "projects": 100,
-            "resources": {"peak_rss_bytes": 50 * 2**20},
-            "streaming": {"window": {"submitted": 100}},
-        })
-        assert bench.kind == "bench"
-        assert bench.streaming == {"window": {"submitted": 100}}
-        assert bench.rss_per_project == pytest.approx(50 * 2**20 / 100)
-
-    def test_pre_streaming_record_none_skips_rss_per_project(self):
-        old = sample_from_dict(_manifest(projects=200))  # no telemetry
-        new = sample_from_dict(self._with_telemetry())
-        assert old.streaming is None
-        assert old.rss_per_project is None
-        report = compare_samples(old, new)
-        check = _check_by_name(report, "rss_per_project")
-        assert check is not None and check.status == "skip"
-        assert "pre-streaming" in check.message
-        assert not report.failed
-
-    def test_rss_per_project_regression_fails(self):
-        base = sample_from_dict(self._with_telemetry(peak=100 * 2**20))
-        worse = sample_from_dict(self._with_telemetry(peak=150 * 2**20))
-        report = compare_samples(base, worse)
-        check = _check_by_name(report, "rss_per_project")
+    def test_peak_rss_regression_fails(self):
+        base = self._with_telemetry(peak=100 * 2**20)
+        worse = self._with_telemetry(peak=150 * 2**20)
+        report = compare_records(base, worse)
+        check = _check_by_name(report, "peak_rss")
         assert check is not None and check.status == "fail"
-        assert compare_samples(base, base).failed is False
+        assert compare_records(base, base).failed is False
 
     def test_missing_corpus_size_none_skips(self):
-        sized = sample_from_dict(self._with_telemetry())
-        unsized = self._with_telemetry()
-        del unsized["projects"]
-        unsized_sample = sample_from_dict(unsized)
-        assert unsized_sample.rss_per_project is None
-        report = compare_samples(sized, unsized_sample)
-        check = _check_by_name(report, "rss_per_project")
-        assert check is not None and check.status == "skip"
+        sized = self._with_telemetry()
+        unsized = dict(sized, projects=None)
+        report = compare_records(sized, unsized)
+        assert _check_by_name(report, "projects") is None
         # peak_rss itself still compares: both sides carry telemetry
         peak = _check_by_name(report, "peak_rss")
         assert peak is not None and peak.status == "pass"
+        assert not report.failed
 
     def test_history_median_tolerates_mixed_records(self):
         """A registry mixing pre- and post-streaming records folds."""
         from repro.obs.registry import history_baseline
 
         old_record = {
-            "format": "repro-run-registry-v1",
+            "format": REGISTRY_FORMAT,
             "run_id": "aaa", "recorded_at": 1.0, "projects": 200,
             "jobs": 2, "warning_count": 0, "environment": dict(ENV),
             "stages": {"mine": 4.0, "total": 6.0},
-            "parse_cache": {"hit_rate": 0.5},
+            "parse_cache": {"hit_rate": 0.5, "hits": 50, "misses": 50},
         }
         new_record = {
             **old_record,
@@ -568,11 +492,9 @@ class TestStreamingCounterTolerance:
                 "window": {"submitted": 200, "max_in_flight": 2},
             },
         }
-        baseline = history_baseline([old_record, new_record])
-        sample = sample_from_dict(baseline, source="history")
-        assert sample.streaming == new_record["streaming"]
-        candidate = sample_from_dict(self._with_telemetry())
-        report = compare_samples(sample, candidate)
-        names = {c.name: c.status for c in report.checks}
-        assert names.get("rss_per_project") in ("pass", "skip")
+        candidate = self._with_telemetry()
+        baseline = history_baseline([old_record, new_record], candidate)
+        assert baseline["streaming"] == new_record["streaming"]
+        report = compare_records(baseline, candidate)
+        assert _check_by_name(report, "peak_rss").status == "pass"
         assert not report.failed

@@ -25,8 +25,9 @@ from repro.corpus.profiles import CANONICAL_PROFILES
 from repro.io import export_measures_csv
 from repro.obs import (
     ObsSession,
+    as_record,
     chrome_trace,
-    compare_samples,
+    compare_records,
     configure_tracing,
     folded_stacks,
     get_progress,
@@ -34,7 +35,6 @@ from repro.obs import (
     reset_metrics,
     reset_progress,
     reset_recorder,
-    sample_from_dict,
     validate_event_log,
     validate_prometheus_text,
 )
@@ -305,8 +305,8 @@ class TestManifest:
         manifest = traced["manifest"]
         assert json.loads(json.dumps(manifest)) == manifest
         # and bench-check reads it back: a self-comparison passes
-        sample = sample_from_dict(manifest, source="manifest")
-        verdict = compare_samples(sample, sample)
+        record = as_record(manifest, "manifest")
+        verdict = compare_records(record, record)
         assert not verdict.failed, verdict.render()
 
 

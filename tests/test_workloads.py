@@ -6,8 +6,9 @@ the untouched reference oracles (``tokenize_reference`` /
 ``diff_schemas_reference`` / ``parse_history_reference``), mixed-dialect
 detection as a property over fragment permutations, the dialect
 component of shard identities, provenance attribution of a workload
-switch, canonical and sqlite studies sharing one store, and the run
-registry's tolerance for pre-dialect records.
+switch, canonical and sqlite studies sharing one store, the dialect in
+the run manifest, and the run registry's tolerance for pre-dialect
+records.
 """
 
 import json
@@ -315,43 +316,69 @@ class TestRegistryDialectColumn:
 
         return Pipeline(seed=DEFAULT_SEED, scale=SMALL_SCALE).study()
 
-    def test_record_carries_dialect_only_when_set(self):
+    def _record(self, study, **identity):
         from repro.obs.registry import build_run_record
 
-        study = self._study()
-        plain = build_run_record(command="t", study=study)
-        tagged = build_run_record(
-            command="t", study=study, dialect="sqlite"
+        return build_run_record(
+            study.timings.as_dict(), projects=len(study.projects),
+            **identity,
         )
+
+    def test_record_carries_dialect_only_when_set(self):
+        study = self._study()
+        plain = self._record(study, command="t")
+        tagged = self._record(study, command="t", dialect="sqlite")
         assert "dialect" not in plain
         assert tagged["dialect"] == "sqlite"
 
     def test_history_baseline_tolerates_pre_dialect_records(self):
-        from repro.obs.registry import build_run_record, history_baseline
+        from repro.obs.registry import history_baseline
 
         study = self._study()
-        records = [
-            build_run_record(command="t", study=study),  # pre-dialect
-            build_run_record(command="t", study=study, dialect="sqlite"),
-        ]
-        merged = history_baseline(records)
-        assert merged["dialect"] == "sqlite"
-        merged = history_baseline(list(reversed(records)))
+        plain = self._record(study, command="t")  # pre-dialect
+        sqlite = self._record(study, command="t", dialect="sqlite")
+        records = [plain, sqlite]
+        # a record without the key is canonical: it is the baseline of
+        # a canonical candidate, never of a sqlite one
+        merged = history_baseline(records, dict(plain, run_id="c"))
+        assert merged["run_id"] == plain["run_id"]
         assert merged["dialect"] is None
+        merged = history_baseline(records, dict(sqlite, run_id="c"))
+        assert merged["run_id"] == sqlite["run_id"]
+        assert merged["dialect"] == "sqlite"
+
+    def test_sqlite_manifest_records_its_dialect(self, tmp_path):
+        from repro.cli import main
+        from repro.obs.registry import as_record
+        from repro.obs.regress import compare_records
+
+        records = {}
+        for dialect in ("default", "sqlite"):
+            path = tmp_path / f"{dialect}.json"
+            assert main([
+                "study", "--scale", str(SMALL_SCALE), "--figure", "8",
+                "--dialect", dialect, "--manifest", str(path),
+            ]) == 0
+            manifest = json.loads(path.read_text())
+            # canonical manifests keep their shape
+            assert ("dialect" in manifest) == (dialect == "sqlite")
+            records[dialect] = as_record(manifest, path.name)
+        assert records["sqlite"]["dialect"] == "sqlite"
+        report = compare_records(records["default"], records["sqlite"])
+        dialect = next(c for c in report.checks if c.name == "dialect")
+        assert dialect.status == "fail"
 
     def test_obs_history_renders_pre_dialect_rows(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs.registry import RunRegistry, build_run_record
+        from repro.obs.registry import RunRegistry
 
         study = self._study()
         registry = RunRegistry(tmp_path)
-        old = build_run_record(command="study", study=study)
+        old = self._record(study, command="study")
         old.pop("dialect", None)  # a record written before workloads
         registry.append(old)
         registry.append(
-            build_run_record(
-                command="study", study=study, dialect="sqlite"
-            )
+            self._record(study, command="study", dialect="sqlite")
         )
         code = main(["obs", "history", "--store-dir", str(tmp_path)])
         out = capsys.readouterr().out
