@@ -180,6 +180,15 @@ def parse_schema_fragmented(
         mask = whole_text_signal_mask(text)
         for fragment in fragments:
             mask |= fragment.signal_mask
+        # A signal can start in the comments split off ahead of a
+        # statement and end in it ("-- ENGINE\n= ..."): scan each such
+        # seam as the one slice it was.  A segment that does not end in
+        # ';' and has a successor is such a prefix.
+        for prefix, statement in zip(segments, segments[1:]):
+            if not prefix.text.endswith(";") and not prefix.text.isspace():
+                mask |= fragment_signal_mask(
+                    " " + prefix.text + statement.text
+                )
         dialect = dialect_from_mask(mask)
 
     schema = Schema(dialect=dialect)

@@ -65,9 +65,11 @@ from .fingerprint import digest_text
 # from whole-corpus containers to per-project payloads; ``mine`` jumped
 # to "3" when its shards moved to the tuple codec and the incremental
 # parse engine landed; ``generate`` went to "3" when its shards became
-# text only (the repository is parsed from the git-log text on read).
+# text only (the repository is parsed from the git-log text on read);
+# ``mine`` went to "4" when the fragment engine and ``parse_schema``
+# began to agree on ``$`` inside words and on parse-issue lines.
 GENERATE_VERSION = "3"
-MINE_VERSION = "3"
+MINE_VERSION = "4"
 ANALYZE_VERSION = "2"
 AGGREGATE_VERSION = "1"
 FIGURES_VERSION = "1"

@@ -18,9 +18,13 @@ persisted), so registering a new dialect cannot invalidate any stored
 artifact.
 
 Almost every signal pattern is *fragment-local*: a match in the whole
-file lies entirely inside one top-level statement segment (no
-fragment-local pattern can match across a top-level ``;``), and a match
-inside a segment is a match in the whole file.  The SQLite
+file lies entirely inside one ``;``-terminated slice (no fragment-local
+pattern can match across a top-level ``;``), and a match inside a slice
+is a match in the whole file.  The segmenter cuts a slice's leading
+comments off into a segment of their own, and a match can run from
+those comments into the statement (``-- IF NOT EXISTS`` then
+``CREATE TABLE sqlite_x``), so the fragment engine also scans each such
+seam.  The SQLite
 ``IF NOT EXISTS ... sqlite_`` heuristic is deliberately bounded with
 ``[^;]*`` so it cannot cross a statement boundary either — an unbounded
 ``.*`` used to connect an ``IF NOT EXISTS`` in one statement with a
@@ -31,12 +35,27 @@ and are evaluated on the full text each time: ``^\\s*#`` and
 ``^\\s*PRAGMA`` are ``re.M`` line-anchored — a segment that starts
 mid-line (right after a ``;``) would gain a fake line-start anchor when
 scanned standalone.
+
+Most statements carry none of a dialect's signals, so a scan first
+checks literals: every signal keeps the ASCII literal runs of its
+pattern's top-level sequence (``ENGINE`` and ``=`` for
+``\\bENGINE\\s*=``), and its regex runs only when the upper-cased text
+contains all of them.  The runs are read from the pattern's parse tree
+once per table rebuild.  A pattern with no top-level literal run (a
+top-level alternation, say) is always searched, and so is every pattern
+on non-ASCII text, where case-insensitive matching reaches beyond
+``str.upper`` (``K`` matches the Kelvin sign, ``s`` matches ``ſ``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+
+try:
+    from re import _parser as _regex_parser
+except ImportError:  # Python 3.10
+    import sre_parse as _regex_parser
 
 
 @dataclass(frozen=True)
@@ -94,40 +113,62 @@ class Dialect:
 #: The registry, in registration order (bit positions follow it).
 _REGISTRY: dict[str, Dialect] = {}
 
-#: Fragment-local signals as ``(dialect, pattern)``; bit ``i`` of a
-#: signal mask corresponds to entry ``i`` of this table.  Rebuilt from
+#: A signal as ``(bit, pattern, literal runs)``: its bit in a signal
+#: mask, and the runs :func:`_literal_runs` reads from its pattern.
+_Signal = tuple[int, re.Pattern, tuple[str, ...]]
+
+#: Fragment-local signals, bits in registration order.  Rebuilt from
 #: the registry by :func:`register_dialect`.
-_FRAGMENT_SIGNALS: tuple[tuple[str, re.Pattern], ...] = ()
+_FRAGMENT_SIGNALS: tuple[_Signal, ...] = ()
 
 #: Whole-text-only signals; their bits sit above the fragment bits.
-_WHOLE_TEXT_SIGNALS: tuple[tuple[str, re.Pattern], ...] = ()
-
-_WHOLE_TEXT_SHIFT = 0
+_WHOLE_TEXT_SIGNALS: tuple[_Signal, ...] = ()
 
 #: Per-dialect bitmasks over the combined signal table.
 _DIALECT_BITS: dict[str, int] = {}
 
 
+def _literal_runs(pattern: re.Pattern) -> tuple[str, ...]:
+    """Upper-cased ASCII literal runs every match of ``pattern`` contains.
+
+    A run is a maximal stretch of consecutive ASCII literals in the
+    pattern's top-level sequence; anything else there (a class, a
+    repeat, an anchor, a group, a non-ASCII literal) ends it.  Longest
+    first: a long run is the likeliest to be missing.
+    """
+    runs: list[str] = []
+    run: list[str] = []
+    for op, arg in _regex_parser.parse(pattern.pattern, pattern.flags):
+        if op == _regex_parser.LITERAL and arg < 128:
+            run.append(chr(arg))
+            continue
+        if run:
+            runs.append("".join(run).upper())
+            run = []
+    if run:
+        runs.append("".join(run).upper())
+    return tuple(sorted(runs, key=len, reverse=True))
+
+
 def _rebuild_signal_tables() -> None:
-    global _FRAGMENT_SIGNALS, _WHOLE_TEXT_SIGNALS
-    global _WHOLE_TEXT_SHIFT, _DIALECT_BITS
-    fragment: list[tuple[str, re.Pattern]] = []
-    whole: list[tuple[str, re.Pattern]] = []
-    for dialect in _REGISTRY.values():
-        fragment.extend(
-            (dialect.name, pattern)
-            for pattern in dialect.fragment_signals
-        )
-        whole.extend(
-            (dialect.name, pattern)
-            for pattern in dialect.whole_text_signals
-        )
-    _FRAGMENT_SIGNALS = tuple(fragment)
-    _WHOLE_TEXT_SIGNALS = tuple(whole)
-    _WHOLE_TEXT_SHIFT = len(_FRAGMENT_SIGNALS)
+    global _FRAGMENT_SIGNALS, _WHOLE_TEXT_SIGNALS, _DIALECT_BITS
+    fragment = [
+        (dialect.name, pattern)
+        for dialect in _REGISTRY.values()
+        for pattern in dialect.fragment_signals
+    ]
+    whole = [
+        (dialect.name, pattern)
+        for dialect in _REGISTRY.values()
+        for pattern in dialect.whole_text_signals
+    ]
+    signals: list[_Signal] = []
     bits: dict[str, int] = {}
-    for bit, (name, _) in enumerate(_FRAGMENT_SIGNALS + _WHOLE_TEXT_SIGNALS):
+    for bit, (name, pattern) in enumerate(fragment + whole):
+        signals.append((1 << bit, pattern, _literal_runs(pattern)))
         bits[name] = bits.get(name, 0) | (1 << bit)
+    _FRAGMENT_SIGNALS = tuple(signals[:len(fragment)])
+    _WHOLE_TEXT_SIGNALS = tuple(signals[len(fragment):])
     _DIALECT_BITS = bits
 
 
@@ -248,19 +289,29 @@ def fragment_signal_mask(text: str) -> int:
     where the preceding character is ``;`` or start-of-file — all
     non-word, like the space.
     """
-    mask = 0
-    for bit, (_, pattern) in enumerate(_FRAGMENT_SIGNALS):
-        if pattern.search(text):
-            mask |= 1 << bit
-    return mask
+    return _signal_mask(text, _FRAGMENT_SIGNALS)
 
 
 def whole_text_signal_mask(text: str) -> int:
     """Bitmask of the signals that must see the full text."""
+    return _signal_mask(text, _WHOLE_TEXT_SIGNALS)
+
+
+def _signal_mask(text: str, signals: tuple[_Signal, ...]) -> int:
     mask = 0
-    for bit, (_, pattern) in enumerate(_WHOLE_TEXT_SIGNALS):
-        if pattern.search(text):
-            mask |= 1 << (bit + _WHOLE_TEXT_SHIFT)
+    if not text.isascii():
+        for bit, pattern, _ in signals:
+            if pattern.search(text):
+                mask |= bit
+        return mask
+    upper = text.upper()
+    for bit, pattern, runs in signals:
+        for run in runs:
+            if run not in upper:
+                break
+        else:
+            if pattern.search(text):
+                mask |= bit
     return mask
 
 

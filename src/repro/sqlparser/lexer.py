@@ -265,9 +265,9 @@ def tokenize(text: str, *, strict: bool = False) -> list[Token]:
                 append(Token(TokenType.OP, "[", "[", line))
                 i += 1
                 continue
-            append(
-                Token(TokenType.QUOTED, text[i + 1:end], text[i:end + 1], line)
-            )
+            raw = text[i:end + 1]
+            append(Token(TokenType.QUOTED, text[i + 1:end], raw, line))
+            advance_lines(raw)
             i = end + 1
             continue
 
@@ -336,7 +336,9 @@ def tokenize_reference(text: str, *, strict: bool = False) -> list[Token]:
 
         # string literal
         if ch == "'":
-            value, raw, consumed = _read_quoted(text, i, "'", strict, line)
+            value, raw, consumed = _read_quoted_reference(
+                text, i, "'", strict, line
+            )
             tokens.append(Token(TokenType.STRING, value, raw, line))
             advance_lines(raw)
             i += consumed
@@ -369,13 +371,17 @@ def tokenize_reference(text: str, *, strict: bool = False) -> list[Token]:
 
         # quoted identifiers
         if ch == "`":
-            value, raw, consumed = _read_quoted(text, i, "`", strict, line)
+            value, raw, consumed = _read_quoted_reference(
+                text, i, "`", strict, line
+            )
             tokens.append(Token(TokenType.QUOTED, value, raw, line))
             advance_lines(raw)
             i += consumed
             continue
         if ch == '"':
-            value, raw, consumed = _read_quoted(text, i, '"', strict, line)
+            value, raw, consumed = _read_quoted_reference(
+                text, i, '"', strict, line
+            )
             tokens.append(Token(TokenType.QUOTED, value, raw, line))
             advance_lines(raw)
             i += consumed
@@ -386,9 +392,9 @@ def tokenize_reference(text: str, *, strict: bool = False) -> list[Token]:
                 tokens.append(Token(TokenType.OP, "[", "[", line))
                 i += 1
                 continue
-            tokens.append(
-                Token(TokenType.QUOTED, text[i + 1:end], text[i:end + 1], line)
-            )
+            raw = text[i:end + 1]
+            tokens.append(Token(TokenType.QUOTED, text[i + 1:end], raw, line))
+            advance_lines(raw)
             i = end + 1
             continue
 
@@ -428,6 +434,24 @@ def _read_quoted(
     text: str, start: int, quote: str, strict: bool, line: int
 ) -> tuple[str, str, int]:
     """Read a quoted region starting at ``start``.
+
+    Returns ``(decoded_value, raw_slice, consumed_chars)``, as
+    :func:`_read_quoted_reference` does.  A region holding no escape
+    closes at the next quote, found with one ``str.find``; any other
+    region goes through the reference loop.
+    """
+    end = text.find(quote, start + 1)
+    if end != -1 and text[end + 1:end + 2] != quote:
+        value = text[start + 1:end]
+        if quote == '"' or "\\" not in value:
+            return value, text[start:end + 1], end + 1 - start
+    return _read_quoted_reference(text, start, quote, strict, line)
+
+
+def _read_quoted_reference(
+    text: str, start: int, quote: str, strict: bool, line: int
+) -> tuple[str, str, int]:
+    """Read a quoted region starting at ``start``, one character at a time.
 
     Returns ``(decoded_value, raw_slice, consumed_chars)``.  Doubling the
     quote escapes it; backslash escapes are honoured inside single quotes

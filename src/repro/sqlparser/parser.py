@@ -130,21 +130,28 @@ class _TokenStream:
             )
         return token
 
+    def rest(self) -> list[Token]:
+        """Consume and return every token left."""
+        rest = self._tokens[self._pos:]
+        self._pos = len(self._tokens)
+        return rest
+
     def skip_parenthesized(self) -> list[Token]:
         """Consume a balanced ``( ... )`` group, returning its inner tokens."""
         self.expect_type(TokenType.LPAREN)
+        tokens = self._tokens
+        start = self._pos
         depth = 1
-        inner: list[Token] = []
-        while self:
-            token = self.next()
-            assert token is not None
-            if token.type is TokenType.LPAREN:
+        for i in range(start, len(tokens)):
+            kind = tokens[i].type
+            if kind is TokenType.LPAREN:
                 depth += 1
-            elif token.type is TokenType.RPAREN:
+            elif kind is TokenType.RPAREN:
                 depth -= 1
                 if depth == 0:
-                    return inner
-            inner.append(token)
+                    self._pos = i + 1
+                    return tokens[start:i]
+        self._pos = len(tokens)
         raise _StatementError("unbalanced parentheses")
 
 
@@ -270,8 +277,7 @@ def _parse_create(stream: _TokenStream, schema: Schema) -> bool:
     name = _parse_qualified_name(stream)
     table = Table(name=name)
 
-    body = stream.skip_parenthesized()
-    _parse_table_body(_TokenStream(body), table)
+    _parse_table_body(stream.skip_parenthesized(), table)
     _parse_table_options(stream, table)
 
     if table.key in {t.key for t in schema.tables}:
@@ -329,26 +335,26 @@ def _parse_qualified_name(stream: _TokenStream) -> str:
             return name
 
 
-def _split_body_elements(stream: _TokenStream) -> list[list[Token]]:
-    """Split a CREATE TABLE body on depth-0 commas."""
+def _split_body_elements(tokens: list[Token]) -> list[list[Token]]:
+    """Split a CREATE TABLE body (or ALTER clauses) on depth-0 commas.
+
+    Empty elements are dropped.
+    """
     elements: list[list[Token]] = []
-    current: list[Token] = []
+    start = 0
     depth = 0
-    while stream:
-        token = stream.next()
-        assert token is not None
-        if token.type is TokenType.LPAREN:
+    for i, token in enumerate(tokens):
+        kind = token.type
+        if kind is TokenType.LPAREN:
             depth += 1
-        elif token.type is TokenType.RPAREN:
+        elif kind is TokenType.RPAREN:
             depth -= 1
-        elif token.type is TokenType.COMMA and depth == 0:
-            if current:
-                elements.append(current)
-            current = []
-            continue
-        current.append(token)
-    if current:
-        elements.append(current)
+        elif kind is TokenType.COMMA and depth == 0:
+            if i > start:
+                elements.append(tokens[start:i])
+            start = i + 1
+    if start < len(tokens):
+        elements.append(tokens[start:])
     return elements
 
 
@@ -370,9 +376,9 @@ def set_element_cache(cache):
     return previous
 
 
-def _parse_table_body(stream: _TokenStream, table: Table) -> None:
+def _parse_table_body(body: list[Token], table: Table) -> None:
     cache = _ACTIVE_ELEMENT_CACHE
-    for element in _split_body_elements(stream):
+    for element in _split_body_elements(body):
         if cache is None:
             _apply_body_element(element, table)
         else:
@@ -810,32 +816,10 @@ def _parse_alter(
         raise _StatementError(f"ALTER TABLE on unknown table {name!r}")
 
     applied = False
-    for clause in _split_alter_clauses(stream):
+    for clause in _split_body_elements(stream.rest()):
         if _apply_alter_clause(_TokenStream(clause), table, schema):
             applied = True
     return applied
-
-
-def _split_alter_clauses(stream: _TokenStream) -> list[list[Token]]:
-    clauses: list[list[Token]] = []
-    current: list[Token] = []
-    depth = 0
-    while stream:
-        token = stream.next()
-        assert token is not None
-        if token.type is TokenType.LPAREN:
-            depth += 1
-        elif token.type is TokenType.RPAREN:
-            depth -= 1
-        elif token.type is TokenType.COMMA and depth == 0:
-            if current:
-                clauses.append(current)
-            current = []
-            continue
-        current.append(token)
-    if current:
-        clauses.append(current)
-    return clauses
 
 
 def _apply_alter_clause(
@@ -886,8 +870,7 @@ def _apply_alter_clause(
         token = item.peek()
         if token is not None and token.type is TokenType.LPAREN:
             # MySQL: ADD (col1 type, col2 type)
-            body = item.skip_parenthesized()
-            _parse_table_body(_TokenStream(body), table)
+            _parse_table_body(item.skip_parenthesized(), table)
             return True
         _parse_column_def(item, table)
         return True
@@ -1076,13 +1059,14 @@ def _parse_drop(
     if_exists = stream.accept_words("IF", "EXISTS")
     applied = False
     while True:
+        line = stream.line
         name = _parse_qualified_name(stream)
         if name in schema:
             schema.drop_table(name)
             applied = True
         elif not if_exists:
             result.issues.append(
-                ParseIssue(stream.line, f"DROP TABLE on unknown {name!r}")
+                ParseIssue(line, f"DROP TABLE on unknown {name!r}")
             )
         token = stream.peek()
         if token is not None and token.type is TokenType.COMMA:

@@ -16,12 +16,17 @@ backtick identifiers with backslash + doubling escapes, ``"`` doubling
 only, ``[...]`` bracket identifiers, ``$tag$ ... $tag$`` dollar quotes,
 unterminated regions consuming the rest of the file), so a ``;`` is a
 segment boundary here if and only if the lexer would emit a SEMICOLON
-token for it.  The one construct it cannot localise is MySQL's
-executable comment hint ``/*! ... */`` — its body is re-lexed and may
-contain top-level semicolons — so an input with a ``;`` anywhere inside
-a hint body makes :func:`segment_statements` return ``None`` and the
-caller falls back to whole-file parsing.  Semicolon-free hints (the
-usual mysqldump ``SET`` headers) segment normally.
+token for it.  Two constructs it cannot localise make
+:func:`segment_statements` return ``None``, and the caller falls back to
+whole-file parsing:
+
+* MySQL's executable comment hint ``/*! ... */`` with a ``;`` anywhere
+  in its body — the body is re-lexed and may contain top-level
+  semicolons.  Semicolon-free hints (the usual mysqldump ``SET``
+  headers) segment normally.
+* A dollar tag right after an identifier character (``price$$``,
+  ``a$b$``).  The lexer reads the ``$`` signs as part of the word, so
+  they open no dollar quote, but the scan only sees the ``$``.
 
 Segments are contiguous and cover the input exactly: concatenating
 ``segment.text`` for every segment reproduces the original string, so
@@ -40,6 +45,11 @@ from .lexer import _DOLLAR_TAG_RE
 #: structure.  The scan jumps between matches; plain identifier/number
 #: text in between is never inspected.
 _SCAN_RE = re.compile(r"--|/\*|[;'\"`$#\[]")
+
+#: Characters that can precede a ``$`` inside one lexer word.
+_WORD_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$"
+)
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,16 @@ def _skip_quoted(text: str, start: int, quote: str, backslash: bool) -> int:
 
     Doubled quotes always escape; backslash escapes apply for ``'`` and
     backtick (matching ``lexer._read_quoted``).  An unterminated quote
-    consumes the rest of the input, as in lenient lexing.
+    consumes the rest of the input, as in lenient lexing.  Up to its
+    first backslash a region closes at the next quote, found with one
+    ``str.find``: a doubled quote then reads as a close and a reopen,
+    which ends the region where the loop below would.
     """
+    end = text.find(quote, start + 1)
+    if end != -1 and not (
+        backslash and text.find("\\", start + 1, end) != -1
+    ):
+        return end + 1
     i = start + 1
     n = len(text)
     while i < n:
@@ -114,10 +132,11 @@ def _comment_prefix_end(text: str) -> int:
 def segment_statements(text: str) -> list[Segment] | None:
     """Split ``text`` into top-level statement segments without lexing.
 
-    Returns ``None`` when the input contains a MySQL executable comment
-    hint (``/*!``), whose re-lexed body can hide top-level semicolons
-    from a character scan — callers must fall back to whole-file
-    parsing in that case.
+    Returns ``None`` when the input holds a construct the scan cannot
+    localise (see the module docstring): a MySQL executable comment
+    hint (``/*!``) with a ``;`` in its body, or a dollar tag right
+    after an identifier character.  Callers must fall back to
+    whole-file parsing in that case.
     """
     boundaries: list[int] = []
     n = len(text)
@@ -160,6 +179,9 @@ def segment_statements(text: str) -> list[Segment] | None:
         else:  # "$": dollar quote or a '$'-initial bare word
             tag_match = _DOLLAR_TAG_RE.match(text, j)
             if tag_match:
+                if j and text[j - 1] in _WORD_CHARS:
+                    # the lexer may read this '$' inside a word
+                    return None
                 tag = tag_match.group(0)
                 end = find(tag, tag_match.end())
                 i = n if end == -1 else end + len(tag)

@@ -40,6 +40,9 @@ ADVERSARIAL = [
     "unterminated /* block",
     "unterminated $tag$ body",
     "[ no closing bracket",
+    "[multi\nline\nbracket] after\nit",
+    "'' `` \"\" 'a''b' `c``d` \"e\"\"f\" \"back\\slash\"",
+    "'ends in a backslash\\",
     "é ünïcode § 表名",
     ";;;(((,,,)))",
     "#comment at eof",

@@ -23,6 +23,7 @@ from repro.obs.events import get_recorder, reset_recorder
 from repro.obs.metrics import reset_metrics
 from repro.perf.cache import CACHE_DIR_ENV, ParseCache, configure_cache, get_cache
 from repro.sqlparser import parse_schema
+from repro.sqlparser.segment import segment_statements
 from repro.vcs import FileVersion, synthetic_sha, utc
 
 
@@ -271,6 +272,32 @@ class TestTornStatements:
         incremental = SchemaHistory.from_file_versions(versions)
         reference = parse_history_reference(versions)
         _assert_histories_equal(incremental, reference)
+
+
+class TestUnsegmentableInput:
+    @pytest.mark.parametrize("text", [
+        "/*!50003 CREATE TABLE h (x INT); */ CREATE TABLE t (a INT);",
+        "CREATE TABLE t (price$$ INT);\nCREATE TABLE u (x INT);",
+        "CREATE TABLE t (a$b$ INT, c INT);\nCREATE TABLE u (x $b$);",
+        "CREATE TABLE t (n INT DEFAULT 1$$);\nCREATE TABLE u (x INT);",
+    ])
+    def test_falls_back_to_the_whole_file(self, text):
+        assert segment_statements(text) is None
+        cache = ParseCache()
+        got = cache.parse(text)
+        assert cache.stats.fallback_parses == 1
+        assert got == parse_schema(text)
+
+    def test_dollar_quote_after_a_space_still_segments(self):
+        text = (
+            "CREATE FUNCTION f() RETURNS int AS $$ SELECT 1; $$;\n"
+            "CREATE TABLE u (x INT);"
+        )
+        segments = segment_statements(text)
+        assert [s.text for s in segments if s.text.strip()] == [
+            "CREATE FUNCTION f() RETURNS int AS $$ SELECT 1; $$;",
+            "CREATE TABLE u (x INT);",
+        ]
 
 
 class TestDiffFastPaths:

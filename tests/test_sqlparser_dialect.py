@@ -156,3 +156,47 @@ class TestDialectRegistry:
             dialect_mod._REGISTRY.update(saved)
             dialect_mod._rebuild_signal_tables()
         assert "duckdb" not in registered_dialects()
+
+
+class TestSignalGate:
+    """The literal gate must never change a mask, whatever the pattern."""
+
+    PATTERNS = (
+        re.compile(r"FOO|BAR", re.I),               # no top-level literal
+        re.compile(r"k\d+", re.I),                  # K folds to k
+        re.compile(r"\bi\s*=", re.I),               # İ and ı fold to i
+        re.compile(r"\bDOUBLE\s+PRECISION\b", re.I),
+        re.compile(r"s(?=t)tq"),                    # lookahead splits a run
+    )
+    TEXTS = (
+        "", "bar", "xFOOx", "\u212a7", "k7", "K7", "İ =", "ı=", "I =",
+        "double  precision", "DOUBLE\tPRECISION", "doubleprecision",
+        "ſtq", "stq", "STQ", "é s t q",
+    )
+
+    def test_custom_patterns_mask_as_a_plain_search(self):
+        import repro.sqlparser.dialect as dialect_mod
+
+        saved = dict(dialect_mod._REGISTRY)
+        try:
+            register_dialect(Dialect(
+                name="gate-probe",
+                fragment_signals=self.PATTERNS,
+                whole_text_signals=self.PATTERNS,
+            ))
+            for text in self.TEXTS:
+                for signals, mask in (
+                    (dialect_mod._FRAGMENT_SIGNALS,
+                     dialect_mod.fragment_signal_mask),
+                    (dialect_mod._WHOLE_TEXT_SIGNALS,
+                     dialect_mod.whole_text_signal_mask),
+                ):
+                    plain = sum(
+                        bit for bit, pattern, _ in signals
+                        if pattern.search(text)
+                    )
+                    assert mask(text) == plain, text
+        finally:
+            dialect_mod._REGISTRY.clear()
+            dialect_mod._REGISTRY.update(saved)
+            dialect_mod._rebuild_signal_tables()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sqlparser import LexError, TokenType, tokenize
+from repro.sqlparser import LexError, TokenType, tokenize, tokenize_reference
 
 
 def kinds(text):
@@ -119,6 +119,12 @@ class TestQuotedIdentifiers:
 
     def test_doubled_double_quote(self):
         assert tokenize('"a""b"')[0].value == 'a"b'
+
+    @pytest.mark.parametrize("lex", [tokenize, tokenize_reference])
+    def test_multi_line_bracket_advances_the_line(self, lex):
+        name, after = lex("[a\nb] c")
+        assert (name.value, name.line) == ("a\nb", 1)
+        assert after.line == 2
 
     def test_is_name_helper(self):
         quoted, word = tokenize("`q` w")

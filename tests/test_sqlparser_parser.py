@@ -312,6 +312,12 @@ class TestDropAndRename:
         result = parse_schema("DROP TABLE ghost;")
         assert result.issues
 
+    def test_drop_missing_reports_the_name_line(self):
+        result = parse_schema(
+            "CREATE TABLE t (c INT);\nDROP TABLE ghost,\nt, phantom;"
+        )
+        assert [issue.line for issue in result.issues] == [2, 3]
+
     def test_drop_multiple(self):
         result = parse_schema(
             "CREATE TABLE a (x INT); CREATE TABLE b (y INT);"
