@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.stats import ks_2samp
-
 from ..stats import TestResult, median
 from .measures import ProjectMeasures
 from .study import StudyResult
@@ -92,6 +90,9 @@ def compare_studies(
     label_b: str = "B",
 ) -> StudyComparison:
     """Compare two studies measure by measure (KS two-sample tests)."""
+    # scipy is imported here, its one user: the study itself never loads it
+    from scipy.stats import ks_2samp
+
     rows: list[MeasureComparison] = []
     for name, extract in COMPARED_MEASURES.items():
         values_a = [

@@ -12,19 +12,22 @@ of the application's embedded queries, classify the impact per query:
 * ``UNAFFECTED`` — none of the above.
 
 A dependency graph over (query, table, column) nodes is also exposed via
-networkx for downstream tooling.
+networkx for downstream tooling.  networkx is optional: only
+:func:`dependency_graph` and :func:`queries_touching` import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..diff import AtomicChange, ChangeKind, SchemaDelta
 from .deps import QueryDeps, analyze_query
 from .extract import EmbeddedQuery
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Impact(Enum):
@@ -162,6 +165,8 @@ def dependency_graph(queries: list[EmbeddedQuery]) -> "nx.DiGraph":
     Edges point from a query to the schema elements it references, and
     from each column to its table.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for query in queries:
         qnode = f"query:{query.file}:{query.line}"
@@ -185,6 +190,8 @@ def dependency_graph(queries: list[EmbeddedQuery]) -> "nx.DiGraph":
 
 def queries_touching(graph: "nx.DiGraph", element: str) -> list[str]:
     """Query nodes that (transitively) depend on a table/column node."""
+    import networkx as nx
+
     if element not in graph:
         return []
     dependents = nx.ancestors(graph, element)

@@ -9,8 +9,8 @@ and grouped bar charts (histograms, attainment).
 
 from __future__ import annotations
 
+from html import escape
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 #: A colour-blind-safe categorical palette (Okabe–Ito).
 PALETTE = (
@@ -38,7 +38,7 @@ def _document(width: int, height: int, body: list[str], title: str) -> str:
         parts.append(
             f"<text x='{width / 2:.0f}' y='18' text-anchor='middle' "
             f"font-family='sans-serif' font-size='14'>"
-            f"{escape(title)}</text>"
+            f"{escape(title, quote=False)}</text>"
         )
     parts.extend(body)
     parts.append("</svg>")
@@ -61,10 +61,10 @@ def _axes(
         f"<line x1='{x0}' y1='{y0}' x2='{x1}' y2='{y0}' stroke='black'/>",
         f"<line x1='{x0}' y1='{y0}' x2='{x0}' y2='{y1}' stroke='black'/>",
         f"<text x='{(x0 + x1) / 2:.0f}' y='{height - 8}' "
-        f"text-anchor='middle' {_FONT}>{escape(x_label)}</text>",
+        f"text-anchor='middle' {_FONT}>{escape(x_label, quote=False)}</text>",
         f"<text x='14' y='{(y0 + y1) / 2:.0f}' text-anchor='middle' "
         f"{_FONT} transform='rotate(-90 14 {(y0 + y1) / 2:.0f})'>"
-        f"{escape(y_label)}</text>",
+        f"{escape(y_label, quote=False)}</text>",
     ]
     for i in range(ticks + 1):
         fx = i / ticks
@@ -102,7 +102,8 @@ def _legend(names: Sequence[str], width: int) -> list[str]:
             f"fill='{colour}'/>"
         )
         parts.append(
-            f"<text x='{x + 14}' y='{y}' {_FONT}>{escape(name)}</text>"
+            f"<text x='{x + 14}' y='{y}' {_FONT}>"
+            f"{escape(name, quote=False)}</text>"
         )
         x += 14 + 7 * len(name) + 18
     return parts
@@ -210,7 +211,7 @@ def svg_bar_chart(
         )
         body.append(
             f"<text x='{px + bar_width / 2:.1f}' y='{y0 + 16}' "
-            f"text-anchor='middle' {_FONT}>{escape(label)}</text>"
+            f"text-anchor='middle' {_FONT}>{escape(label, quote=False)}</text>"
         )
         body.append(
             f"<text x='{px + bar_width / 2:.1f}' y='{py - 4:.1f}' "

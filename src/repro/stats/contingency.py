@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy.stats import chi2 as _chi2
+import numpy as np
+from numpy.random import default_rng
 
+from .ranks import _chi2_sf
 from .result import TestResult
 
 Matrix = Sequence[Sequence[int]]
@@ -53,7 +55,7 @@ def chi_square(table: Matrix) -> TestResult:
             min_expected = min(min_expected, expected)
             statistic += (observed - expected) ** 2 / expected
     df = (len(rows) - 1) * (len(col_sums) - 1)
-    p = float(_chi2.sf(statistic, df))
+    p = _chi2_sf(statistic, df)
     return TestResult(
         "chi_square",
         statistic,
@@ -106,7 +108,8 @@ def fisher_exact_rxc(
 
     estimate = _count_tables(row_sums, col_sums, max_exact_tables)
     if estimate is not None:
-        p = _exact_sum(rows, row_sums, col_sums, log_fact, observed_log_p)
+        p = _exact_sum(row_sums, col_sums, log_fact, log_margin,
+                       observed_log_p)
         return TestResult(
             "fisher_exact_rxc",
             math.exp(observed_log_p),
@@ -115,7 +118,8 @@ def fisher_exact_rxc(
         )
 
     p = _monte_carlo_p(
-        row_sums, col_sums, observed_log_p, monte_carlo_samples, seed
+        row_sums, col_sums, log_fact, log_margin, observed_log_p,
+        monte_carlo_samples, seed,
     )
     return TestResult(
         "fisher_exact_rxc",
@@ -180,20 +184,15 @@ def _count_tables(
 
 
 def _exact_sum(
-    rows: list[list[int]],
     row_sums: list[int],
     col_sums: list[int],
     log_fact: list[float],
+    log_margin: float,
     observed_log_p: float,
 ) -> float:
     """Sum the probabilities of all as-or-less-probable tables."""
     n_rows = len(row_sums)
     n_cols = len(col_sums)
-    log_margin = (
-        sum(log_fact[s] for s in row_sums)
-        + sum(log_fact[s] for s in col_sums)
-        - log_fact[sum(row_sums)]
-    )
     p_total = 0.0
 
     def rec(row_idx: int, remaining: list[int], partial: float) -> None:
@@ -229,6 +228,8 @@ def _exact_sum(
 def _monte_carlo_p(
     row_sums: list[int],
     col_sums: list[int],
+    log_fact: list[float],
+    log_margin: float,
     observed_log_p: float,
     samples: int,
     seed: int,
@@ -241,23 +242,15 @@ def _monte_carlo_p(
     distribution given fixed margins).  All ``samples`` tables are drawn
     simultaneously via numpy's element-wise hypergeometric sampler, so
     the cost is ``(rows − 1) × (cols − 1)`` vectorised draws.  Every
-    cell's log-factorial is a lookup into one ``gammaln`` table over
-    ``0..total``: the same floats ``gammaln`` would return per cell,
-    without evaluating it on ``samples``-long arrays.
+    cell's log-factorial is a lookup into ``log_fact``, the exact path's
+    :func:`_log_factorials` table over ``0..total``, and ``log_margin``
+    is the exact path's too, so both paths score a table from the same
+    floats.
     """
-    import numpy as np
-    from scipy.special import gammaln
-
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n_rows = len(row_sums)
     n_cols = len(col_sums)
-    total = sum(row_sums)
-    log_fact = gammaln(np.arange(total + 1) + 1)
-    log_margin = (
-        float(sum(gammaln(s + 1) for s in row_sums))
-        + float(sum(gammaln(s + 1) for s in col_sums))
-        - float(gammaln(total + 1))
-    )
+    log_fact = np.array(log_fact)
 
     remaining = np.tile(np.array(col_sums, dtype=np.int64), (samples, 1))
     cell_log_fact = np.zeros(samples)

@@ -2,12 +2,17 @@
 
 Deliverable-level guarantees: every public module, class and function is
 documented; every package re-exports exactly what its ``__all__``
-declares; the version string is sane.
+declares; the version string is sane; a study imports only what it runs.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +91,40 @@ class TestVersion:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+
+
+class TestImportBudget:
+    def test_study_and_report_load_no_scipy_or_networkx(self, tmp_path):
+        """The study path imports neither scipy nor networkx.
+
+        scipy serves only ``compare_studies`` and networkx only the
+        ``querydep`` dependency graph.  A fresh interpreter with networkx
+        blocked, as on a host without it, imports the pipeline, runs a
+        12-project study and its report, and must have loaded neither.
+        """
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["networkx"] = None
+            from repro.pipeline.graph import Pipeline
+            from repro.pipeline.store import DirStore
+            pipe = Pipeline(seed=1952023, projects=12,
+                            store=DirStore(sys.argv[1]))
+            pipe.study()
+            pipe.report()
+            print(sorted(
+                name for name, module in sys.modules.items()
+                if module is not None
+                and name.split(".")[0] in ("scipy", "networkx")
+            ))
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_STORE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
