@@ -19,7 +19,6 @@ like every BENCH writer.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -28,35 +27,27 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mine.json"
 
 def test_mine_only_breakdown_and_bench_json(tmp_path):
     """Cold + warm mine over the canonical corpus; persist the record."""
-    import repro.perf.cache as cache_module
     from repro.corpus import generate_corpus
     from repro.mining import mine_project
+    from repro.obs.context import RunContext
     from repro.obs.registry import build_run_record
-    from repro.perf.cache import CACHE_DIR_ENV, ParseCache
 
     corpus = generate_corpus()
-    saved_cache = cache_module._active
-    saved_env = os.environ.pop(CACHE_DIR_ENV, None)
-    try:
-        cache_module._active = ParseCache()
+    with RunContext().active() as cold_run:
         cold_start = time.perf_counter()
         histories = [mine_project(p.repository) for p in corpus]
         cold_seconds = time.perf_counter() - cold_start
-        cold_stats = cache_module._active.stats
+        cold_stats = cold_run.cache.stats
 
-        # untimed: fill the disk layer, then time a fresh cache over it
-        cache_module._active = ParseCache(cache_dir=tmp_path)
+    # untimed: fill the disk layer, then time a fresh cache over it
+    with RunContext(cache_dir=tmp_path).active():
         for project in corpus:
             mine_project(project.repository)
-        cache_module._active = ParseCache(cache_dir=tmp_path)
+    with RunContext(cache_dir=tmp_path).active() as warm_run:
         warm_start = time.perf_counter()
         rehistories = [mine_project(p.repository) for p in corpus]
         warm_seconds = time.perf_counter() - warm_start
-        warm_stats = cache_module._active.stats
-    finally:
-        cache_module._active = saved_cache
-        if saved_env is not None:
-            os.environ[CACHE_DIR_ENV] = saved_env
+        warm_stats = warm_run.cache.stats
 
     assert len(histories) == len(corpus) == len(rehistories)
     total_activity = sum(

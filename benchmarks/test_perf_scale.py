@@ -39,8 +39,7 @@ def _scale_points() -> tuple[int, ...]:
 
 def test_capped_scaling_and_bench_json():
     """Cold capped studies over growing corpora; persist the record."""
-    from repro.obs.events import reset_recorder
-    from repro.obs.metrics import reset_metrics
+    from repro.obs.context import RunContext
     from repro.obs.registry import build_run_record
     from repro.pipeline.graph import Pipeline
     from repro.pipeline.store import DirStore
@@ -52,12 +51,11 @@ def test_capped_scaling_and_bench_json():
     runs: dict[int, dict] = {}
     for n in points:
         with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as tmp:
-            reset_recorder()
-            reset_metrics()
             pipe = Pipeline(
                 projects=n,
                 limit_memory_mb=limit_mb,
                 store=DirStore(Path(tmp) / "store"),
+                context=RunContext(),
             )
             study = pipe.study()
             runs[n] = {
@@ -65,8 +63,6 @@ def test_capped_scaling_and_bench_json():
                 "projects": len(study.projects),
                 "skipped": len(study.skipped),
             }
-        reset_recorder()
-        reset_metrics()
 
     for n, run in runs.items():
         assert run["projects"] + run["skipped"] == n

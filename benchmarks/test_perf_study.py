@@ -48,15 +48,12 @@ def test_study_stage_breakdown_and_bench_json(study, tmp_path_factory):
     # warm-cache re-study through a disk store: a cold pass fills the
     # cache (in every worker when parallel), a second pass over the same
     # corpus hits it ~100% and the mine stage collapses.
-    import repro.perf.cache as cache_module
     from repro.analysis import run_study
     from repro.corpus import generate_corpus
-    from repro.perf.cache import CACHE_DIR_ENV, configure_cache
+    from repro.obs.context import RunContext
 
-    saved_cache = cache_module._active
-    saved_env = os.environ.get(CACHE_DIR_ENV)
-    try:
-        configure_cache(tmp_path_factory.mktemp("parse-cache"))
+    cache_dir = tmp_path_factory.mktemp("parse-cache")
+    with RunContext(cache_dir=cache_dir).active():
         corpus = generate_corpus()
         jobs = _study_jobs()
         cold_start = time.perf_counter()
@@ -65,12 +62,6 @@ def test_study_stage_breakdown_and_bench_json(study, tmp_path_factory):
         warm_start = time.perf_counter()
         warm = run_study(corpus, jobs=jobs)
         warm_seconds = time.perf_counter() - warm_start
-    finally:
-        cache_module._active = saved_cache
-        if saved_env is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = saved_env
     assert cold.projects == study.projects
     assert warm.projects == study.projects
     assert warm.timings.cache.hit_rate > 0.95

@@ -102,7 +102,17 @@ def _lag_test(
 
 
 def sec7_statistics(projects: list[ProjectMeasures]) -> StatisticsReport:
-    """Run the full §7 battery over the study's measure rows."""
+    """Run the full §7 battery over the study's measure rows.
+
+    The taxon effects run first: their Kruskal–Wallis tests reject a
+    study too small to test, before any normality test can warn about
+    it.
+    """
+    sync_effect = _taxon_effect(projects, "sync_10", lambda p: p.sync10)
+    attainment_effect = _taxon_effect(
+        projects, "attainment_75", lambda p: p.attainment(0.75)
+    )
+
     attributes = {
         "sync_10": lambda p: p.sync10,
         "sync_5": lambda p: p.sync5,
@@ -115,11 +125,6 @@ def sec7_statistics(projects: list[ProjectMeasures]) -> StatisticsReport:
         name: shapiro_wilk([values(p) for p in projects])
         for name, values in attributes.items()
     }
-
-    sync_effect = _taxon_effect(projects, "sync_10", lambda p: p.sync10)
-    attainment_effect = _taxon_effect(
-        projects, "attainment_75", lambda p: p.attainment(0.75)
-    )
 
     lag_tests = {
         "time": _lag_test(

@@ -9,7 +9,7 @@ functions here are thin conveniences over it:
 * :func:`run_study` — an in-memory corpus (generated, scenario, loaded
   from disk or cloned), run against a store that keeps nothing;
 * :func:`canonical_study` — the seed-sampled canonical corpus, memoised
-  and resolved against the process-global store.
+  and resolved against the current run context's store.
 
 ``jobs=N`` fans the mine work out over a process pool; ``jobs=1`` (the
 default) keeps it in-process, and the two are result-identical
@@ -198,14 +198,14 @@ def run_study(corpus: Iterable, *, jobs: int = 1) -> StudyResult:
 def canonical_study(seed: int = DEFAULT_SEED, *, jobs: int = 1) -> StudyResult:
     """The study over the canonical 195-project corpus (memoised).
 
-    Resolved through the stage-graph pipeline against the
-    process-global artifact store, so repeated calls — and CLI runs
-    sharing a ``--store-dir`` — replay clean stages instead of
-    recomputing.  ``jobs`` parallelises both corpus generation and
-    mining; the result is identical for every ``jobs`` value (each
-    memoised separately).  ``timings.stages["total"]`` is the run's
-    wall clock, set once by the pipeline — generation is *included* in
-    it, not added on top.
+    Resolved through the stage-graph pipeline against the current run
+    context's artifact store (``REPRO_STORE_DIR`` outside any run), so
+    repeated calls — and CLI runs sharing a store directory — replay
+    clean stages instead of recomputing.  ``jobs`` parallelises both
+    corpus generation and mining; the result is identical for every
+    ``jobs`` value (each memoised separately).
+    ``timings.stages["total"]`` is the run's wall clock, set once by the
+    pipeline — generation is *included* in it, not added on top.
     """
     from ..pipeline import Pipeline
 

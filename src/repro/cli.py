@@ -546,10 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "top",
         help="live terminal dashboard over a served event stream",
         description=(
-            "consumes the /events SSE feed of a --serve run (or the "
-            "in-process bus with --attach) and renders per-stage "
-            "progress bars, ETA, cache-reuse rates, peak RSS and "
-            "warning counts"
+            "consumes the /events SSE feed of a --serve run and "
+            "renders per-stage progress bars, ETA, cache-reuse rates, "
+            "peak RSS and warning counts"
         ),
     )
     top.add_argument(
@@ -570,12 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="server port when --url is not given",
-    )
-    top.add_argument(
-        "--attach",
-        action="store_true",
-        help="read the in-process telemetry bus instead of HTTP "
-        "(embedding and tests)",
     )
     top.add_argument(
         "--interval",
@@ -669,40 +662,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_perf(args) -> None:
-    """Apply --cache-dir / --store-dir to the process-wide layers."""
+def _run_context(args):
+    """The one :class:`~repro.obs.context.RunContext` a command runs in.
+
+    ``--store-dir`` implies a parse cache under it unless
+    ``--cache-dir`` is given — one flag, both layers, so a warm run is
+    warm all the way down.  Directories no flag names come from
+    ``REPRO_CACHE_DIR`` / ``REPRO_STORE_DIR``; both layers are built on
+    first use, so a command that runs no pipeline creates neither.
+    """
+    from .obs.context import RunContext
+
     cache_dir = getattr(args, "cache_dir", None)
     store_dir = getattr(args, "store_dir", None)
-    if store_dir:
-        from .pipeline.store import configure_store
-
-        configure_store(store_dir)
-        if not cache_dir:
-            # one flag, both layers: parse results persist next to the
-            # artifacts so a warm run is warm all the way down
-            cache_dir = str(Path(store_dir) / "parse-cache")
-    if cache_dir:
-        from .perf import configure_cache
-
-        configure_cache(cache_dir)
-
-
-def _configure_obs(args):
-    """Open an ObsSession when any observability flag is set."""
-    trace_path = getattr(args, "trace", None)
-    log_path = getattr(args, "log_json", None)
-    manifest_path = getattr(args, "manifest", None)
-    progress = bool(getattr(args, "progress", False))
-    if not (trace_path or log_path or manifest_path or progress):
-        return None
-    from .obs import ObsSession
-
-    return ObsSession(
+    if store_dir and not cache_dir:
+        cache_dir = str(Path(store_dir) / "parse-cache")
+    return RunContext.from_env(
         command=args.command,
-        trace_path=trace_path,
-        log_path=log_path,
-        manifest_path=manifest_path,
-        progress=progress,
+        trace_path=getattr(args, "trace", None),
+        log_path=getattr(args, "log_json", None),
+        manifest_path=getattr(args, "manifest", None),
+        progress=bool(getattr(args, "progress", False)),
+        cache_dir=cache_dir,
+        store_dir=store_dir,
     )
 
 
@@ -717,7 +699,7 @@ def _dialect_of(args) -> str | None:
     return None if dialect in (None, "default") else dialect
 
 
-def _pipeline(args):
+def _pipeline(args, context):
     """The :class:`~repro.pipeline.graph.Pipeline` a command's flags ask for.
 
     The one place the CLI turns flags into a run: ``study``, ``report``,
@@ -726,6 +708,8 @@ def _pipeline(args):
     so they agree on seed, corpus size, workload, jobs and report
     format.  ``--corpus DIR`` loads a saved corpus as a materialised,
     content-keyed corpus; flags a command lacks take their defaults.
+    The pipeline records into, and stores through, the command's
+    ``context``.
     """
     from .corpus import DEFAULT_SEED
     from .pipeline.graph import Pipeline
@@ -750,49 +734,41 @@ def _pipeline(args):
         report_format=getattr(args, "format", "markdown"),
         limit_memory_mb=getattr(args, "limit_memory", None),
         dialect=_dialect_of(args),
+        context=context,
     )
 
 
-def _run_pipeline(args):
-    """Configure the stores, build the pipeline and resolve its study.
+def _run_pipeline(args, context):
+    """Build the pipeline and resolve its study, noting the run facts.
 
     The pipeline goes on ``args`` before it runs: the ``--serve``
     ``/status`` endpoint reads the running pipeline instead of loading
     the corpus a second time, and the closing run-registry record names
     its seed, workload and reduce-stage fingerprints.
     """
-    _configure_perf(args)
-    pipe = _pipeline(args)
+    pipe = _pipeline(args, context)
     args._pipeline = pipe
-    session = getattr(args, "obs_session", None)
-    if session is not None:
-        session.jobs = pipe.jobs
-        session.dialect = pipe.dialect
-        if pipe.corpus is None:
-            session.seed = pipe.seed
-    study = pipe.study()
-    if session is not None:
-        session.study = study
+    context.jobs = pipe.jobs
+    context.dialect = pipe.dialect
+    if pipe.corpus is None:
+        context.seed = pipe.seed
+    context.study = pipe.study()
     return pipe
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, context) -> int:
     from .corpus import generate_corpus
     from .io import save_corpus
 
-    _configure_perf(args)
-    pipe = _pipeline(args)
-    session = getattr(args, "obs_session", None)
-    if session is not None:
-        session.seed = pipe.seed
-        session.jobs = pipe.jobs
-        session.dialect = pipe.dialect
+    pipe = _pipeline(args, context)
+    context.seed = pipe.seed
+    context.jobs = pipe.jobs
+    context.dialect = pipe.dialect
     corpus = generate_corpus(
         seed=pipe.seed, profiles=pipe.profiles(), jobs=pipe.jobs,
         dialect=pipe.dialect,
     )
-    if session is not None:
-        session.corpus_size = len(corpus)
+    context.corpus_size = len(corpus)
     root = save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} projects to {root}")
     if pipe.dialect:
@@ -805,7 +781,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
+def _cmd_study(args, context) -> int:
     from .io import export_measures_csv
     from .report import (
         render_fig4,
@@ -816,12 +792,10 @@ def _cmd_study(args) -> int:
         render_statistics,
     )
 
-    from .obs import get_tracer
-
-    study = _run_pipeline(args).study()
+    study = _run_pipeline(args, context).study()
     want = args.figure
     blocks: list[str] = []
-    with get_tracer().span("figures", figure=args.figure), \
+    with context.tracer.span("figures", figure=args.figure), \
             study.timings.timed("figures"):
         if want in ("all", "headline"):
             headline = study.headline()
@@ -851,10 +825,10 @@ def _cmd_study(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, context) -> int:
     # the rendered document is itself a stage artifact, so a warm store
     # replays it
-    text = _run_pipeline(args).report()
+    text = _run_pipeline(args, context).report()
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -862,11 +836,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args, context) -> int:
     from .pipeline.stages import STAGES
 
-    _configure_perf(args)
-    pipe = _pipeline(args)
+    pipe = _pipeline(args, context)
     if args.pipeline_command == "invalidate":
         stage = args.stage
         project = getattr(args, "project", None)
@@ -923,10 +896,9 @@ def _cmd_pipeline(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        session = getattr(args, "obs_session", None)
-        if session is not None and session.event_log is not None:
+        if context.event_log is not None:
             for record in records:
-                session.event_log.emit(provenance_event(record))
+                context.event_log.emit(provenance_event(record))
         if args.json:
             print(json.dumps(records, indent=2, default=str))
             return 0
@@ -1049,10 +1021,10 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_case(args) -> int:
+def _cmd_case(args, context) -> int:
     from .report import render_joint_progress
 
-    study = _run_pipeline(args).study()
+    study = _run_pipeline(args, context).study()
     matches = [p for p in study.projects if args.name in p.name]
     if not matches:
         print(f"no project matching {args.name!r}", file=sys.stderr)
@@ -1077,7 +1049,7 @@ def _cmd_case(args) -> int:
     return 0
 
 
-def _cmd_diff(args) -> int:
+def _cmd_diff(args, context) -> int:
     from .diff import diff_ddl
 
     delta = diff_ddl(_read_text(args.old), _read_text(args.new))
@@ -1091,7 +1063,7 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _cmd_impact(args) -> int:
+def _cmd_impact(args, context) -> int:
     from .diff import diff_ddl
     from .querydep import Impact, analyze_impact, extract_from_files
 
@@ -1114,7 +1086,7 @@ def _cmd_impact(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, context) -> int:
     from .querydep import extract_from_files, validate_queries
     from .sqlparser import parse_schema
 
@@ -1131,8 +1103,8 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _cmd_trace_view(args) -> int:
-    from .obs import render_trace
+def _cmd_trace_view(args, context) -> int:
+    from .obs.trace import render_trace
 
     payload = _read_json_object(args.file, what="trace file", code=1)
     print(
@@ -1146,30 +1118,27 @@ def _cmd_trace_view(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
+def _cmd_obs(args, context) -> int:
     limit = getattr(args, "limit", None)
     if limit is not None and limit < 1:
         print(f"obs {args.obs_command}: --limit needs N >= 1", file=sys.stderr)
         return 2
     if args.obs_command == "history":
-        return _cmd_obs_history(args)
+        return _cmd_obs_history(args, context)
     if args.obs_command == "timeline":
-        return _cmd_obs_timeline(args)
+        return _cmd_obs_timeline(args, context)
     if args.obs_command == "serve":
-        return _cmd_obs_serve(args)
+        return _cmd_obs_serve(args, context)
     if args.obs_command == "top":
         return _cmd_obs_top(args)
     return _cmd_obs_export(args)
 
 
-def _obs_registry(args):
+def _obs_registry(context):
     """The run registry for --store-dir / REPRO_STORE_DIR, or None."""
     from .obs.registry import registry_for_store
-    from .pipeline.store import configure_store
 
-    if getattr(args, "store_dir", None):
-        configure_store(args.store_dir)
-    registry = registry_for_store()
+    registry = registry_for_store(context.store)
     if registry is None:
         print(
             "no directory artifact store configured — pass --store-dir "
@@ -1180,11 +1149,11 @@ def _obs_registry(args):
     return registry
 
 
-def _cmd_obs_history(args) -> int:
+def _cmd_obs_history(args, context) -> int:
     import json
     import time as time_mod
 
-    registry = _obs_registry(args)
+    registry = _obs_registry(context)
     if registry is None:
         return 2
     if args.import_file:
@@ -1262,10 +1231,10 @@ def _cmd_obs_history(args) -> int:
     return 0
 
 
-def _cmd_obs_timeline(args) -> int:
+def _cmd_obs_timeline(args, context) -> int:
     from .obs.registry import render_timeline
 
-    registry = _obs_registry(args)
+    registry = _obs_registry(context)
     if registry is None:
         return 2
     records = registry.records(limit=args.limit)
@@ -1280,15 +1249,12 @@ def _cmd_obs_timeline(args) -> int:
     return 0
 
 
-def _cmd_obs_serve(args) -> int:
+def _cmd_obs_serve(args, context) -> int:
     from .obs.server import ObservabilityServer
-    from .pipeline.store import configure_store
 
-    if args.store_dir:
-        configure_store(args.store_dir)
     server = ObservabilityServer(
-        host=args.host, port=args.port,
-        pipeline_factory=lambda: _pipeline(args),
+        host=args.host, port=args.port, context=context,
+        pipeline_factory=lambda: _pipeline(args, context),
     ).start()
     print(
         f"observability server listening on {server.url} "
@@ -1300,20 +1266,16 @@ def _cmd_obs_serve(args) -> int:
 
 
 def _cmd_obs_top(args) -> int:
-    from .obs.top import bus_envelopes, run_top, url_envelopes
+    from .obs.top import run_top, url_envelopes
 
-    if args.attach:
-        source = bus_envelopes()
-    elif args.url or args.port is not None:
-        url = args.url or f"http://{args.host}:{args.port}"
-        source = url_envelopes(url, limit=args.max_events)
-    else:
+    if not (args.url or args.port is not None):
         print(
-            "obs top: pass --url (or --port) of a serving run, "
-            "or --attach for the in-process bus",
+            "obs top: pass --url (or --port) of a serving run",
             file=sys.stderr,
         )
         return 2
+    url = args.url or f"http://{args.host}:{args.port}"
+    source = url_envelopes(url, limit=args.max_events)
     try:
         run_top(
             source,
@@ -1334,7 +1296,7 @@ def _cmd_obs_top(args) -> int:
 def _cmd_obs_export(args) -> int:
     import json
 
-    from .obs import chrome_trace, folded_stacks, prometheus_text
+    from .obs.export import chrome_trace, folded_stacks, prometheus_text
 
     path = Path(args.file)
     payload = _read_json_object(path, code=1)
@@ -1360,7 +1322,7 @@ def _cmd_obs_export(args) -> int:
     return 0
 
 
-def _cmd_bench_check(args) -> int:
+def _cmd_bench_check(args, context) -> int:
     import json
 
     from .obs.registry import as_record, history_baseline
@@ -1385,7 +1347,7 @@ def _cmd_bench_check(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            registry = _obs_registry(args)
+            registry = _obs_registry(context)
             if registry is None:
                 return 2
             candidate_label = args.baseline
@@ -1440,7 +1402,7 @@ _COMMANDS = {
 }
 
 
-def _append_run_record(args, session) -> None:
+def _append_run_record(args, context) -> None:
     """Append one registry record for a finished study/report run.
 
     Runs only for successful ``study``/``report`` runs against a
@@ -1454,7 +1416,7 @@ def _append_run_record(args, session) -> None:
     from .obs.registry import build_run_record, registry_for_store
     from .pipeline.stages import REDUCE_STAGE_NAMES
 
-    registry = registry_for_store()
+    registry = registry_for_store(context.store)
     if registry is None:
         return
     sampled = pipe.corpus is None
@@ -1470,9 +1432,7 @@ def _append_run_record(args, session) -> None:
             scale=pipe.scale if sampled else None,
             jobs=pipe.jobs,
             dialect=pipe.dialect,
-            manifest=(
-                session.manifest_document if session is not None else None
-            ),
+            manifest=context.manifest_document,
             fingerprints={
                 name: pipe.fingerprint(name) for name in REDUCE_STAGE_NAMES
             },
@@ -1481,13 +1441,12 @@ def _append_run_record(args, session) -> None:
         print(f"warning: run registry append failed: {exc}", file=sys.stderr)
 
 
-def _start_server(args):
+def _start_server(args, context):
     """Start the --serve observability server, if requested.
 
-    Runs before the command (and before the ObsSession opens), so SSE
-    clients can connect from the first published envelope; the bound
-    port is announced on stderr because ``--serve`` without a port
-    picks an ephemeral one.
+    Runs before the command, so SSE clients can connect from the first
+    published envelope; the bound port is announced on stderr because
+    ``--serve`` without a port picks an ephemeral one.
     """
     port = getattr(args, "serve", None)
     if port is None:
@@ -1496,8 +1455,10 @@ def _start_server(args):
 
     server = ObservabilityServer(
         port=port,
+        context=context,
         pipeline_factory=(
-            lambda: getattr(args, "_pipeline", None) or _pipeline(args)
+            lambda: getattr(args, "_pipeline", None)
+            or _pipeline(args, context)
         ),
     ).start()
     print(
@@ -1509,53 +1470,39 @@ def _start_server(args):
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    server = _start_server(args)
-    session = _configure_obs(args)
-    if session is not None:
-        session.server = server
-        args.obs_session = session
-    try:
-        code = _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = exc.code
-    except BaseException as exc:
-        if session is not None:
-            session.finalize(status="error")
-        if server is not None:
-            server.stop()
-        from .obs.resources import MemoryLimitExceeded
-
-        if isinstance(exc, MemoryLimitExceeded):
-            # a bounded-memory run that could not stay bounded: a
-            # distinct exit code so scripts can tell "cap breached"
-            # from argument errors (2) and crashes (traceback)
+    context = _run_context(args)
+    with context.active():
+        server = context.server = _start_server(args, context)
+        try:
+            code = _COMMANDS[args.command](args, context)
+        except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 3
-        raise
-    if session is not None:
-        session.finalize(status="ok" if code == 0 else "error")
-    if code == 0 and args.command in ("study", "report"):
-        _append_run_record(args, session)
-    if server is not None:
-        if session is None:
-            # no ObsSession to publish the closing run marker — do it
-            # here so SSE consumers (obs top) still see the run end
-            from .obs.bus import get_bus
-            from .obs.events import run_event
+            code = exc.code
+        except BaseException as exc:
+            context.finalize(status="error")
+            if server is not None:
+                server.stop()
+            from .obs.resources import MemoryLimitExceeded
 
-            get_bus().publish(
-                "run",
-                run_event(args.command, "ok" if code == 0 else "error"),
-            )
-        if getattr(args, "serve_linger", False) and code == 0:
-            print(
-                f"run finished — still serving on {server.url} "
-                "(Ctrl-C to stop)",
-                file=sys.stderr,
-            )
-            server.wait()
-        server.stop()
+            if isinstance(exc, MemoryLimitExceeded):
+                # a bounded-memory run that could not stay bounded: a
+                # distinct exit code so scripts can tell "cap breached"
+                # from argument errors (2) and crashes (traceback)
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
+            raise
+        context.finalize(status="ok" if code == 0 else "error")
+        if code == 0 and args.command in ("study", "report"):
+            _append_run_record(args, context)
+        if server is not None:
+            if getattr(args, "serve_linger", False) and code == 0:
+                print(
+                    f"run finished — still serving on {server.url} "
+                    "(Ctrl-C to stop)",
+                    file=sys.stderr,
+                )
+                server.wait()
+            server.stop()
     return code
 
 

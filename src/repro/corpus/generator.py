@@ -27,11 +27,11 @@ import os
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 
 from ..heartbeat import Month
-from ..obs.metrics import get_metrics
+from ..obs.context import current
 from ..obs.progress import ProgressTracker
-from ..obs.trace import get_tracer
 from ..taxa import Taxon
 from ..vcs import (
     Commit,
@@ -219,7 +219,7 @@ def generate_project(
     ``project.trace`` (the generator output itself is identical either
     way — spans observe, they never steer the RNG).
     """
-    tracer = get_tracer()
+    tracer = current().tracer
     if not tracer.enabled:
         return _generate_project(spec, profile)
     with tracer.detached(
@@ -228,6 +228,14 @@ def generate_project(
         project = _generate_project(spec, profile)
     project.trace = span.to_dict()
     return project
+
+
+def _generate_in_worker(
+    spec: ProjectSpec, profile: TaxonProfile, trace: bool
+) -> GeneratedProject:
+    """:func:`generate_project` in a pool worker, traced as the caller is."""
+    current().tracer.enabled = trace
+    return generate_project(spec, profile)
 
 
 def _generate_project(
@@ -648,12 +656,15 @@ def generate_corpus(
         blank_projects=blank_projects,
         dialect=dialect,
     )
-    tracer = get_tracer()
+    context = current()
+    tracer = context.tracer
     with tracer.span("generate", projects=len(pairs), jobs=max(1, jobs)):
         # heartbeat for the generation fan-out: updated per collected
         # project (lazily off executor.map, which preserves spec order),
         # so long generations report progress without touching the RNGs
-        tracker = ProgressTracker("generate", len(pairs))
+        tracker = ProgressTracker(
+            "generate", len(pairs), channel=context.progress
+        )
         projects = []
         if jobs > 1:
             from ..perf.pool import warm_pool
@@ -663,9 +674,10 @@ def generate_corpus(
             # chunks of a quarter-pool amortise pickling without
             # starving a worker
             for project in warm_pool(jobs).map(
-                generate_project,
+                _generate_in_worker,
                 [spec for spec, _ in pairs],
                 [profile for _, profile in pairs],
+                repeat(tracer.enabled),
                 chunksize=max(1, len(pairs) // (jobs * 4)),
             ):
                 projects.append(project)
@@ -681,5 +693,5 @@ def generate_corpus(
                 # sink, so attaching them re-emits their events
                 tracer.attach(project.trace, emit=jobs > 1)
                 project.trace = None
-    get_metrics().inc("projects.generated", len(projects))
+    context.metrics.inc("projects.generated", len(projects))
     return projects

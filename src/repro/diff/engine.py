@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..obs.metrics import get_metrics
+from ..obs.context import current
 from ..schema import Schema, Table
 from .changes import AtomicChange, ChangeKind, SchemaDelta
 
@@ -35,7 +35,7 @@ def diff_schemas(old: Schema, new: Schema) -> SchemaDelta:
     """
     start = perf_counter()
     delta = _diff_schemas(old, new)
-    get_metrics().observe("diff.seconds", perf_counter() - start)
+    current().metrics.observe("diff.seconds", perf_counter() - start)
     return delta
 
 

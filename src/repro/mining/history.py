@@ -15,8 +15,8 @@ from datetime import datetime
 from ..diff import SchemaDelta, diff_schemas, initial_delta
 from ..diff.engine import diff_schemas_reference
 from ..obs.events import warn
-from ..obs.metrics import get_metrics
-from ..perf.cache import cached_parse_schema, get_cache
+from ..obs.context import current
+from ..perf.cache import cached_parse_schema
 from ..schema import Schema
 from ..sqlparser import ParseIssue, parse_schema
 from ..vcs import FileVersion
@@ -85,13 +85,13 @@ class SchemaHistory:
         try:
             return cls._parse_and_diff(file_versions, dialect)
         finally:
-            get_cache().clear()
+            current().cache.clear()
 
     @classmethod
     def _parse_and_diff(
         cls, file_versions: list[FileVersion], dialect: str | None
     ) -> "SchemaHistory":
-        metrics = get_metrics()
+        metrics = current().metrics
         metrics.inc("versions.parsed", len(file_versions))
         versions: list[SchemaVersion] = []
         for fv in file_versions:

@@ -1,21 +1,17 @@
 """The in-process telemetry bus: one ordered stream for every signal.
 
-Before this module, each telemetry stream had its own ad-hoc wiring:
-span closes went to ``Tracer.on_close``, warnings to
-``EventRecorder.sink``, progress heartbeats to ``ProgressChannel.sink``
-— each pointed straight at the ``--log-json`` file handle, and nothing
-else could observe a run without adding yet another sink attribute.
-The bus unifies them: every emission path *publishes* a typed record,
-and every consumer — the JSONL event log, the stderr progress line, an
-SSE client of :mod:`repro.obs.server`, the ``repro obs top`` dashboard
-— *subscribes*.
+Every emission path *publishes* a typed record, and every consumer —
+the JSONL event log, an SSE client of :mod:`repro.obs.server`, the
+``repro obs top`` dashboard — *subscribes*.  Each run owns one bus (on
+its :class:`~repro.obs.context.RunContext`), so no consumer of one run
+ever sees another run's records.
 
 Design points, in the order they matter:
 
 **Ordered, schema-versioned envelopes.**  :meth:`TelemetryBus.publish`
 wraps each record in ``{"id": N, "kind": ..., "ts": ..., "schema":
 BUS_SCHEMA_VERSION, "data": record}``.  Ids are monotonically
-increasing per process, assigned under the bus lock, so every consumer
+increasing per bus, assigned under the bus lock, so every consumer
 — live or replayed — observes the same total order.  The ``id`` doubles
 as the SSE event id, which is what makes ``Last-Event-ID`` reconnect
 replay exact.
@@ -23,10 +19,8 @@ replay exact.
 **Synchronous sinks for in-process consumers.**  A *sink* is a plain
 callable invoked inline during ``publish`` (under the lock, so sink
 delivery order is the publish order).  The ``--log-json`` event log is
-a sink filtered to the JSONL kinds — which is how the refactor keeps
-the event log byte-identical to the pre-bus wiring: same records, same
-order, same writer.  Sinks are never dropped; they are trusted to be
-fast.
+a sink filtered to the JSONL kinds, so bus-only kinds never change the
+log's bytes.  Sinks are never dropped; they are trusted to be fast.
 
 **Bounded queues for streaming consumers.**  A :class:`Subscription`
 owns a bounded :class:`queue.Queue` that ``publish`` feeds without ever
@@ -45,11 +39,9 @@ with every retained envelope with id > N before going live, so a
 reconnecting SSE client resumes exactly where it left off — up to the
 ring bound, which is the documented replay horizon.
 
-**Worker hygiene.**  Forked pool workers inherit the driver's bus —
-including any event-log sink holding a duplicated file descriptor.
-``worker_init`` calls :func:`reset_bus` so workers publish into a
-consumer-less bus; their telemetry travels back inside results and the
-driver republishes it, exactly as spans and warnings always have.
+**Worker hygiene.**  A forked pool worker runs in a fresh context
+whose bus has no consumers; its telemetry travels back inside results
+and the driver republishes it on the run's bus.
 """
 
 from __future__ import annotations
@@ -212,7 +204,7 @@ class TelemetryBus:
     def remove_sink(self, sink) -> None:
         with self._lock:
             self._sinks = [
-                entry for entry in self._sinks if entry[0] is not sink
+                entry for entry in self._sinks if entry[0] != sink
             ]
 
     def subscribe(
@@ -271,34 +263,3 @@ class TelemetryBus:
                 "ring_size": len(self._ring),
                 "ring_capacity": self.capacity,
             }
-
-
-# ----------------------------------------------------------------------
-# the process-global bus
-
-_active: TelemetryBus | None = None
-
-
-def get_bus() -> TelemetryBus:
-    """The process's telemetry bus (created on first use)."""
-    global _active
-    if _active is None:
-        _active = TelemetryBus()
-    return _active
-
-
-def reset_bus() -> TelemetryBus:
-    """Replace the active bus with a fresh, consumer-less one.
-
-    Called by ``worker_init`` so forked pool workers never deliver into
-    sinks (event-log file handles!) inherited from the driver, and by
-    tests that need isolation.
-    """
-    global _active
-    _active = TelemetryBus()
-    return _active
-
-
-def publish(kind: str, data: dict) -> dict:
-    """Publish one record on the active bus."""
-    return get_bus().publish(kind, data)

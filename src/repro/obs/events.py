@@ -38,12 +38,11 @@ when the record is well-formed (object with a string ``event``, a
 numeric ``ts`` and an integer ``schema``), so tomorrow's events don't
 break today's consumers.
 
-Warnings are also collected in the process-local
-:class:`EventRecorder` so the run manifest can surface them after the
-fact; worker processes ship their recorder windows back with their
-results and the driver replays them (:meth:`EventRecorder.replay`),
-giving the event log exactly one line per warning regardless of the
-serial/parallel mode.
+Warnings are also collected in the run's :class:`EventRecorder` so
+the run manifest can surface them after the fact; worker processes
+ship their recorder windows back with their results and the driver
+replays them (:meth:`EventRecorder.replay`), giving the event log
+exactly one line per warning regardless of the serial/parallel mode.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ import json
 import time
 from pathlib import Path
 
-from .bus import publish as bus_publish
-from .metrics import get_metrics
+from .bus import TelemetryBus
+from .metrics import MetricsRegistry
 
 #: The event-log schema generation.  Version 1 had no ``schema`` field
 #: (span/warning/progress/run only); version 2 added the ``resource``
@@ -173,13 +172,22 @@ def provenance_event(record: dict) -> dict:
 # warnings
 
 class EventRecorder:
-    """Process-local warning collector with an optional live sink."""
+    """One run's warning collector.
 
-    def __init__(self):
+    Each warning bumps ``warnings.<code>`` on ``metrics`` and is
+    published on ``bus`` — where the ``--log-json`` event log and any
+    live SSE client see it.  A recorder built without them counts and
+    publishes into private ones.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry | None = None,
+        bus: TelemetryBus | None = None,
+    ):
         self.warnings: list[dict] = []
-        #: Optional callable receiving each warning record as emitted
-        #: (the ``--log-json`` event log registers here).
-        self.sink = None
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.bus = bus if bus is not None else TelemetryBus()
 
     def warn(self, code: str, message: str, **context) -> dict:
         """Record one warning event; returns the record."""
@@ -199,12 +207,8 @@ class EventRecorder:
 
     def _deliver(self, record: dict) -> None:
         self.warnings.append(record)
-        get_metrics().inc(f"warnings.{record['code']}")
-        # every warning rides the telemetry bus; the --log-json event
-        # log (a bus sink) and any live SSE client both see it there
-        bus_publish("warning", record)
-        if self.sink is not None:
-            self.sink(record)
+        self.metrics.inc(f"warnings.{record['code']}")
+        self.bus.publish("warning", record)
 
     # -- windows (the worker protocol) ---------------------------------
     def mark(self) -> int:
@@ -216,27 +220,11 @@ class EventRecorder:
         return self.warnings[mark:]
 
 
-_active: EventRecorder | None = None
-
-
-def get_recorder() -> EventRecorder:
-    """The process's warning recorder (created on first use)."""
-    global _active
-    if _active is None:
-        _active = EventRecorder()
-    return _active
-
-
-def reset_recorder() -> EventRecorder:
-    """Replace the active recorder with an empty one."""
-    global _active
-    _active = EventRecorder()
-    return _active
-
-
 def warn(code: str, message: str, **context) -> dict:
-    """Record a warning event on the active recorder."""
-    return get_recorder().warn(code, message, **context)
+    """Record a warning event on the current run's recorder."""
+    from .context import current
+
+    return current().recorder.warn(code, message, **context)
 
 
 def aggregate_warnings(warnings: list[dict]) -> list[dict]:

@@ -50,6 +50,7 @@ def build_manifest(
     warnings: list[dict] | None = None,
     outputs: dict | None = None,
     server: dict | None = None,
+    context=None,
 ) -> dict:
     """Assemble the manifest document for one run.
 
@@ -61,14 +62,19 @@ def build_manifest(
     ``server`` is the attached observability server's summary (bound
     URL, request/SSE counters, bus stats) when the run was served —
     the only manifest block that differs between a served and an
-    unserved run.
+    unserved run.  ``context`` is the run's
+    :class:`~repro.obs.context.RunContext` (default: the current one),
+    whose parse cache, artifact store and metrics the manifest reports.
+    The ``env`` entries echo the environment as the user set it.
     """
     from .. import __version__
-    from ..perf.cache import CACHE_DIR_ENV, get_cache
-    from ..pipeline.store import STORE_DIR_ENV, get_store
+    from ..perf.cache import CACHE_DIR_ENV
+    from ..pipeline.store import STORE_DIR_ENV
+    from .context import current
 
-    cache = get_cache()
-    store = get_store()
+    context = context if context is not None else current()
+    cache = context.cache
+    store = context.store
     manifest: dict = {
         "format": MANIFEST_FORMAT,
         "command": command,
@@ -111,9 +117,7 @@ def build_manifest(
             }
     elif corpus_size is not None:
         manifest["projects"] = corpus_size
-        from .metrics import get_metrics
-
-        manifest["metrics"] = get_metrics().snapshot().as_dict()
+        manifest["metrics"] = context.metrics.snapshot().as_dict()
     warnings = warnings if warnings is not None else []
     manifest["warnings"] = aggregate_warnings(warnings)
     manifest["warning_count"] = len(warnings)

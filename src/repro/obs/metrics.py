@@ -5,9 +5,9 @@ The study pipeline increments a small, stable set of metrics as it runs
 hits/misses, a diff-latency histogram.  Because the mine fan-out crosses
 process boundaries, the registry is built around *snapshots*:
 
-* every process has one always-on :class:`MetricsRegistry`
-  (:func:`get_metrics`); incrementing is a dict update, cheap enough for
-  hot paths;
+* every run has one always-on :class:`MetricsRegistry` (on its
+  :class:`~repro.obs.context.RunContext`); incrementing is a dict
+  update, cheap enough for hot paths;
 * a worker snapshots the registry before and after each unit of work and
   ships the picklable difference (``after - before``) back with its
   result;
@@ -161,7 +161,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """The process-local, always-on metrics store."""
+    """One run's always-on metrics store."""
 
     def __init__(self):
         self._counters: dict[str, int] = {}
@@ -201,23 +201,3 @@ class MetricsRegistry:
                 name: data.copy() for name, data in self._histograms.items()
             },
         )
-
-
-# ----------------------------------------------------------------------
-# the process-global registry
-_active: MetricsRegistry | None = None
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process's metrics registry (created on first use)."""
-    global _active
-    if _active is None:
-        _active = MetricsRegistry()
-    return _active
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Replace the active registry with a fresh one (counters at zero)."""
-    global _active
-    _active = MetricsRegistry()
-    return _active

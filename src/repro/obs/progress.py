@@ -9,12 +9,12 @@ periodically emits a ``progress`` event —
 ``{"event": "progress", "stage": ..., "done": N, "total": M,
 "percent": ..., "eta_seconds": ..., "slowest": [...]}``
 
-— to the process's :class:`ProgressChannel`.  The channel fans the
+— to the run's :class:`ProgressChannel`.  The channel fans the
 record out to up to two places:
 
-* ``sink`` — the ``--log-json`` event log (wired by ``ObsSession``
-  whenever a log is open, so progress history lands in the same JSONL
-  stream as spans and warnings and validates under the same schema);
+* the run's telemetry bus — where the ``--log-json`` event log (a bus
+  sink) records it next to spans and warnings, and live SSE clients
+  see it;
 * ``stream`` — the opt-in ``--progress`` TTY line on stderr
   (carriage-return refresh on a real terminal, plain lines otherwise).
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 
-from .bus import get_bus
+from .bus import TelemetryBus
 
 #: Environment variable overriding the heartbeat interval (seconds).
 PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
@@ -111,17 +111,15 @@ def render_progress_line(record: dict) -> str:
 
 
 class ProgressChannel:
-    """Where heartbeats go: an event sink and/or a terminal stream.
+    """Where heartbeats go: the run's bus and/or a terminal stream.
 
-    Both default to ``None`` — the channel (and every tracker feeding
-    it) is inert until ``ObsSession`` wires ``sink`` to an open event
-    log and/or ``--progress`` wires ``stream`` to stderr.
+    The channel (and every tracker feeding it) is inert until something
+    listens: a consumer on ``bus`` or a ``--progress`` ``stream``.  A
+    channel built without a bus publishes into a private one.
     """
 
-    def __init__(self):
-        #: Optional callable receiving each progress record (the
-        #: ``--log-json`` event log registers here).
-        self.sink = None
+    def __init__(self, bus: TelemetryBus | None = None):
+        self.bus = bus if bus is not None else TelemetryBus()
         #: Optional text stream for the live line (``--progress``).
         self.stream = None
         #: Minimum seconds between heartbeats per tracker.
@@ -137,21 +135,11 @@ class ProgressChannel:
         top`` dashboard — counts as listening, so heartbeats start
         flowing the moment someone subscribes.
         """
-        if self.sink is not None or self.stream is not None:
-            return True
-        return get_bus().active
+        return self.stream is not None or self.bus.active
 
     def deliver(self, record: dict) -> None:
-        """Publish one progress record; fan out to sink and stream.
-
-        The bus carries the record to every subscribed consumer
-        (including the event log, registered there as a sink); the
-        legacy ``sink`` attribute and the TTY ``stream`` stay for
-        direct wiring.
-        """
-        get_bus().publish("progress", record)
-        if self.sink is not None:
-            self.sink(record)
+        """Publish one progress record; draw it on the stream."""
+        self.bus.publish("progress", record)
         if self.stream is not None:
             self._write_line(render_progress_line(record))
 
@@ -190,14 +178,14 @@ class ProgressTracker:
         stage: str,
         total: int,
         *,
-        channel: ProgressChannel | None = None,
+        channel: ProgressChannel,
         timings=None,
         clock=time.monotonic,
         parallelism: int | None = None,
     ):
         self.stage = stage
         self.total = total
-        self.channel = channel if channel is not None else get_progress()
+        self.channel = channel
         self.timings = timings
         self.done = 0
         self.slowest: list[tuple[float, str]] = []
@@ -271,24 +259,3 @@ class ProgressTracker:
                 self.slowest,
             )
         )
-
-
-# ----------------------------------------------------------------------
-# the process-global channel
-
-_active: ProgressChannel | None = None
-
-
-def get_progress() -> ProgressChannel:
-    """The process's progress channel (created on first use)."""
-    global _active
-    if _active is None:
-        _active = ProgressChannel()
-    return _active
-
-
-def reset_progress() -> ProgressChannel:
-    """Replace the active channel with a fresh, unwired one."""
-    global _active
-    _active = ProgressChannel()
-    return _active

@@ -86,17 +86,13 @@ class RunRegistry:
         return len(self.records())
 
 
-def registry_for_store(store=None) -> RunRegistry | None:
-    """The active store's registry, or ``None`` for in-memory stores.
+def registry_for_store(store) -> RunRegistry | None:
+    """The store's registry, or ``None`` for in-memory stores.
 
     Only a directory store has a place for history; a ``MemoryStore``
     run leaves no registry record (matching its artifacts, which also
     die with the process).
     """
-    if store is None:
-        from ..pipeline.store import get_store
-
-        store = get_store()
     root = getattr(store, "root", None)
     return RunRegistry(root) if root else None
 

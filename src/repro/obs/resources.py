@@ -233,15 +233,9 @@ class ResourceMonitor:
         return ResourceMonitor._WindowContext(self)
 
 
-_active: ResourceMonitor | None = None
-
-
-def get_monitor() -> ResourceMonitor:
-    """The process's resource monitor (created on first use)."""
-    global _active
-    if _active is None:
-        _active = ResourceMonitor()
-    return _active
+#: The process's one resource monitor.  It samples this process's RSS
+#: and holds no per-run state, so every run's windows share it.
+MONITOR = ResourceMonitor()
 
 
 class GcClock:

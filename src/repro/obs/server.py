@@ -26,12 +26,14 @@ store and the run registry already know:
                           totals and version drift
 ========================  =============================================
 
-The server is an *observer*: every handler reads live state (bus ring,
-metrics snapshot, store keys) without mutating any of it, and its own
-counters live on the server object — never in the global metrics
-registry — so a served run's artifacts stay byte-identical to an
-unserved one.  ``/metrics`` merges the bus and server counters into a
-*copy* of the snapshot at render time for the same reason.
+The server is an *observer* of one run's
+:class:`~repro.obs.context.RunContext`: every handler reads that run's
+live state (bus ring, metrics snapshot, store keys) without mutating
+any of it, and its own counters live on the server object — never in
+the run's metrics registry — so a served run's artifacts stay
+byte-identical to an unserved one.  ``/metrics`` merges the bus and
+server counters into a *copy* of the snapshot at render time for the
+same reason.
 
 Replay horizon: ``/events`` reconnects resume exactly where they left
 off as long as the requested id is still in the bus ring (the last
@@ -49,9 +51,7 @@ import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .bus import get_bus
 from .export import prometheus_text
-from .metrics import get_metrics
 
 #: Default bind host — loopback only; telemetry is not a public service.
 DEFAULT_HOST = "127.0.0.1"
@@ -215,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(matches[0])
 
     def _serve_events(self, owner: "ObservabilityServer", query) -> None:
-        bus = get_bus()
+        bus = owner.context.bus
         last_id = _parse_last_id(self.headers, query)
         limit = _parse_limit(query)
         subscription = bus.subscribe(last_id=last_id)
@@ -272,9 +272,14 @@ class ObservabilityServer:
         *,
         host: str = DEFAULT_HOST,
         port: int = 0,
+        context=None,
         pipeline_factory=None,
     ):
+        from .context import current
+
         self.host = host
+        #: The run this server observes (default: the current one).
+        self.context = context if context is not None else current()
         self.requested_port = port
         self.pipeline_factory = pipeline_factory
         self.started_at: float | None = None
@@ -344,7 +349,7 @@ class ObservabilityServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    # -- counters (server-local; never the global registry) ------------
+    # -- counters (server-local; never the run's registry) ------------
     def count_request(self, path: str) -> None:
         with self._lock:
             self.requests += 1
@@ -367,19 +372,19 @@ class ObservabilityServer:
             "uptime_seconds": round(
                 time.time() - (self.started_at or time.time()), 3
             ),
-            "bus": get_bus().stats(),
+            "bus": self.context.bus.stats(),
         }
 
     def metrics_page(self) -> str:
         """The live snapshot plus bus/server counters, rendered.
 
-        The merge happens on a *copy* of the snapshot dict: the global
+        The merge happens on a *copy* of the snapshot dict: the run's
         registry never sees a bus or server counter, which is what
         keeps a served run's manifest metrics identical to an unserved
         run's.
         """
-        snapshot = get_metrics().snapshot().as_dict()
-        stats = get_bus().stats()
+        snapshot = self.context.metrics.snapshot().as_dict()
+        stats = self.context.bus.stats()
         counters = dict(snapshot.get("counters", {}))
         counters["bus.published"] = stats["published"]
         counters["bus.dropped"] = stats["dropped"]
@@ -395,10 +400,9 @@ class ObservabilityServer:
         })
 
     def registry(self):
-        from ..pipeline.store import get_store
         from .registry import registry_for_store
 
-        return registry_for_store(get_store())
+        return registry_for_store(self.context.store)
 
     def _get_pipeline(self):
         if self._pipeline is None and self.pipeline_factory is not None:
@@ -467,5 +471,5 @@ class ObservabilityServer:
                 "requests": self.requests,
                 "events_served": self.events_served,
                 "paths": dict(sorted(self.paths.items())),
-                "bus": get_bus().stats(),
+                "bus": self.context.bus.stats(),
             }

@@ -1,9 +1,8 @@
 """``repro obs top``: a live terminal dashboard over the event stream.
 
-The dashboard consumes bus envelopes — over HTTP from a served run's
-``/events`` SSE endpoint (``--url`` / ``--host``/``--port``), or
-straight off the in-process bus with ``--attach`` (tests, embedding) —
-and folds them into one screen of run state:
+The dashboard consumes bus envelopes over HTTP from a served run's
+``/events`` SSE endpoint (``--url`` / ``--host``/``--port``) and folds
+them into one screen of run state:
 
 * a progress bar per stage (done/total, percent, ETA) from ``progress``
   heartbeats;
@@ -261,25 +260,6 @@ def run_top(
             break
     draw()
     return state
-
-
-def bus_envelopes(*, max_idle_seconds: float = 10.0):
-    """The ``--attach`` source: envelopes from the in-process bus.
-
-    Yields until the stream goes quiet for ``max_idle_seconds`` (or a
-    ``run`` marker arrives, which :func:`run_top` treats as the end).
-    """
-    from .bus import get_bus
-
-    subscription = get_bus().subscribe()
-    try:
-        while True:
-            envelope = subscription.get(timeout=max_idle_seconds)
-            if envelope is None:
-                return
-            yield envelope
-    finally:
-        subscription.close()
 
 
 def url_envelopes(url: str, *, last_id: int = 0, limit: int | None = None):

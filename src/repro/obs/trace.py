@@ -17,22 +17,22 @@ Two span flavours cover the driver and the worker side of the fan-out:
   :meth:`Tracer.attach`.  The same protocol runs in-process for the
   serial path, so serial and parallel traces have the same shape.
 
-Enablement crosses the process boundary through :data:`TRACE_ENV`
-(exported by :func:`configure_tracing`), mirroring how the parse cache
-propagates its ``--cache-dir``: worker processes — forked or spawned —
-build an enabled tracer on first use without explicit plumbing.
+Each run owns one tracer (on its
+:class:`~repro.obs.context.RunContext`).  Enablement crosses the
+process boundary with the work itself: every shard task and every
+``generate_corpus`` call tells its worker whether the run traces, so a
+pool started by an untraced run serves a traced one without losing a
+span.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Environment variable enabling tracing in later-spawned processes.
-TRACE_ENV = "REPRO_TRACE"
+from .events import span_event
 
 #: Version tag of the trace-file payload written by :func:`write_trace`.
 TRACE_FORMAT = "repro-trace-v1"
@@ -149,29 +149,21 @@ class Span:
 class Tracer:
     """Collects a forest of spans; no-ops entirely when disabled."""
 
-    def __init__(self, enabled: bool = False):
+    def __init__(self, enabled: bool = False, bus=None):
         self.enabled = enabled
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        #: Optional callable invoked with each span as it closes
-        #: (direct wiring for tests and ad-hoc consumers).
-        self.on_close = None
-        #: When true, every span close is also published on the
-        #: telemetry bus as a ``span`` event — the path the event log
-        #: and live SSE consumers observe.  Set by ``ObsSession`` on
-        #: the driver; ``worker_init`` clears it in pool workers, whose
-        #: spans are republished by the driver at attach time.
-        self.publish = False
+        #: The telemetry bus every span close is published on as a
+        #: ``span`` event — the path the event log and live SSE
+        #: consumers observe.  ``None`` (the default, and every pool
+        #: worker's) keeps closes in the tree only; a worker's spans
+        #: are republished by the driver at attach time.
+        self.bus = bus
 
     def _notify_close(self, span: "Span") -> None:
-        """Deliver one span close to the bus and/or the direct sink."""
-        if self.publish:
-            from .bus import get_bus
-            from .events import span_event
-
-            get_bus().publish("span", span_event(span))
-        if self.on_close is not None:
-            self.on_close(span)
+        """Publish one span close on the bus, if one is attached."""
+        if self.bus is not None:
+            self.bus.publish("span", span_event(span))
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes):
@@ -194,11 +186,11 @@ class Tracer:
     def attach(self, data: dict | None, *, emit: bool = False) -> Span | None:
         """Re-attach a serialised span tree under the innermost open span.
 
-        ``emit=True`` replays the tree's span-close events — onto the
-        telemetry bus and into :attr:`on_close` — used when the tree
-        was built in a worker process whose closes no driver-side
-        consumer could observe.  In-process (serial-path) trees already
-        emitted at close time and must be attached with ``emit=False``.
+        ``emit=True`` replays the tree's span-close events onto the
+        telemetry bus — used when the tree was built in a worker
+        process whose closes no driver-side consumer could observe.
+        In-process (serial-path) trees already emitted at close time
+        and must be attached with ``emit=False``.
         """
         if not self.enabled or data is None:
             return None
@@ -207,7 +199,7 @@ class Tracer:
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
-        if emit and (self.publish or self.on_close is not None):
+        if emit and self.bus is not None:
             for closed in span.walk():
                 self._notify_close(closed)
         return span
@@ -223,32 +215,6 @@ class Tracer:
     def clear(self) -> None:
         self.roots.clear()
         self._stack.clear()
-
-
-# ----------------------------------------------------------------------
-# the process-global tracer
-_active: Tracer | None = None
-
-
-def get_tracer() -> Tracer:
-    """The process's tracer (created on first use, honouring the env)."""
-    global _active
-    if _active is None:
-        _active = Tracer(
-            enabled=os.environ.get(TRACE_ENV, "") not in ("", "0")
-        )
-    return _active
-
-
-def configure_tracing(enabled: bool = True) -> Tracer:
-    """Replace the active tracer and export enablement to workers."""
-    global _active
-    if enabled:
-        os.environ[TRACE_ENV] = "1"
-    else:
-        os.environ.pop(TRACE_ENV, None)
-    _active = Tracer(enabled=enabled)
-    return _active
 
 
 def write_trace(tracer: Tracer, path: str | Path) -> Path:

@@ -18,13 +18,7 @@ study scale:
   generate and mine fan-outs.
 """
 
-from .cache import (
-    CacheStats,
-    ParseCache,
-    cached_parse_schema,
-    configure_cache,
-    get_cache,
-)
+from .cache import CacheStats, ParseCache, cached_parse_schema
 from .pool import shutdown_pools, warm_pool
 from .timing import StudyTimings, stage_timer
 
@@ -33,8 +27,6 @@ __all__ = [
     "ParseCache",
     "StudyTimings",
     "cached_parse_schema",
-    "configure_cache",
-    "get_cache",
     "shutdown_pools",
     "stage_timer",
     "warm_pool",

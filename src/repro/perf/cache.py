@@ -26,10 +26,10 @@ schemas).  Hit/miss counters feed the study's timing instrumentation.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..obs.context import current
 from ..pipeline.store import atomic_write_pickle, read_pickle
 from ..sqlparser import ParseResult, parse_schema
 from ..sqlparser.parser import set_element_cache
@@ -40,7 +40,8 @@ from .fragments import (
     parse_schema_fragmented,
 )
 
-#: Environment variable enabling the on-disk store for the default cache.
+#: Environment variable naming the on-disk layer of a run's cache
+#: when ``--cache-dir`` is not given.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
@@ -317,41 +318,8 @@ class ParseCache:
             self._warn_degraded(path.parent, exc)
 
 
-# ----------------------------------------------------------------------
-# the process-global default cache
-_active: ParseCache | None = None
-
-
-def get_cache() -> ParseCache:
-    """The process's active cache (created on first use).
-
-    Honours :data:`CACHE_DIR_ENV` at creation time, so worker processes
-    — forked or spawned — pick up the study's ``--cache-dir`` without
-    any explicit plumbing.
-    """
-    global _active
-    if _active is None:
-        _active = ParseCache(cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-    return _active
-
-
-def configure_cache(cache_dir: str | Path | None = None) -> ParseCache:
-    """Replace the active cache (fresh counters, optional disk store).
-
-    Also exports :data:`CACHE_DIR_ENV` so worker processes spawned later
-    inherit the same disk store.
-    """
-    global _active
-    if cache_dir is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    else:
-        os.environ.pop(CACHE_DIR_ENV, None)
-    _active = ParseCache(cache_dir=cache_dir)
-    return _active
-
-
 def cached_parse_schema(
     text: str, *, dialect: str | None = None
 ) -> ParseResult:
-    """Drop-in replacement for ``parse_schema`` through the active cache."""
-    return get_cache().parse(text, dialect=dialect)
+    """Drop-in replacement for ``parse_schema`` through the run's cache."""
+    return current().cache.parse(text, dialect=dialect)

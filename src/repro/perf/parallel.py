@@ -30,12 +30,10 @@ from ..corpus.generator import (
 )
 from ..corpus.profiles import TaxonProfile
 from ..mining import mine_project
-from ..obs.bus import reset_bus
-from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..obs.context import RunContext, activate, current
+from ..obs.metrics import MetricsSnapshot
 from ..obs.resources import GcClock, cpu_times, peak_rss_bytes
-from ..obs.trace import get_tracer
-from .cache import CacheStats, get_cache
+from .cache import CacheStats
 
 
 #: CPU clock at this worker's previous shipped sample (or at
@@ -48,32 +46,25 @@ _worker_cpu_baseline: tuple[float, float] | None = None
 _worker_gc: GcClock | None = None
 
 
-def worker_init() -> None:
-    """Detach inherited observability hooks in a pool worker.
+def worker_init(cache_dir: str | None = None) -> None:
+    """Give a pool worker its own run context, with no sinks.
 
-    Forked workers inherit the driver's tracer and recorder *including*
-    any live ``on_close``/``sink`` wired to an open ``--log-json``
-    handle; left in place, every worker span and warning would be
-    written twice — once from the worker through the duplicated file
-    descriptor and once when the driver replays it at attach time.
-    Workers therefore run sink-less: their spans and warnings travel
+    A forked worker inherits the driver's current context, including
+    any ``--log-json`` sink holding a duplicated file descriptor; left
+    in place, every worker span and warning would be written twice —
+    once from the worker and once when the driver replays it at
+    attach time.  The worker records into a fresh context instead
+    (parse cache under ``cache_dir``, no bus consumers, tracing off
+    until a task asks for it): its spans, warnings and metrics travel
     back inside the :class:`MinedHistory` and the driver alone emits
     them.
-    The telemetry bus is reset for the same reason — a forked worker
-    inherits the driver's bus *with* its event-log sink attached, and
-    publishing through it would write through the duplicated file
-    descriptor.  Workers publish into a fresh, consumer-less bus.
 
     Also marks the worker's CPU baseline and starts its GC clock, so
     shipped resource samples report the worker's *work*, not its
     import/fork overhead, and so the serial path (where this
     initializer never runs) ships no sample at all.
     """
-    tracer = get_tracer()
-    tracer.on_close = None
-    tracer.publish = False
-    get_recorder().sink = None
-    reset_bus()
+    activate(RunContext(cache_dir=cache_dir))
     # a worker forked while --serve is up inherits the listening
     # socket fd; left open, the kernel keeps accepting on the port
     # after the driver shuts the server down (guarded import: a no-op
@@ -156,10 +147,11 @@ def mine_one(project, *, source: str = "ddl") -> MinedHistory:
     :class:`~repro.mining.sources.HistorySource` the schema half mines
     through (the workload's source half; ``"ddl"`` is canonical).
     """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    recorder = get_recorder()
-    cache_before = get_cache().stats
+    context = current()
+    tracer = context.tracer
+    metrics = context.metrics
+    recorder = context.recorder
+    cache_before = context.cache.stats
     metrics_before = metrics.snapshot()
     warn_mark = recorder.mark()
     with tracer.detached(
@@ -181,7 +173,7 @@ def mine_one(project, *, source: str = "ddl") -> MinedHistory:
         history=history,
         true_taxon=project.true_taxon,
         seconds=done - start,
-        cache=get_cache().stats - cache_before,
+        cache=context.cache.stats - cache_before,
         metrics=metrics.snapshot() - metrics_before,
         warnings=recorder.since(warn_mark),
         trace=span.to_dict() if tracer.enabled else None,
@@ -199,13 +191,16 @@ class ShardTask:
     ``profile``.  A generated project pickles as its text, so the
     worker parses its repository again.  ``source`` names the history
     source the mine half runs through (the workload's source half; the
-    default keeps canonical tasks pickle-compatible).
+    default keeps canonical tasks pickle-compatible).  ``trace`` is
+    whether the dispatching run traces: the executing context adopts
+    it, so a pool worker traces exactly the tasks of a traced run.
     """
 
     spec: ProjectSpec | None
     profile: TaxonProfile | None
     project: object = None
     source: str = "ddl"
+    trace: bool = False
 
 
 @dataclass
@@ -237,6 +232,7 @@ def map_shard(task: ShardTask) -> ShardResult:
     Analysis stays driver-side — it is orders of magnitude cheaper and
     owns the skip decision.
     """
+    current().tracer.enabled = task.trace
     project = task.project
     generated = None
     generate_seconds = 0.0

@@ -10,10 +10,12 @@ and the processes are perfectly reusable.
 :func:`warm_pool` hands out a process-wide executor keyed on
 
 * ``jobs`` — pools of different widths coexist (tests mix widths), and
-* the active :data:`~repro.perf.cache.CACHE_DIR_ENV` value — workers
-  capture the cache directory when their process starts, so changing
-  the configured cache dir must retire the old workers rather than let
-  them keep writing to the stale location.
+* the run's parse-cache directory — each worker's run context opens
+  that directory when the process starts, so a run with another cache
+  dir gets other workers rather than ones writing to a stale location.
+
+The pool holds processes, not run state: ``worker_init`` gives every
+worker a fresh run context, and each task says whether to trace.
 
 Pools are retained LRU up to a small cap, a broken pool (a worker
 died; the executor poisons itself permanently) is detected and
@@ -27,10 +29,8 @@ cold.
 from __future__ import annotations
 
 import atexit
-import os
 from concurrent.futures import ProcessPoolExecutor
-
-from .cache import CACHE_DIR_ENV
+from pathlib import Path
 
 #: How many distinct (jobs, cache_dir) pools to keep alive at once.
 _MAX_POOLS = 4
@@ -38,19 +38,19 @@ _MAX_POOLS = 4
 _pools: dict[tuple[int, str], ProcessPoolExecutor] = {}
 
 
-def _pool_key(jobs: int) -> tuple[int, str]:
-    return (jobs, os.environ.get(CACHE_DIR_ENV) or "")
-
-
-def warm_pool(jobs: int) -> ProcessPoolExecutor:
+def warm_pool(
+    jobs: int, cache_dir: str | Path | None = None
+) -> ProcessPoolExecutor:
     """The shared executor for ``jobs`` workers (created on first use).
 
-    Callers use the returned executor *without* shutting it down (no
-    ``with`` block): it stays warm for the next fan-out.  A pool whose
-    workers died is replaced transparently, so callers never see a
-    ``BrokenProcessPool`` left over from an earlier run's crash.
+    ``cache_dir`` is the on-disk parse cache the workers use (``None``:
+    memory only).  Callers use the returned executor *without* shutting
+    it down (no ``with`` block): it stays warm for the next fan-out.  A
+    pool whose workers died is replaced transparently, so callers never
+    see a ``BrokenProcessPool`` left over from an earlier run's crash.
     """
-    key = _pool_key(jobs)
+    cache_dir = str(cache_dir) if cache_dir else None
+    key = (jobs, cache_dir or "")
     pool = _pools.get(key)
     if pool is not None and getattr(pool, "_broken", False):
         _pools.pop(key, None)
@@ -61,7 +61,9 @@ def warm_pool(jobs: int) -> ProcessPoolExecutor:
         # stack, which itself imports repro.perf at package init
         from .parallel import worker_init
 
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=worker_init)
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, initializer=worker_init, initargs=(cache_dir,)
+        )
         _pools[key] = pool
     else:
         # LRU refresh: re-insert at the end of the dict order

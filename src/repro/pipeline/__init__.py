@@ -35,8 +35,6 @@ from .store import (
     MemoryStore,
     NullStore,
     StoreStats,
-    configure_store,
-    get_store,
 )
 
 _LAZY = {
@@ -82,11 +80,9 @@ __all__ = [
     "StoreStats",
     "analyze_one",
     "canonical_params",
-    "configure_store",
     "dependents_of",
     "digest_text",
     "family_fingerprint",
-    "get_store",
     "plan_shards",
     "profile_digest",
     "project_digest",

@@ -48,13 +48,11 @@ from typing import Iterable
 from ..analysis.study import StudyResult
 from ..corpus.generator import DEFAULT_SEED, corpus_specs, iter_corpus_specs
 from ..corpus.profiles import corpus_size, scaled_profiles, sized_profiles
-from ..obs.bus import get_bus
-from ..obs.events import get_recorder
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..obs.context import RunContext, current
+from ..obs.metrics import MetricsSnapshot
 from ..obs.progress import ProgressTracker
 from ..obs.provenance import PROVENANCE_FORMAT, explain_target
-from ..obs.resources import GcClock, MemoryWatchdog, get_monitor
-from ..obs.trace import get_tracer
+from ..obs.resources import MONITOR, GcClock, MemoryWatchdog
 from ..perf.parallel import (
     ShardResult,
     ShardTask,
@@ -79,7 +77,7 @@ from .stages import (
     dependents_of,
     stage_source_digest,
 )
-from .store import Artifact, ArtifactStore, NullStore, get_store
+from .store import Artifact, ArtifactStore, NullStore
 
 
 class Pipeline:
@@ -102,6 +100,11 @@ class Pipeline:
     ``corpus_specs``: each shard is keyed by the project's content
     (:func:`~repro.pipeline.shards.project_digest`) and its ``generate``
     stage is the given project, so seed, scale and size do not apply.
+
+    ``context`` is the :class:`~repro.obs.context.RunContext` the run
+    records into — its tracer, warnings, metrics, bus and progress —
+    and whose parse cache and artifact store it uses unless ``store``
+    is given.  It defaults to the current context.
     """
 
     def __init__(
@@ -119,7 +122,9 @@ class Pipeline:
         limit_memory_mb: int | None = None,
         window: int | None = None,
         dialect: str | None = None,
+        context: RunContext | None = None,
     ):
+        self.context = context if context is not None else current()
         self.seed = seed
         self.scale = scale
         #: The workload's dialect (``--dialect``); ``None`` is the
@@ -144,7 +149,7 @@ class Pipeline:
         self.window = window
         self.jobs = max(1, jobs)
         self.report_format = report_format
-        self.store = store if store is not None else get_store()
+        self.store = store if store is not None else self.context.store
         self.code_versions = {**CODE_VERSIONS, **(code_versions or {})}
         self.project_overrides = dict(project_overrides or {})
         self.timings = StudyTimings(jobs=self.jobs)
@@ -314,6 +319,10 @@ class Pipeline:
         whole-corpus artifact — they resolve shard by shard inside
         ``aggregate`` — so asking for one is a programming error.
         """
+        with self.context.active():
+            return self._resolve(stage)
+
+    def _resolve(self, stage: str) -> Artifact:
         spec = STAGES[stage]
         if spec.kind == "map":
             raise ValueError(
@@ -333,12 +342,12 @@ class Pipeline:
                 stage, key, artifact, time.perf_counter() - load_start
             )
         self._count_miss(stage)
-        inputs = {dep: self.resolve(dep).payload for dep in spec.deps}
-        recorder = get_recorder()
+        inputs = {dep: self._resolve(dep).payload for dep in spec.deps}
+        recorder = self.context.recorder
         mark = recorder.mark()
-        with get_tracer().span(
+        with self.context.tracer.span(
             f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
-        ), get_monitor().window() as window:
+        ), MONITOR.window() as window:
             start = time.perf_counter()
             output = spec.compute(self, inputs)
             seconds = time.perf_counter() - start
@@ -381,7 +390,7 @@ class Pipeline:
                 stage, key, artifact, time.perf_counter() - load_start
             )
         self._count_miss(stage)
-        recorder = get_recorder()
+        recorder = self.context.recorder
         mark = recorder.mark()
         self._map_delta = MetricsSnapshot()
         produced = [0.0]
@@ -404,9 +413,9 @@ class Pipeline:
         try:
             if spill is not None:
                 self.spill_dir = spill.name
-            with get_tracer().span(
+            with self.context.tracer.span(
                 f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
-            ), get_monitor().window() as window:
+            ), MONITOR.window() as window:
                 fold_start = time.perf_counter()
                 output = compute_aggregate(
                     self, {"analyze": timed_payloads()}
@@ -473,8 +482,8 @@ class Pipeline:
         if self.limit_memory_mb:
             watchdog = MemoryWatchdog(self.limit_memory_mb * 2 ** 20)
         tracker = ProgressTracker(
-            "map", total, timings=self.timings,
-            parallelism=min(self.jobs, limit[0]),
+            "map", total, channel=self.context.progress,
+            timings=self.timings, parallelism=min(self.jobs, limit[0]),
         )
 
         def planned():
@@ -500,13 +509,17 @@ class Pipeline:
                         profile=shard.profile,
                         project=project,
                         source=self.workload.source,
+                        trace=self.context.tracer.enabled,
                     ),
                 )
 
         gc.freeze()
         try:
-            executor = warm_pool(self.jobs) if self.jobs > 1 else None
-            with get_tracer().span("map", shards=total):
+            executor = (
+                warm_pool(self.jobs, self.context.cache.cache_dir)
+                if self.jobs > 1 else None
+            )
+            with self.context.tracer.span("map", shards=total):
                 for shard, value in window_map(
                     map_shard,
                     planned(),
@@ -551,8 +564,8 @@ class Pipeline:
 
     def _finish_shard(self, shard: ShardSpec, result) -> dict:
         """Store one fan-out result's artifacts and analyze the shard."""
-        tracer = get_tracer()
-        recorder = get_recorder()
+        tracer = self.context.tracer
+        recorder = self.context.recorder
         if result.generated is not None:
             project = result.generated
             if project.trace is not None:
@@ -597,12 +610,12 @@ class Pipeline:
 
     def _analyze_shard(self, shard: ShardSpec, mined: MinedProject) -> dict:
         """Analyze one shard driver-side and store its artifact."""
-        registry = get_metrics()
-        recorder = get_recorder()
+        registry = self.context.metrics
+        recorder = self.context.recorder
         before = registry.snapshot()
         mark = recorder.mark()
         start = time.perf_counter()
-        with get_tracer().span("analyze", project=shard.project):
+        with self.context.tracer.span("analyze", project=shard.project):
             payload = analyze_one(mined)
         seconds = time.perf_counter() - start
         self.timings.record("analyze", seconds)
@@ -642,7 +655,7 @@ class Pipeline:
             self._count_miss(stage)
             return None
         load_seconds = time.perf_counter() - load_start
-        get_metrics().inc("artifact.hit")
+        self.context.metrics.inc("artifact.hit")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.hit": 1}
         )
@@ -651,7 +664,7 @@ class Pipeline:
         self._publish_artifact(
             stage, "hit", project=shard.project, key=key
         )
-        recorder = get_recorder()
+        recorder = self.context.recorder
         for record in artifact.meta.get("warnings") or ():
             recorder.replay(record)
         delta = artifact.meta.get("metrics")
@@ -752,7 +765,7 @@ class Pipeline:
         the JSONL event log — its bus sink filters them out — so log
         bytes are unchanged by serving.
         """
-        bus = get_bus()
+        bus = self.context.bus
         if not bus.active:
             return
         data: dict = {
@@ -775,7 +788,7 @@ class Pipeline:
         rates while the run is still going.  Same gating as
         :meth:`_publish_artifact`.
         """
-        bus = get_bus()
+        bus = self.context.bus
         if not bus.active:
             return
         counters = dict(
@@ -798,7 +811,7 @@ class Pipeline:
         self, stage: str, key: str, artifact: Artifact, load_seconds: float
     ) -> Artifact:
         """Account one reduce-stage hit and replay its side-channels."""
-        get_metrics().inc("artifact.hit")
+        self.context.metrics.inc("artifact.hit")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.hit": 1}
         )
@@ -806,11 +819,11 @@ class Pipeline:
         self.timings.record_artifact(stage, hit=True)
         # the honest cost of a hit: just the load
         self.timings.record(stage, load_seconds)
-        with get_tracer().span(
+        with self.context.tracer.span(
             f"stage:{stage}", artifact="hit", fingerprint=key[:12]
         ):
             pass
-        recorder = get_recorder()
+        recorder = self.context.recorder
         for record in artifact.meta.get("warnings") or ():
             # warm runs surface the cold run's warnings — the manifest
             # of a replayed study matches the original
@@ -823,7 +836,7 @@ class Pipeline:
         return artifact
 
     def _count_miss(self, stage: str) -> None:
-        get_metrics().inc("artifact.miss")
+        self.context.metrics.inc("artifact.miss")
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.miss": 1}
         )
@@ -896,7 +909,11 @@ class Pipeline:
         """
         if self._study is not None:
             return self._study
-        tracer = get_tracer()
+        with self.context.active():
+            return self._run_study()
+
+    def _run_study(self):
+        tracer = self.context.tracer
         start = time.perf_counter()
         corpus_attrs = (
             {"seed": self.seed, "scale": self.scale}
@@ -904,12 +921,12 @@ class Pipeline:
         )
         with tracer.span(
             "pipeline", jobs=self.jobs, **corpus_attrs
-        ), get_monitor().window() as window, GcClock() as gc_clock:
-            aggregate = self.resolve("aggregate")
-            figures = self.resolve("figures")
+        ), MONITOR.window() as window, GcClock() as gc_clock:
+            aggregate = self._resolve("aggregate")
+            figures = self._resolve("figures")
             battery = (
                 None if isinstance(self.store, NullStore)
-                else self.resolve("statistics")
+                else self._resolve("statistics")
             )
         self.timings.record_resource(
             "driver", {**window.sample.as_dict(), **gc_clock.as_dict()}

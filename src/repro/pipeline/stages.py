@@ -54,8 +54,9 @@ from functools import lru_cache
 from typing import Callable
 
 from ..heartbeat import ZeroTotalError
+from ..obs.context import current
 from ..obs.events import warn
-from ..obs.metrics import MetricsSnapshot, get_metrics
+from ..obs.metrics import MetricsSnapshot
 from .fingerprint import digest_text
 
 # Per-stage code versions.  Bump a constant when the stage's computation
@@ -137,7 +138,7 @@ def analyze_one(mined: MinedProject) -> dict:
         row = analyze_project(mined.history, true_taxon=mined.true_taxon)
     except ZeroTotalError:
         row = None
-        get_metrics().inc("projects.skipped")
+        current().metrics.inc("projects.skipped")
         warn(
             "empty-history",
             f"{mined.name}: zero total activity on one side; "

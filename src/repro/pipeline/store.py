@@ -36,7 +36,8 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Environment variable enabling the on-disk store for the default store.
+#: Environment variable naming a run's on-disk store when
+#: ``--store-dir`` is not given.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Format tag of the on-disk artifact envelope.
@@ -448,40 +449,3 @@ class DirStore(ArtifactStore):
             return path.stat().st_size
         except OSError:
             return None
-
-
-# ----------------------------------------------------------------------
-# the process-global default store
-
-_active: ArtifactStore | None = None
-
-
-def get_store() -> ArtifactStore:
-    """The process's active artifact store (created on first use).
-
-    Honours :data:`STORE_DIR_ENV` at creation time, so library calls and
-    CLI invocations alike resolve through the same disk store when one
-    is configured in the environment.
-    """
-    global _active
-    if _active is None:
-        store_dir = os.environ.get(STORE_DIR_ENV) or None
-        _active = DirStore(store_dir) if store_dir else MemoryStore()
-    return _active
-
-
-def configure_store(store_dir: str | Path | None = None) -> ArtifactStore:
-    """Replace the active store (fresh counters, optional disk root).
-
-    Also exports :data:`STORE_DIR_ENV` so worker processes spawned later
-    agree on the store location (workers never write artifacts — stages
-    are driver-side — but the manifest they help build records it).
-    """
-    global _active
-    if store_dir is not None:
-        os.environ[STORE_DIR_ENV] = str(store_dir)
-        _active = DirStore(store_dir)
-    else:
-        os.environ.pop(STORE_DIR_ENV, None)
-        _active = MemoryStore()
-    return _active

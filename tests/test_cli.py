@@ -1,11 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.pipeline.store import configure_store
 
 OLD_DDL = """
 CREATE TABLE users (id INT, name VARCHAR(40), email TEXT);
@@ -276,9 +276,44 @@ def test_bad_input_file_prints_one_line_naming_it(
         else:
             path.parent.mkdir(exist_ok=True)
             path.write_bytes(data)
-    try:
-        assert main([arg.format(tmp_path) for arg in argv]) == code
-    finally:
-        configure_store(None)  # --store-dir sets the process-wide store
+    assert main([arg.format(tmp_path) for arg in argv]) == code
     (line,) = capsys.readouterr().err.splitlines()
     assert str(tmp_path / named) in line
+
+
+class TestRunContextDirectories:
+    """Where a command's store and parse cache land on disk."""
+
+    def test_commands_without_a_pipeline_create_no_directory(
+        self, ddl_files, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"format": "repro-trace-v1", "spans": []}))
+        record = Path(__file__).resolve().parents[1] / "BENCH_study.json"
+        old, new = ddl_files
+        for argv in (
+            ["diff", str(old), str(new)],
+            ["trace-view", str(trace)],
+            ["obs", "export", "chrome", str(trace)],
+            ["bench-check", str(record), str(record)],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert not (tmp_path / "store").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_degraded_directories_warn_into_the_manifest(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the store dir should be")
+        manifest = tmp_path / "manifest.json"
+        assert main([
+            "study", "--figure", "headline", "--scale", "32",
+            "--store-dir", str(blocker), "--manifest", str(manifest),
+        ]) == 0
+        codes = {
+            entry["code"]
+            for entry in json.loads(manifest.read_text())["warnings"]
+        }
+        assert {"store-dir-degraded", "cache-dir-degraded"} <= codes

@@ -16,8 +16,7 @@ import pytest
 import repro.corpus.generator as generator
 from repro.corpus import corpus_specs, generate_corpus
 from repro.corpus.profiles import scaled_profiles
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
+from repro.obs.context import RunContext
 from repro.perf.parallel import ShardTask, map_shard
 from repro.perf.pool import shutdown_pools
 from repro.pipeline import DirStore, Pipeline
@@ -33,15 +32,6 @@ def _pushed_strings(data: bytes) -> set[str]:
     return {
         arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, str)
     }
-
-
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +128,15 @@ class TestStaleGenerateShards:
         for shard in old.shards():
             key = shard.keys["generate"]
             store.put(key, _Unloadable(), meta=store.meta_of(key))
-        reset_recorder()
 
-        new = Pipeline(scale=SCALE, store=DirStore(tmp_path))
+        new = Pipeline(
+            scale=SCALE, store=DirStore(tmp_path), context=RunContext()
+        )
         assert new.report() == old_report
         stats = new.timings.artifacts
         assert stats["generate"].recomputes == 12
         assert stats["generate"].hits == 0
-        codes = [record["code"] for record in get_recorder().warnings]
+        codes = [
+            record["code"] for record in new.context.recorder.warnings
+        ]
         assert "store-corrupt" not in codes

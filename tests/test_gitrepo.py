@@ -114,15 +114,11 @@ class TestLoadRepository:
         versions = repo.versions_of("schema.sql")
         assert [v.content for v in versions] == [V1, V2, V3_READ]
 
-    def test_non_utf8_version_warns_once(self, clone):
-        from repro.obs.events import get_recorder, reset_recorder
-
-        reset_recorder()
+    def test_non_utf8_version_warns_once(self, clone, run_context):
         load_repository(clone)
-        (record,) = get_recorder().warnings
+        (record,) = run_context.recorder.warnings
         assert record["code"] == "git-output-not-utf8"
         assert record["context"]["command"].startswith("git show")
-        reset_recorder()
 
     def test_explicit_ddl_path(self, clone):
         repo = load_repository(clone, ddl_path="schema.sql")

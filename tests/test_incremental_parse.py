@@ -19,24 +19,11 @@ import pytest
 from repro.diff import diff_schemas
 from repro.diff.engine import diff_schemas_reference
 from repro.mining.history import SchemaHistory, parse_history_reference
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.perf.cache import CACHE_DIR_ENV, ParseCache, configure_cache, get_cache
+from repro.obs.context import RunContext, current
+from repro.perf.cache import ParseCache
 from repro.sqlparser import parse_schema
 from repro.sqlparser.segment import segment_statements
 from repro.vcs import FileVersion, synthetic_sha, utc
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-    configure_cache()
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_cache()
-    reset_recorder()
-    reset_metrics()
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +136,7 @@ class TestRandomizedHistories:
         # history: clearing between histories must not cost one reuse
         # inside a history
         SchemaHistory.from_file_versions(_random_history(3, length=30))
-        stats = get_cache().stats
+        stats = current().cache.stats
         assert (stats.hits, stats.misses) == (0, 30)
         assert (stats.statement_hits, stats.statement_misses) == (52, 56)
         assert (stats.unit_hits, stats.unit_misses) == (135, 21)
@@ -158,7 +145,7 @@ class TestRandomizedHistories:
     def test_reuse_dominates_and_nothing_falls_back(self, seed):
         versions = _random_history(seed, length=30)
         SchemaHistory.from_file_versions(versions)
-        stats = get_cache().stats
+        stats = current().cache.stats
         assert stats.fallback_parses == 0
         # consecutive versions are near-identical: statement reuse must
         # dominate (the acceptance bar for the real corpus is >= 90%)
@@ -191,7 +178,7 @@ class TestCacheLifetime:
     """The in-memory layers live for one history, however it ends."""
 
     def test_empty_after_a_history(self):
-        cache = get_cache()
+        cache = current().cache
         SchemaHistory.from_file_versions(_random_history(5, length=12))
         assert cache.stats.statement_hits > 0
         _assert_cache_empty(cache)
@@ -203,7 +190,7 @@ class TestCacheLifetime:
             raise RuntimeError("diff failed")
 
         monkeypatch.setattr(history_module, "diff_schemas", broken_diff)
-        cache = get_cache()
+        cache = current().cache
         with pytest.raises(RuntimeError, match="diff failed"):
             SchemaHistory.from_file_versions(_random_history(5, length=12))
         assert cache.stats.misses > 0
@@ -211,10 +198,11 @@ class TestCacheLifetime:
 
     def test_disk_layer_carries_parses_across_histories(self, tmp_path):
         versions = _random_history(7, length=10)
-        cache = configure_cache(tmp_path)
-        SchemaHistory.from_file_versions(versions)
-        before = cache.stats
-        again = SchemaHistory.from_file_versions(versions)
+        with RunContext(cache_dir=tmp_path).active() as context:
+            cache = context.cache
+            SchemaHistory.from_file_versions(versions)
+            before = cache.stats
+            again = SchemaHistory.from_file_versions(versions)
         delta = cache.stats - before
         assert delta.disk_hits == delta.hits == len(versions)
         assert delta.misses == 0
@@ -258,7 +246,7 @@ class TestTornStatements:
         history = SchemaHistory.from_file_versions(versions)
         reference = parse_history_reference(versions)
         _assert_histories_equal(history, reference)
-        codes = [record["code"] for record in get_recorder().warnings]
+        codes = [record["code"] for record in current().recorder.warnings]
         assert codes == ["ddl-unparseable"]
 
     def test_torn_then_healed_version(self):

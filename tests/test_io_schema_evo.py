@@ -1,8 +1,11 @@
 """Unit tests for the Schema_Evo-style per-project dataset export."""
 
+import warnings
+
 import pytest
 
 from repro.analysis import run_study
+from repro.analysis.study import StudyResult
 from repro.coevolution import CoevolutionMeasures
 from repro.corpus import ProjectSpec, generate_project, profile_for
 from repro.heartbeat import Month
@@ -91,6 +94,14 @@ class TestStudyJson:
             export_study_json(study, tmp_path / "s.json")
         )
         assert data["statistics"] is None  # 3 projects: no §7 battery
+
+    def test_small_study_statistics_raise_without_a_warning(self, study):
+        # a fresh result: the module's study may have memoised the error
+        small = StudyResult(projects=study.projects, skipped=[])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too few observations"):
+                small.statistics()
 
     def test_canonical_statistics_section(self, tmp_path):
         from repro.analysis import canonical_study

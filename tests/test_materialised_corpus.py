@@ -16,28 +16,12 @@ from repro.analysis.study import run_study
 from repro.cli import main
 from repro.corpus import generate_corpus
 from repro.corpus.profiles import scaled_profiles
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.obs.registry import RunRegistry
-from repro.perf import configure_cache
 from repro.pipeline import MemoryStore, NullStore, Pipeline, project_digest
-from repro.pipeline.store import configure_store
 
 SEED = 77
 SCALE = 32
 SAMPLED = ["--seed", str(SEED), "--scale", str(SCALE)]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    # --store-dir runs reconfigure both process-wide layers
-    configure_store(None)
-    configure_cache()
-    reset_recorder()
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")

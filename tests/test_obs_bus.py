@@ -2,23 +2,13 @@
 
 import threading
 
-import pytest
-
 from repro.obs.bus import (
     BUS_SCHEMA_VERSION,
     DEFAULT_QUEUE_CAPACITY,
     TelemetryBus,
-    get_bus,
-    publish,
-    reset_bus,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_bus():
-    reset_bus()
-    yield
-    reset_bus()
+from repro.obs.context import RunContext, current
+from repro.obs.events import warn
 
 
 class TestEnvelopes:
@@ -40,9 +30,9 @@ class TestEnvelopes:
         assert ids == [1, 2, 3, 4]
         assert bus.last_id == 4
 
-    def test_module_level_publish_uses_active_bus(self):
-        envelope = publish("warning", {"code": "x"})
-        assert get_bus().replay()[-1] is envelope
+    def test_a_runs_warnings_publish_on_its_bus(self):
+        record = warn("x", "a warning")
+        assert current().bus.replay()[-1]["data"] is record
 
     def test_concurrent_publishers_never_share_an_id(self):
         bus = TelemetryBus()
@@ -196,9 +186,8 @@ class TestSubscription:
             "ring_capacity": 4,
         }
 
-    def test_reset_bus_discards_consumers(self):
-        bus = get_bus()
-        bus.add_sink(lambda e: None)
-        fresh = reset_bus()
-        assert fresh is get_bus()
-        assert not fresh.active
+    def test_each_run_starts_with_a_consumer_less_bus(self):
+        current().bus.add_sink(lambda e: None)
+        fresh = RunContext()
+        assert fresh.bus is not current().bus
+        assert not fresh.bus.active

@@ -8,16 +8,13 @@ a specific problem message.
 
 import json
 
-import pytest
-
+from repro.obs.context import current
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EventLog,
     EventRecorder,
     aggregate_warnings,
-    get_recorder,
     provenance_event,
-    reset_recorder,
     resource_event,
     run_event,
     span_event,
@@ -26,17 +23,7 @@ from repro.obs.events import (
     validate_event_log,
     warn,
 )
-from repro.obs.metrics import get_metrics, reset_metrics
 from repro.obs.trace import Span
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 class TestEventRecorder:
@@ -52,14 +39,14 @@ class TestEventRecorder:
         assert validate_event(record) == []
 
     def test_warnings_count_into_metrics(self):
-        get_recorder().warn("empty-history", "p: zero activity")
-        get_recorder().warn("empty-history", "q: zero activity")
-        assert get_metrics().counter("warnings.empty-history") == 2
+        current().recorder.warn("empty-history", "p: zero activity")
+        current().recorder.warn("empty-history", "q: zero activity")
+        assert current().metrics.counter("warnings.empty-history") == 2
 
     def test_sink_sees_every_delivery(self):
         recorder = EventRecorder()
         seen = []
-        recorder.sink = seen.append
+        recorder.bus.add_sink(lambda envelope: seen.append(envelope["data"]))
         recorder.warn("a", "first")
         recorder.replay({"event": "warning", "ts": 0.0, "code": "b",
                          "message": "from a worker", "context": {}})
@@ -79,7 +66,7 @@ class TestEventRecorder:
 
     def test_module_level_warn_uses_the_active_recorder(self):
         record = warn("cache-dir-degraded", "dir unusable", cache_dir="/x")
-        assert get_recorder().warnings == [record]
+        assert current().recorder.warnings == [record]
 
 
 class TestAggregateWarnings:

@@ -2,22 +2,12 @@
 
 import json
 
-import pytest
-
 from repro import __version__
 from repro.analysis import run_study
-from repro.obs.events import reset_recorder, warn
+from repro.obs.context import RunContext, current
+from repro.obs.events import warn
 from repro.obs.manifest import MANIFEST_FORMAT, build_manifest, write_manifest
-from repro.obs.metrics import reset_metrics
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
+from repro.pipeline.store import STORE_DIR_ENV
 
 
 class TestBuildManifest:
@@ -41,33 +31,31 @@ class TestBuildManifest:
         assert "counters" in manifest["metrics"]
 
     def test_corpus_only_runs_use_the_global_registry(self):
-        from repro.obs.metrics import get_metrics
-
-        get_metrics().inc("projects.generated", 12)
+        current().metrics.inc("projects.generated", 12)
         manifest = build_manifest(command="generate", corpus_size=12)
         assert manifest["projects"] == 12
         assert manifest["metrics"]["counters"]["projects.generated"] == 12
         assert "timings" not in manifest
 
-    def test_store_block_records_the_active_artifact_store(self, tmp_path):
-        from repro.pipeline.store import configure_store
-
-        try:
-            configure_store(tmp_path / "artifacts")
-            manifest = build_manifest(command="study", seed=42)
-            assert manifest["store"]["kind"] == "dir"
-            assert manifest["store"]["dir"] == str(tmp_path / "artifacts")
-            assert manifest["store"]["env"] == str(tmp_path / "artifacts")
-            assert set(manifest["store"]["stats"]) == {
-                "hits", "misses", "writes", "corrupt", "hit_rate",
-            }
-        finally:
-            configure_store(None)
+    def test_store_block_records_the_active_artifact_store(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        context = RunContext(store_dir=tmp_path / "artifacts")
+        manifest = build_manifest(command="study", seed=42, context=context)
+        assert manifest["store"]["kind"] == "dir"
+        assert manifest["store"]["dir"] == str(tmp_path / "artifacts")
+        # the environment as the user set it: a store directory given
+        # as a flag is not written back into it
+        assert manifest["store"]["env"] is None
+        assert set(manifest["store"]["stats"]) == {
+            "hits", "misses", "writes", "corrupt", "hit_rate",
+        }
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
+        manifest = build_manifest(command="study", context=context)
+        assert manifest["store"]["env"] == str(tmp_path / "from-env")
 
     def test_default_store_block_is_memory(self):
-        from repro.pipeline.store import configure_store
-
-        configure_store(None)
         manifest = build_manifest(command="study")
         assert manifest["store"]["kind"] == "memory"
         assert manifest["store"]["dir"] is None

@@ -8,22 +8,14 @@ must reconstruct the study total.
 
 import pytest
 
+from repro.obs.context import RunContext, current
 from repro.obs.metrics import (
     DEFAULT_BOUNDS,
     HistogramData,
     MetricsRegistry,
     MetricsSnapshot,
-    get_metrics,
-    reset_metrics,
 )
 from repro.perf.cache import CacheStats
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    reset_metrics()
-    yield
-    reset_metrics()
 
 
 class TestRegistry:
@@ -51,10 +43,11 @@ class TestRegistry:
         assert snap.histograms["lat"].count == 1
 
     def test_global_registry_survives_until_reset(self):
-        get_metrics().inc("x")
-        assert get_metrics().counter("x") == 1
-        reset_metrics()
-        assert get_metrics().counter("x") == 0
+        # a run's counts last as long as its context; the next run
+        # starts from zero
+        current().metrics.inc("x")
+        assert current().metrics.counter("x") == 1
+        assert RunContext().metrics.counter("x") == 0
 
 
 class TestHistogram:

@@ -1,7 +1,7 @@
 """Unit tests for live run monitoring (`repro.obs.progress`).
 
 The heartbeat contract: trackers emit schema-valid ``progress`` records
-to whatever listens (event-log sink, TTY stream), throttled by the
+to whatever listens (a bus sink, TTY stream), throttled by the
 channel interval, with the final state always emitted exactly once —
 and with nothing listening, an update is just a counter bump.
 """
@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from repro.obs.context import RunContext, current
 from repro.obs.events import validate_event
 from repro.obs.progress import (
     DEFAULT_INTERVAL,
@@ -17,10 +18,8 @@ from repro.obs.progress import (
     TOP_SLOWEST,
     ProgressChannel,
     ProgressTracker,
-    get_progress,
     progress_event,
     render_progress_line,
-    reset_progress,
 )
 from repro.perf.timing import StudyTimings
 
@@ -43,15 +42,11 @@ def channel():
     """An unthrottled channel capturing every record in ``.records``."""
     chan = ProgressChannel()
     chan.records = []
-    chan.sink = chan.records.append
+    chan.sink = chan.bus.add_sink(
+        lambda envelope: chan.records.append(envelope["data"])
+    )
     chan.interval = 0.0
     return chan
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global():
-    yield
-    reset_progress()
 
 
 class TestProgressEvent:
@@ -133,7 +128,7 @@ class TestProgressTracker:
         assert [r["done"] for r in channel.records] == [1, 3]
 
     def test_no_listener_means_no_records(self, channel):
-        channel.sink = None
+        channel.bus.remove_sink(channel.sink)
         tracker = ProgressTracker("stage", 2, channel=channel)
         tracker.update("a", 1.0)
         tracker.finish()
@@ -233,7 +228,7 @@ class TestChannelStream:
     def test_deliver_fans_out_to_both(self):
         chan = ProgressChannel()
         seen = []
-        chan.sink = seen.append
+        chan.bus.add_sink(lambda envelope: seen.append(envelope["data"]))
         chan.stream = io.StringIO()
         record = progress_event("stage", 1, 2, 0.5, [])
         chan.deliver(record)
@@ -255,10 +250,10 @@ class TestChannelConfig:
         assert ProgressChannel().interval == 0.0
 
     def test_global_channel_resets(self):
-        first = get_progress()
-        first.sink = lambda record: None
-        fresh = reset_progress()
-        assert fresh is get_progress()
+        # each run context starts with its own channel, unwired
+        first = current().progress
+        first.stream = io.StringIO()
+        fresh = RunContext().progress
         assert fresh is not first
         assert not fresh.active
 
@@ -267,10 +262,13 @@ class TestChannelConfig:
         assert not chan.active
         chan.stream = io.StringIO()
         assert chan.active
+        chan.stream = None
+        chan.bus.add_sink(lambda envelope: None)
+        assert chan.active
 
 
 class TestStudyIntegration:
-    def test_both_fanout_stages_heartbeat(self):
+    def test_both_fanout_stages_heartbeat(self, run_context):
         from dataclasses import replace
 
         from repro.analysis import run_study
@@ -278,15 +276,14 @@ class TestStudyIntegration:
         from repro.corpus.profiles import CANONICAL_PROFILES
 
         records = []
-        channel = reset_progress()
-        channel.interval = 0.0
-        channel.sink = records.append
-        try:
-            profiles = (replace(CANONICAL_PROFILES[0], count=3),)
-            corpus = generate_corpus(seed=11, profiles=profiles)
-            study = run_study(corpus)
-        finally:
-            reset_progress()
+        run_context.progress.interval = 0.0
+        run_context.bus.add_sink(
+            lambda envelope: records.append(envelope["data"]),
+            kinds=("progress",),
+        )
+        profiles = (replace(CANONICAL_PROFILES[0], count=3),)
+        corpus = generate_corpus(seed=11, profiles=profiles)
+        study = run_study(corpus)
         assert len(study) + len(study.skipped) == 3
         stages = {r["stage"] for r in records}
         assert stages == {"generate", "map"}

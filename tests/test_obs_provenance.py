@@ -4,9 +4,6 @@ code-version bump → code_version, identity/params edit → params
 digest), plus warm/cold classification and the diff labels."""
 
 import pytest
-
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.obs.provenance import (
     PROVENANCE_FORMAT,
     components_of,
@@ -26,15 +23,6 @@ SCALE = 16
 
 A = "a" * 64
 B = "b" * 64
-
-
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 class TestComponents:

@@ -6,8 +6,6 @@ import json
 
 import pytest
 
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.obs.manifest import MANIFEST_FORMAT
 from repro.obs.registry import (
     REGISTRY_FORMAT,
@@ -22,17 +20,6 @@ from repro.obs.registry import (
 )
 from repro.obs.regress import compare_records
 from repro.pipeline import DirStore, MemoryStore, Pipeline
-from repro.pipeline.store import configure_store
-
-
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_recorder()
-    reset_metrics()
 
 
 def bench_shaped(total=2.0, rss=100 * 2**20, **extra) -> dict:
@@ -341,9 +328,6 @@ class TestRegistryCli:
         assert main(base) == 0  # cold
         assert main(base) == 0  # warm
         assert main([*base, "--manifest", str(manifest)]) == 0  # warm
-        configure_store(None)
-        reset_recorder()
-        reset_metrics()
         return root
 
     def test_each_study_run_appends_one_record(self, run_dir):

@@ -8,11 +8,11 @@ import threading
 import pytest
 
 from repro.obs.resources import (
+    MONITOR,
     GcClock,
     ResourceMonitor,
     ResourceSample,
     current_rss_bytes,
-    get_monitor,
     peak_rss_bytes,
     process_sample,
 )
@@ -76,8 +76,7 @@ class TestResourceMonitor:
         assert outer_sample.peak_rss_bytes >= inner_sample.peak_rss_bytes
 
     def test_global_monitor_is_a_singleton_with_a_daemon_thread(self):
-        assert get_monitor() is get_monitor()
-        with get_monitor().window() as window:
+        with MONITOR.window() as window:
             pass
         assert window.sample.peak_rss_bytes > 0
         samplers = [

@@ -20,13 +20,10 @@ import urllib.request
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
 from repro.obs import server as server_mod
 from repro.obs.export import validate_prometheus_text
-from repro.obs.bus import get_bus, reset_bus
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.pipeline.store import configure_store
 
 SEED_ARGS = ["--seed", "77", "--scale", "32"]
 
@@ -38,20 +35,12 @@ VOLATILE_EVENT_FIELDS = (
 
 
 @pytest.fixture(autouse=True)
-def _isolated_global_state(monkeypatch):
-    # deterministic heartbeat count: emit on every completion
+def _heartbeat_on_every_completion(monkeypatch):
+    # deterministic heartbeat count
     monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0")
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
 
 
-def _run(tmp_path, tag, *, jobs, serve):
+def _run(tmp_path, tag, *, jobs, serve, monkeypatch):
     out = tmp_path / tag
     out.mkdir()
     argv = [
@@ -62,16 +51,24 @@ def _run(tmp_path, tag, *, jobs, serve):
         "--log-json", str(out / "events.jsonl"),
         "--manifest", str(out / "manifest.json"),
     ]
-    subscription = None
+    subscriptions = []
     if serve:
         argv += ["--serve", "0"]
-        # a live consumer on the bus makes the gated publishes
+        # a live consumer on the run's bus makes the gated publishes
         # (artifact probes, metrics snapshots) actually fire — the
         # worst case for log/artifact identity
-        subscription = get_bus().subscribe(capacity=100_000)
+        build_context = cli._run_context
+
+        def subscribed_context(args):
+            context = build_context(args)
+            subscriptions.append(context.bus.subscribe(capacity=100_000))
+            return context
+
+        monkeypatch.setattr(cli, "_run_context", subscribed_context)
     assert main(argv) == 0
-    drained = subscription.drain() if subscription else []
-    if subscription:
+    drained = []
+    for subscription in subscriptions:
+        drained += subscription.drain()
         subscription.close()
     return out, drained
 
@@ -116,15 +113,11 @@ def _store_keys(out):
     )
 
 
-def _compare(tmp_path, *, jobs, ordered):
+def _compare(tmp_path, monkeypatch, *, jobs, ordered):
     unserved, _ = _run(tmp_path, f"unserved-{jobs}", jobs=jobs,
-                       serve=False)
-    reset_bus()
-    reset_recorder()
-    reset_metrics()
-    configure_store(None)
+                       serve=False, monkeypatch=monkeypatch)
     served, drained = _run(tmp_path, f"served-{jobs}", jobs=jobs,
-                           serve=True)
+                           serve=True, monkeypatch=monkeypatch)
 
     # the subscriber saw the run, including the bus-only kinds
     kinds = {envelope["kind"] for envelope in drained}
@@ -164,11 +157,11 @@ def _compare(tmp_path, *, jobs, ordered):
 
 
 class TestServedRunIsByteIdentical:
-    def test_serial(self, tmp_path):
-        _compare(tmp_path, jobs=1, ordered=True)
+    def test_serial(self, tmp_path, monkeypatch):
+        _compare(tmp_path, monkeypatch, jobs=1, ordered=True)
 
-    def test_jobs_4(self, tmp_path):
-        _compare(tmp_path, jobs=4, ordered=False)
+    def test_jobs_4(self, tmp_path, monkeypatch):
+        _compare(tmp_path, monkeypatch, jobs=4, ordered=False)
 
 
 def _get(url):

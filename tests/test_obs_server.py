@@ -7,28 +7,28 @@ import urllib.request
 
 import pytest
 
-from repro.obs.bus import get_bus, reset_bus
+from repro.obs.bus import BUS_CAPACITY_ENV
+from repro.obs.context import RunContext, current
 from repro.obs.export import validate_prometheus_text
-from repro.obs.metrics import reset_metrics
 from repro.obs.registry import RunRegistry
 from repro.obs.server import ObservabilityServer
 from repro.obs.top import sse_events
-from repro.pipeline.store import configure_store
-
-
-@pytest.fixture(autouse=True)
-def _isolated_global_state():
-    reset_bus()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_bus()
-    reset_metrics()
 
 
 @pytest.fixture
 def server():
+    """A server over the test's current run context."""
     srv = ObservabilityServer(port=0).start()
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture
+def store_server(tmp_path):
+    """A server over a run whose artifact store is a directory."""
+    srv = ObservabilityServer(
+        port=0, context=RunContext(store_dir=tmp_path / "store")
+    ).start()
     yield srv
     srv.stop()
 
@@ -64,17 +64,15 @@ class TestHealthz:
 
 class TestMetrics:
     def test_page_passes_the_exposition_grammar(self, server):
-        from repro.obs.metrics import get_metrics
-
-        get_metrics().inc("projects.mined", 3)
-        get_metrics().observe("stage.seconds", 0.5)
+        current().metrics.inc("projects.mined", 3)
+        current().metrics.observe("stage.seconds", 0.5)
         status, page = _get(server, "/metrics")
         assert status == 200
         assert validate_prometheus_text(page) == []
         assert "repro_projects_mined_total 3" in page
 
     def test_bus_drop_counter_is_exposed(self, server):
-        bus = get_bus()
+        bus = current().bus
         sub = bus.subscribe(capacity=2)
         for n in range(6):
             bus.publish("span", {"n": n})
@@ -84,11 +82,9 @@ class TestMetrics:
         sub.close()
 
     def test_server_counters_never_touch_the_global_registry(self, server):
-        from repro.obs.metrics import get_metrics
-
         _get(server, "/healthz")
         _get(server, "/metrics")
-        snapshot = get_metrics().snapshot().as_dict()
+        snapshot = current().metrics.snapshot().as_dict()
         assert not any(
             name.startswith(("bus.", "server."))
             for name in snapshot["counters"]
@@ -97,7 +93,7 @@ class TestMetrics:
 
 class TestEvents:
     def test_sse_framing_ids_and_kinds(self, server):
-        bus = get_bus()
+        bus = current().bus
         for n in range(4):
             bus.publish("progress", {"done": n})
         status, body = _get(server, "/events?limit=4")
@@ -112,7 +108,7 @@ class TestEvents:
         assert [e["data"]["done"] for e in envelopes] == [0, 1, 2, 3]
 
     def test_last_event_id_replays_the_same_ordered_sequence(self, server):
-        bus = get_bus()
+        bus = current().bus
         for n in range(6):
             bus.publish("span", {"n": n})
         _, from_start = _get(server, "/events?limit=6")
@@ -125,13 +121,10 @@ class TestEvents:
         tail = [e["id"] for e in sse_events(resumed.splitlines(True))]
         assert tail == full[3:]
 
-    def test_replay_is_bounded_by_the_ring(self):
-        reset_bus()
-        import repro.obs.bus as bus_mod
-
-        bus = bus_mod.TelemetryBus(capacity=4)
-        bus_mod._active = bus
-        srv = ObservabilityServer(port=0).start()
+    def test_replay_is_bounded_by_the_ring(self, monkeypatch):
+        monkeypatch.setenv(BUS_CAPACITY_ENV, "4")
+        srv = ObservabilityServer(port=0, context=RunContext()).start()
+        bus = srv.context.bus
         try:
             for n in range(10):
                 bus.publish("span", {"n": n})
@@ -154,7 +147,7 @@ class TestEvents:
             assert line.strip() == b": keepalive"
 
     def test_live_publish_reaches_an_open_stream(self, server):
-        bus = get_bus()
+        bus = current().bus
         request = urllib.request.Request(server.url + "/events?limit=1")
         with urllib.request.urlopen(request, timeout=10) as response:
             bus.publish("warning", {"code": "late"})
@@ -171,8 +164,8 @@ class TestRuns:
             _get(server, "/runs")
         assert err.value.code == 404
 
-    def test_lists_registry_records(self, tmp_path, server):
-        configure_store(tmp_path / "store")
+    def test_lists_registry_records(self, tmp_path, store_server):
+        server = store_server
         registry = RunRegistry(tmp_path / "store")
         registry.append({"run_id": "abc123", "stages": {"total": 1.0}})
         registry.append({"run_id": "def456", "stages": {"total": 2.0}})
@@ -184,8 +177,8 @@ class TestRuns:
         _, tail = _get_json(server, "/runs?limit=1")
         assert [r["run_id"] for r in tail["records"]] == ["def456"]
 
-    def test_fetch_one_run_by_prefix(self, tmp_path, server):
-        configure_store(tmp_path / "store")
+    def test_fetch_one_run_by_prefix(self, tmp_path, store_server):
+        server = store_server
         registry = RunRegistry(tmp_path / "store")
         registry.append({"run_id": "abc123", "stages": {}})
         _, record = _get_json(server, "/runs/abc")
@@ -204,17 +197,20 @@ class TestStatus:
     def test_stage_states_via_provenance(self, tmp_path):
         from repro.pipeline.graph import Pipeline
 
-        configure_store(tmp_path / "store")
+        context = RunContext(store_dir=tmp_path / "store")
         srv = ObservabilityServer(
             port=0,
-            pipeline_factory=lambda: Pipeline(seed=77, scale=32),
+            context=context,
+            pipeline_factory=lambda: Pipeline(
+                seed=77, scale=32, context=context
+            ),
         ).start()
         try:
             _, cold = _get_json(srv, "/status")
             states = {row["stage"]: row["state"] for row in cold["stages"]}
             assert states["generate"] == "cold"
             assert states["report"] == "cold"
-            Pipeline(seed=77, scale=32).study()
+            Pipeline(seed=77, scale=32, context=context).study()
             _, warm = _get_json(srv, "/status")
             states = {row["stage"]: row["state"] for row in warm["stages"]}
             # study() materialises everything but the rendered report

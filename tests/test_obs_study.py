@@ -21,39 +21,23 @@ import pytest
 from repro.analysis import run_study
 from repro.cli import main
 from repro.corpus import generate_corpus
-from repro.corpus.profiles import CANONICAL_PROFILES
+from repro.corpus.profiles import CANONICAL_PROFILES, scaled_profiles
 from repro.io import export_measures_csv
-from repro.obs import (
-    ObsSession,
-    as_record,
+from repro.obs.context import RunContext
+from repro.obs.events import validate_event_log, warn
+from repro.obs.export import (
     chrome_trace,
-    compare_records,
-    configure_tracing,
     folded_stacks,
-    get_progress,
     prometheus_text,
-    reset_metrics,
-    reset_progress,
-    reset_recorder,
-    validate_event_log,
     validate_prometheus_text,
 )
+from repro.obs.registry import as_record
+from repro.obs.regress import compare_records
+from repro.perf.pool import shutdown_pools
+from repro.pipeline import Pipeline
 
 SCALE = 16
 SEED = 97_531
-
-
-def _reset_obs():
-    configure_tracing(False)
-    reset_recorder()
-    reset_metrics()
-    reset_progress()
-
-
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    yield
-    _reset_obs()
 
 
 def _small_corpus():
@@ -62,6 +46,13 @@ def _small_corpus():
         for profile in CANONICAL_PROFILES
     )
     return generate_corpus(seed=SEED, profiles=profiles)
+
+
+def _traced_context() -> RunContext:
+    """A context that traces, keeping its spans in memory only."""
+    context = RunContext()
+    context.tracer.enabled = True
+    return context
 
 
 def _csv_bytes(study, path):
@@ -90,32 +81,32 @@ def _find_span(spans, name):
 @pytest.fixture(scope="module")
 def baseline_csv(tmp_path_factory):
     """Measures bytes of the untraced serial run — the ground truth."""
-    _reset_obs()
-    study = run_study(_small_corpus())
+    with RunContext().active():
+        study = run_study(_small_corpus())
     return _csv_bytes(study, tmp_path_factory.mktemp("base") / "m.csv")
 
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     """One fully-traced ``jobs=4`` run with every artifact written."""
-    _reset_obs()
     tmp = tmp_path_factory.mktemp("traced")
-    session = ObsSession(
+    context = RunContext(
         command="study",
         trace_path=tmp / "trace.json",
         log_path=tmp / "events.jsonl",
         manifest_path=tmp / "manifest.json",
         progress=True,
     )
-    session.seed = SEED
-    session.jobs = 4
+    context.seed = SEED
+    context.jobs = 4
     # heartbeat on every completion so the small corpus still
     # exercises the progress path deterministically
-    get_progress().interval = 0.0
-    corpus = _small_corpus()
-    study = run_study(corpus, jobs=4)
-    session.study = study
-    session.finalize(status="ok")
+    context.progress.interval = 0.0
+    with context.active():
+        corpus = _small_corpus()
+        study = run_study(corpus, jobs=4)
+    context.study = study
+    context.finalize(status="ok")
     return {
         "dir": tmp,
         "corpus_size": len(corpus),
@@ -135,16 +126,17 @@ class TestResultsUnchanged:
     def test_traced_serial_measures_byte_identical(
         self, baseline_csv, tmp_path
     ):
-        session = ObsSession(
+        context = RunContext(
             command="study",
             trace_path=tmp_path / "trace.json",
             log_path=tmp_path / "events.jsonl",
             progress=True,
         )
-        get_progress().interval = 0.0
-        study = run_study(_small_corpus())
-        session.study = study
-        session.finalize(status="ok")
+        context.progress.interval = 0.0
+        with context.active():
+            study = run_study(_small_corpus())
+        context.study = study
+        context.finalize(status="ok")
         assert _csv_bytes(study, tmp_path / "m.csv") == baseline_csv
 
     def test_observability_fields_do_not_affect_equality(self, traced):
@@ -185,6 +177,60 @@ class TestSpanTree:
         mine = _find_span(traced["trace"]["spans"], "mine")
         assert mine["attributes"]["versions"] > 0
         assert mine["attributes"]["months"] > 0
+
+
+class TestRunIsolation:
+    """A run's telemetry depends on that run alone.
+
+    Worker tracing rides on each task, so a traced run that reuses a
+    pool an untraced run started still gets every worker span; and two
+    runs with their own contexts share no counter, warning, span or
+    bus sink.
+    """
+
+    def test_traced_study_on_a_pool_an_untraced_study_warmed(self):
+        shutdown_pools()
+        Pipeline(seed=SEED, projects=8, jobs=2, context=RunContext()).study()
+        traced = _traced_context()
+        Pipeline(seed=SEED, projects=8, jobs=2, context=traced).study()
+        names = _span_names(traced.tracer.to_payload()["spans"])
+        assert names.count("project") == 8
+        assert names.count("generate_project") == 8
+
+    def test_traced_generation_on_a_pool_an_untraced_one_warmed(self):
+        shutdown_pools()
+        profiles = scaled_profiles(32)
+        with RunContext().active():
+            generate_corpus(seed=SEED, profiles=profiles, jobs=2)
+        with _traced_context().active() as traced:
+            corpus = generate_corpus(seed=SEED, profiles=profiles, jobs=2)
+        names = _span_names(traced.tracer.to_payload()["spans"])
+        assert len(corpus) == 7
+        assert names.count("generate_project") == len(corpus)
+
+    def test_two_pipelines_share_nothing(self):
+        corpus = generate_corpus(seed=SEED, profiles=scaled_profiles(32))
+        first, second = _traced_context(), _traced_context()
+        first_log, second_log = [], []
+        for context, log in ((first, first_log), (second, second_log)):
+            context.progress.interval = 0.0
+            context.bus.add_sink(log.append)
+        Pipeline(corpus=corpus, context=first).study()
+        with first.active():
+            warn("probe", "raised in the first run")
+        published = len(first_log)
+        Pipeline(corpus=corpus, context=second).study()
+        # the second run reached none of the first run's consumers, and
+        # recorded exactly what the first one did, not a running total
+        assert len(first_log) == published
+        assert len(second_log) == published - 1 > 0
+        assert [w["code"] for w in first.recorder.warnings] == ["probe"]
+        assert second.recorder.warnings == []
+        counters = first.metrics.snapshot().counters
+        assert counters.pop("warnings.probe") == 1
+        assert counters == second.metrics.snapshot().counters
+        assert counters["projects.mined"] == len(corpus)
+        assert len(first.tracer.roots) == len(second.tracer.roots) == 1
 
 
 class TestEventLog:

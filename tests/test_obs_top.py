@@ -2,23 +2,12 @@
 
 import io
 
-import pytest
-
-from repro.obs.bus import get_bus, reset_bus
 from repro.obs.top import (
     DashboardState,
-    bus_envelopes,
     render_dashboard,
     run_top,
     sse_events,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_bus():
-    reset_bus()
-    yield
-    reset_bus()
 
 
 def _env(kind, data, id=1):
@@ -174,18 +163,3 @@ class TestRunTop:
             iter([_env("span", {"name": "s"})]), out=out, interval=0.0,
         )
         assert out.getvalue().startswith("\x1b[H\x1b[J")
-
-    def test_attach_source_reads_the_in_process_bus(self):
-        bus = get_bus()
-        bus.publish("progress", {
-            "stage": "mine", "done": 1, "total": 1,
-            "percent": 100.0, "eta_seconds": 0.0,
-        })
-        bus.publish("run", {"command": "study", "status": "ok"})
-        out = io.StringIO()
-        state = run_top(
-            bus_envelopes(max_idle_seconds=0.2),
-            out=out, plain=True, interval=0.0,
-        )
-        assert state.run_status == "ok"
-        assert "mine" in out.getvalue()

@@ -3,32 +3,24 @@
 The contract under test: disabled tracing is a shared no-op, enabled
 tracing builds a parent/child forest, detached spans round-trip through
 ``to_dict``/``attach`` (the worker transport), and close events reach
-the ``on_close`` sink exactly once whether a span closed in-process or
-was replayed at attach time.
+the tracer's bus exactly once whether a span closed in-process or was
+replayed at attach time.
 """
 
 import json
-import os
 
 import pytest
 
+from repro.obs.bus import TelemetryBus
+from repro.obs.context import RunContext
 from repro.obs.trace import (
     NULL_SPAN,
-    TRACE_ENV,
     TRACE_FORMAT,
     Span,
     Tracer,
-    configure_tracing,
-    get_tracer,
     render_trace,
     write_trace,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_tracing():
-    yield
-    configure_tracing(False)
 
 
 class TestDisabledTracer:
@@ -154,11 +146,21 @@ class TestSerialisation:
         assert tracer.roots == []
 
 
+def _closes(tracer: Tracer) -> list[str]:
+    """Span names the tracer publishes on its bus, in close order."""
+    closed = []
+    tracer.bus = TelemetryBus()
+    tracer.bus.add_sink(
+        lambda envelope: closed.append(envelope["data"]["name"]),
+        kinds=("span",),
+    )
+    return closed
+
+
 class TestCloseEvents:
     def test_in_process_spans_emit_live_on_close(self):
         tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+        closed = _closes(tracer)
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
@@ -166,8 +168,7 @@ class TestCloseEvents:
 
     def test_attach_emit_replays_worker_closes_once(self):
         tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+        closed = _closes(tracer)
         data = {
             "name": "project",
             "children": [{"name": "mine"}, {"name": "analyze"}],
@@ -178,31 +179,45 @@ class TestCloseEvents:
     def test_attach_without_emit_replays_nothing(self):
         # the serial path: the spans already emitted at close time
         tracer = Tracer(enabled=True)
-        closed = []
-        tracer.on_close = lambda span: closed.append(span.name)
+        closed = _closes(tracer)
         tracer.attach({"name": "project"}, emit=False)
         assert closed == []
 
+    def test_without_a_bus_closes_stay_in_the_tree(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("outer"):
+            pass
+        assert tracer.bus is None
+        assert [span.name for span in tracer.roots] == ["outer"]
 
-class TestGlobalTracer:
-    def test_configure_tracing_exports_and_clears_the_env(self):
-        configure_tracing(True)
-        assert os.environ.get(TRACE_ENV) == "1"
-        assert get_tracer().enabled
-        configure_tracing(False)
-        assert TRACE_ENV not in os.environ
-        assert not get_tracer().enabled
 
-    def test_fresh_process_would_honour_the_env(self, monkeypatch):
-        # get_tracer reads the env on first use — the worker-process path
-        import repro.obs.trace as trace_module
+class TestRunTracing:
+    def test_trace_outputs_enable_the_run_tracer(self, tmp_path):
+        assert not RunContext().tracer.enabled
+        assert RunContext(trace_path=tmp_path / "t.json").tracer.enabled
 
-        monkeypatch.setattr(trace_module, "_active", None)
-        monkeypatch.setenv(TRACE_ENV, "1")
-        assert get_tracer().enabled
-        monkeypatch.setattr(trace_module, "_active", None)
-        monkeypatch.setenv(TRACE_ENV, "0")
-        assert not get_tracer().enabled
+    def test_only_an_event_log_publishes_span_closes(self, tmp_path):
+        assert RunContext(trace_path=tmp_path / "t.json").tracer.bus is None
+        context = RunContext(log_path=tmp_path / "events.jsonl")
+        assert context.tracer.enabled
+        assert context.tracer.bus is context.bus
+        context.finalize()
+
+    def test_each_task_says_whether_it_is_traced(self):
+        # how enablement reaches a pool worker: on the task, whatever
+        # the worker's context was doing before
+        from repro.corpus import corpus_specs
+        from repro.corpus.profiles import scaled_profiles
+        from repro.perf.parallel import ShardTask, map_shard
+
+        spec, profile = corpus_specs(seed=7, profiles=scaled_profiles(32))[0]
+        with RunContext().active():
+            traced = map_shard(ShardTask(spec, profile, trace=True))
+            untraced = map_shard(ShardTask(spec, profile))
+        assert traced.mined.trace["name"] == "project"
+        assert traced.generated.trace["name"] == "generate_project"
+        assert untraced.mined.trace is None
+        assert untraced.generated.trace is None
 
 
 class TestTraceFileAndRendering:

@@ -3,31 +3,19 @@
 Each anomaly that used to disappear — a ``find_ddl_path`` tie-break, a
 parse-cache directory degrading to memory-only, an unparseable DDL
 version, an empty history — must now leave a typed warning record on
-the active recorder, where the run manifest picks it up.
+the current run's recorder, where the run manifest picks it up.
 """
-
-import pytest
 
 from repro.analysis import run_study
 from repro.mining.history import SchemaHistory
 from repro.mining.miner import find_ddl_path
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import get_metrics, reset_metrics
+from repro.obs.context import current
 from repro.perf.cache import ParseCache
 from repro.vcs import Commit, FileChange, FileVersion, Repository, synthetic_sha, utc
 
 
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
-
-
 def _codes():
-    return [record["code"] for record in get_recorder().warnings]
+    return [record["code"] for record in current().recorder.warnings]
 
 
 class TestDdlTieBreak:
@@ -45,11 +33,11 @@ class TestDdlTieBreak:
     def test_tie_emits_one_warning_with_context(self):
         repo = self._repo_with_touches("a.sql", "b.sql")
         assert find_ddl_path(repo) == "b.sql"
-        records = get_recorder().warnings
+        records = current().recorder.warnings
         assert _codes() == ["ddl-tie-break"]
         assert records[0]["context"]["picked"] == "b.sql"
         assert records[0]["context"]["tied"] == 2
-        assert get_metrics().counter("warnings.ddl-tie-break") == 1
+        assert current().metrics.counter("warnings.ddl-tie-break") == 1
 
     def test_unique_winner_stays_silent(self):
         repo = self._repo_with_touches("a.sql", "b.sql", "b.sql")
@@ -64,7 +52,7 @@ class TestCacheDirDegraded:
         cache = ParseCache(cache_dir=blocker)
         assert cache.cache_dir is None
         assert _codes() == ["cache-dir-degraded"]
-        assert get_recorder().warnings[0]["context"]["cache_dir"] == (
+        assert current().recorder.warnings[0]["context"]["cache_dir"] == (
             str(blocker)
         )
         # degraded but functional: parsing memoises in memory
@@ -88,9 +76,9 @@ class TestDdlUnparseable:
         ]
         SchemaHistory.from_file_versions(versions)
         assert _codes() == ["ddl-unparseable"]
-        record = get_recorder().warnings[0]
+        record = current().recorder.warnings[0]
         assert record["context"]["sha"] == synthetic_sha(2)
-        assert get_metrics().counter("versions.parsed") == 2
+        assert current().metrics.counter("versions.parsed") == 2
 
     def test_clean_history_stays_silent(self):
         versions = [

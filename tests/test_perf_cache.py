@@ -3,16 +3,13 @@
 import os
 import pickle
 
-import pytest
-
+from repro.obs.context import RunContext, current
 from repro.perf.cache import (
     CACHE_DIR_ENV,
     CacheStats,
     ParseCache,
     cached_parse_schema,
-    configure_cache,
     content_key,
-    get_cache,
 )
 from repro.sqlparser import ParseResult, parse_schema
 
@@ -163,31 +160,27 @@ class TestStats:
 
 
 class TestGlobalCache:
-    @pytest.fixture(autouse=True)
-    def _restore_global(self):
-        import repro.perf.cache as module
-
-        saved_cache = module._active
-        saved_env = os.environ.get(CACHE_DIR_ENV)
-        yield
-        module._active = saved_cache
-        if saved_env is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = saved_env
+    """``cached_parse_schema`` goes through the current run's cache."""
 
     def test_cached_parse_schema_uses_active_cache(self):
-        configure_cache()
-        before = get_cache().stats
+        before = current().cache.stats
         cached_parse_schema(DDL)
         cached_parse_schema(DDL)
-        delta = get_cache().stats - before
+        delta = current().cache.stats - before
         assert delta.hits == 1
         assert delta.misses == 1
 
-    def test_configure_cache_exports_env_for_workers(self, tmp_path):
-        cache = configure_cache(tmp_path)
-        assert os.environ[CACHE_DIR_ENV] == str(tmp_path)
-        assert cache.cache_dir == tmp_path
-        configure_cache()
+    def test_cache_dir_comes_from_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
+        assert RunContext.from_env().cache.cache_dir == tmp_path / "env"
+        flagged = RunContext.from_env(cache_dir=tmp_path / "flag")
+        assert flagged.cache.cache_dir == tmp_path / "flag"
+        # an explicit context never reads the environment
+        assert RunContext().cache.cache_dir is None
+
+    def test_the_environment_is_only_read(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        RunContext.from_env(cache_dir=tmp_path).cache
         assert CACHE_DIR_ENV not in os.environ

@@ -157,7 +157,7 @@ class TestWindowedEta:
     def test_tracker_parallelism_feeds_eta(self):
         channel = ProgressChannel()
         records = []
-        channel.sink = records.append
+        channel.bus.add_sink(lambda envelope: records.append(envelope["data"]))
         channel.interval = 0.0
         timings = self._timings(jobs=8)
         tracker = ProgressTracker(
@@ -175,7 +175,7 @@ class TestWindowedEta:
         """Drive a windowed fan-out and check each heartbeat's ETA."""
         channel = ProgressChannel()
         records = []
-        channel.sink = records.append
+        channel.bus.add_sink(lambda envelope: records.append(envelope["data"]))
         channel.interval = 0.0
         timings = StudyTimings(jobs=4)
         tracker = ProgressTracker(

@@ -1,30 +1,14 @@
 """CLI surface of the sharded pipeline: --store-dir, status (with
 --shards), invalidate (stage or --project), drift warnings."""
 
-import pytest
-
 from repro.cli import main
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
-from repro.pipeline.store import configure_store
+from repro.pipeline.store import MemoryStore
 
 #: seed 77 at scale 32 plans 7 projects; the first is stable by
 #: construction (corpus_specs is deterministic in the seed).
 SEED_ARGS = ["--seed", "77", "--scale", "32"]
 N_PROJECTS = 7
 FIRST_PROJECT = "bitforge/scheduler-000"
-
-
-@pytest.fixture(autouse=True)
-def _isolated_global_state():
-    """--store-dir swaps the process-global store and exports
-    REPRO_STORE_DIR; undo both so later tests see the default."""
-    reset_recorder()
-    reset_metrics()
-    yield
-    configure_store(None)
-    reset_recorder()
-    reset_metrics()
 
 
 def _study_args(store_dir) -> list[str]:
@@ -55,7 +39,8 @@ class TestStoreDirStudy:
 
 
 class TestPipelineStatus:
-    def test_cold_status_on_memory_store(self, capsys):
+    def test_cold_status_on_memory_store(self, capsys, run_context):
+        run_context.store = MemoryStore()  # one no earlier test warmed
         assert main(["pipeline", "status", *SEED_ARGS]) == 0
         out = capsys.readouterr().out
         assert "store: memory" in out
@@ -228,7 +213,8 @@ class TestPipelineStatusJson:
 
 
 class TestPipelineExplain:
-    def test_cold_store_explains_cold(self, capsys):
+    def test_cold_store_explains_cold(self, capsys, run_context):
+        run_context.store = MemoryStore()  # one no earlier test warmed
         assert main(["pipeline", "explain", "aggregate", *SEED_ARGS]) == 0
         out = capsys.readouterr().out
         assert "aggregate: cold — no prior artifact" in out

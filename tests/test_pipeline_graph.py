@@ -3,8 +3,7 @@ maintenance, and the single-project invalidation contract."""
 
 import pytest
 
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import get_metrics, reset_metrics
+from repro.obs.context import RunContext
 from repro.pipeline import (
     CODE_VERSIONS,
     MAP_STAGE_NAMES,
@@ -19,15 +18,6 @@ from repro.pipeline import (
 #: A small-but-real corpus (12 projects at scale 16) keeps compute
 #: tests fast while exercising every stage.
 SCALE = 16
-
-
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 def fingerprints(**kwargs) -> dict[str, str]:
@@ -158,11 +148,10 @@ class TestResolution:
     def test_warm_aggregate_hit_short_circuits_the_map_phase(self):
         store = MemoryStore()
         Pipeline(scale=SCALE, store=store).study()
-        reset_metrics()
 
-        warm = Pipeline(scale=SCALE, store=store)
+        warm = Pipeline(scale=SCALE, store=store, context=RunContext())
         warm.study()
-        counters = get_metrics().snapshot().counters
+        counters = warm.context.metrics.snapshot().counters
         # aggregate/figures/statistics hit; not a single shard key of
         # generate/mine/analyze is even looked up, let alone recomputed
         assert counters.get("artifact.hit") == 3

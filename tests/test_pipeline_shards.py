@@ -3,11 +3,7 @@ the stage-version drift guard."""
 
 import dataclasses
 
-import pytest
-
 from repro.corpus.generator import corpus_specs
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.pipeline import (
     CODE_VERSIONS,
     MemoryStore,
@@ -19,15 +15,6 @@ from repro.pipeline import (
     spec_digest,
     stage_source_digest,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 def _pairs(seed: int = 7):

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.obs.events import get_recorder, reset_recorder
+from repro.obs.context import RunContext, current
 from repro.pipeline.store import (
     ARTIFACT_FORMAT,
     STORE_DIR_ENV,
@@ -14,22 +14,12 @@ from repro.pipeline.store import (
     NullStore,
     StoreStats,
     atomic_write_pickle,
-    configure_store,
-    get_store,
     read_pickle,
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_store_state():
-    reset_recorder()
-    yield
-    configure_store(None)
-    reset_recorder()
-
-
 def _codes() -> list[str]:
-    return [record["code"] for record in get_recorder().warnings]
+    return [record["code"] for record in current().recorder.warnings]
 
 
 class TestAtomicPickleIO:
@@ -267,20 +257,27 @@ class TestDirStore:
 
 
 class TestGlobalStore:
-    def test_default_is_memory(self):
-        configure_store(None)
-        assert get_store().kind == "memory"
+    """The store a run context builds on first use."""
 
-    def test_configure_dir_exports_env(self, tmp_path):
-        store = configure_store(tmp_path / "artifacts")
-        assert store.kind == "dir"
-        assert os.environ[STORE_DIR_ENV] == str(tmp_path / "artifacts")
-        assert get_store() is store
+    def test_default_is_memory(self):
+        assert RunContext().store.kind == "memory"
+
+    def test_store_dir_builds_a_dir_store_and_exports_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        context = RunContext(store_dir=tmp_path / "artifacts")
+        assert context.store.kind == "dir"
+        assert context.store is context.store
+        assert STORE_DIR_ENV not in os.environ
 
     def test_env_var_enables_dir_store(self, tmp_path, monkeypatch):
-        configure_store(None)
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
-        import repro.pipeline.store as store_module
+        assert RunContext.from_env().store.kind == "dir"
+        assert RunContext().store.kind == "memory"
 
-        monkeypatch.setattr(store_module, "_active", None)
-        assert get_store().kind == "dir"
+    def test_the_store_is_built_on_first_use(self, tmp_path):
+        context = RunContext(store_dir=tmp_path / "artifacts")
+        assert not (tmp_path / "artifacts").exists()
+        context.store
+        assert (tmp_path / "artifacts").is_dir()

@@ -12,8 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis.study import StudyResult
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
+from repro.obs.context import RunContext, current
 from repro.pipeline import DirStore, MemoryStore, Pipeline
 from repro.vcs import (
     Commit,
@@ -27,17 +26,8 @@ from repro.vcs import (
 SCALE = 16
 
 
-@pytest.fixture(autouse=True)
-def _fresh_obs_state():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
-
-
 def _codes():
-    return [record["code"] for record in get_recorder().warnings]
+    return [record["code"] for record in current().recorder.warnings]
 
 
 def _hollow_pipeline(store, count: int) -> Pipeline:
@@ -176,12 +166,13 @@ class TestWarmReplay:
         cold.study()
         assert _codes() == ["empty-history"]
 
-        reset_recorder()
-        warm = _hollow_pipeline(store, 1)
-        warm.study()
+        with RunContext().active():
+            warm = _hollow_pipeline(store, 1)
+            warm.study()
+            warm_codes = _codes()
         # the skip warning came out of the aggregate artifact meta —
         # the shard itself was never probed
-        assert _codes() == ["empty-history"]
+        assert warm_codes == ["empty-history"]
         assert warm.timings.artifacts["aggregate"].hits == 1
         assert "analyze" not in warm.timings.artifacts
 

@@ -12,21 +12,10 @@ import dataclasses
 import pytest
 
 from repro.mining.aggregates import AggregateAccumulator
-from repro.obs.events import get_recorder, reset_recorder
-from repro.obs.metrics import reset_metrics
+from repro.obs.context import RunContext, current
 from repro.obs.resources import MemoryLimitExceeded, MemoryWatchdog
-from repro.perf.cache import get_cache
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.store import MemoryStore
-
-
-@pytest.fixture(autouse=True)
-def _clean_observability():
-    reset_recorder()
-    reset_metrics()
-    yield
-    reset_recorder()
-    reset_metrics()
 
 
 class TestMemoryWatchdog:
@@ -44,7 +33,7 @@ class TestMemoryWatchdog:
     def test_pressure_warns_exactly_once(self):
         readings = iter([700, 850, 900, 950])
         watchdog = MemoryWatchdog(1000, probe=lambda: next(readings))
-        recorder = get_recorder()
+        recorder = current().recorder
         mark = recorder.mark()
         assert watchdog.check() == "ok"
         assert watchdog.check() == "pressure"
@@ -153,9 +142,10 @@ class TestStreamingPipeline:
     N = 12
 
     def _report(self, **kwargs):
-        reset_recorder()
-        reset_metrics()
-        pipe = Pipeline(store=MemoryStore(), projects=self.N, **kwargs)
+        pipe = Pipeline(
+            store=MemoryStore(), projects=self.N, context=RunContext(),
+            **kwargs,
+        )
         return pipe, pipe.report()
 
     def test_capped_run_is_byte_identical_to_uncapped(self):
@@ -189,14 +179,12 @@ class TestStreamingPipeline:
         assert streaming["window"]["shrinks"] >= 1
         # parse state lives for one history, so the pressured study
         # leaves nothing in the parse cache for the watchdog to release
-        cache = get_cache()
+        cache = pipe.context.cache
         assert len(cache) == 0
         assert not cache._fragments
         assert len(cache._elements) == 0
 
     def test_breach_propagates_from_study(self):
-        reset_recorder()
-        reset_metrics()
         pipe = Pipeline(
             store=MemoryStore(), projects=self.N, limit_memory_mb=1,
         )
@@ -221,12 +209,11 @@ class TestStreamingPipeline:
         store_dir = tmp_path / "store"
 
         def run():
-            reset_recorder()
-            reset_metrics()
             pipe = Pipeline(
                 store=DirStore(store_dir),
                 projects=self.N,
                 limit_memory_mb=4096,
+                context=RunContext(),
             )
             return pipe, pipe.report()
 
@@ -294,13 +281,12 @@ class TestBoundedMemoryGate:
         from repro.pipeline.store import DirStore
 
         def run():
-            reset_recorder()
-            reset_metrics()
             pipe = Pipeline(
                 seed=195_2023,
                 projects=self.PROJECTS,
                 limit_memory_mb=self.LIMIT_MB,
                 store=DirStore(tmp_path / "store"),
+                context=RunContext(),
             )
             return pipe, pipe.report(), pipe.study()
 

@@ -10,10 +10,7 @@ twice.  ``record_wall`` *assigns* the total; only worker stages sum.
 import pytest
 
 from repro.analysis.study import canonical_study
-from repro.obs.events import reset_recorder
-from repro.obs.metrics import reset_metrics
 from repro.perf.timing import STAGE_ORDER, ArtifactStats, StudyTimings
-from repro.pipeline.store import configure_store
 
 
 class TestRecordSemantics:
@@ -98,15 +95,10 @@ class TestArtifactAccounting:
 
 class TestCanonicalStudyTotal:
     @pytest.fixture(autouse=True)
-    def _fresh_state(self):
-        reset_recorder()
-        reset_metrics()
+    def _fresh_memo(self):
         canonical_study.cache_clear()
         yield
-        configure_store(None)
         canonical_study.cache_clear()
-        reset_recorder()
-        reset_metrics()
 
     def test_total_is_wall_clock_not_a_double_count(self):
         # pin a tiny corpus through the pipeline's own store seeding
