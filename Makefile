@@ -38,7 +38,7 @@ bench-selftest:
 bench: test
 	$(PYTHON) -m pytest benchmarks/test_perf_pipeline.py benchmarks/test_perf_study.py -q -p no:cacheprovider
 
-# mine-only microbenchmark (cold + warm serial mine over the canonical
+# mine-only microbenchmark (one cold serial mine over the canonical
 # corpus; writes BENCH_mine.json, a run-registry record); compare
 # against the committed pre-incremental-engine record with
 #   make bench-check BASELINE=BENCH_mine_baseline.json CANDIDATE=BENCH_mine.json STAGE=mine

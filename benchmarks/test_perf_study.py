@@ -4,9 +4,10 @@ Not a paper artifact: the machine-readable perf trajectory of the
 extraction pipeline.  Each run writes one run-registry record
 (``command`` ``bench:study``) at the repo root: the stage breakdown
 (generate / mine / analyze / figures), the parse-cache hit rates and,
-riding along, a warm-cache re-study measurement (``warm_restudy``), so
-future PRs can compare against the committed history of
-``BENCH_study.json`` with ``repro bench-check``.
+riding along, a warm re-study that replays the same corpus from an
+on-disk artifact store (``warm_restudy``), so future PRs can compare
+against the committed history of ``BENCH_study.json`` with
+``repro bench-check``.
 
 Run via ``make bench`` — the Makefile refuses to reach this file (and
 therefore to overwrite ``BENCH_study.json``) unless the tier-1 suite
@@ -45,26 +46,26 @@ def test_study_stage_breakdown_and_bench_json(study, tmp_path_factory):
         study.fig7()
         study.fig8()
 
-    # warm-cache re-study through a disk store: a cold pass fills the
-    # cache (in every worker when parallel), a second pass over the same
-    # corpus hits it ~100% and the mine stage collapses.
-    from repro.analysis import run_study
+    # warm re-study through one on-disk artifact store: a cold pass
+    # fills it, a second pass over the same corpus replays every stage
+    # and recomputes nothing.
     from repro.corpus import generate_corpus
-    from repro.obs.context import RunContext
+    from repro.pipeline import Pipeline
+    from repro.pipeline.store import DirStore
 
-    cache_dir = tmp_path_factory.mktemp("parse-cache")
-    with RunContext(cache_dir=cache_dir).active():
-        corpus = generate_corpus()
-        jobs = _study_jobs()
-        cold_start = time.perf_counter()
-        cold = run_study(corpus, jobs=jobs)
-        cold_seconds = time.perf_counter() - cold_start
-        warm_start = time.perf_counter()
-        warm = run_study(corpus, jobs=jobs)
-        warm_seconds = time.perf_counter() - warm_start
+    store = DirStore(tmp_path_factory.mktemp("store"))
+    corpus = generate_corpus()
+    jobs = _study_jobs()
+    cold_start = time.perf_counter()
+    cold = Pipeline(corpus=corpus, jobs=jobs, store=store).study()
+    cold_seconds = time.perf_counter() - cold_start
+    warm_start = time.perf_counter()
+    warm = Pipeline(corpus=corpus, jobs=jobs, store=store).study()
+    warm_seconds = time.perf_counter() - warm_start
     assert cold.projects == study.projects
     assert warm.projects == study.projects
-    assert warm.timings.cache.hit_rate > 0.95
+    warm_store = warm.timings.as_dict()["artifact_store"]
+    assert warm_store["recomputes"] == 0
 
     from repro.obs.registry import build_run_record
 
@@ -79,7 +80,7 @@ def test_study_stage_breakdown_and_bench_json(study, tmp_path_factory):
         "cold_seconds": round(cold_seconds, 6),
         "seconds": round(warm_seconds, 6),
         "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
-        "parse_cache": warm.timings.cache.as_dict(),
+        "artifact_store": warm_store,
     }
     BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\n{study.timings.render()}\n[written to {BENCH_PATH}]")
@@ -101,5 +102,5 @@ def test_bench_json_is_valid_and_complete(study):
         assert stage in record["stages"], f"missing stage {stage}"
     assert 0.0 <= record["parse_cache"]["hit_rate"] <= 1.0
     assert record["projects"] == len(study)
-    assert record["warm_restudy"]["parse_cache"]["hit_rate"] > 0.95
+    assert record["warm_restudy"]["speedup"] > 1.0
     assert not compare_records(record, record).failed

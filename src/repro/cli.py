@@ -5,8 +5,7 @@ Subcommands::
     repro-study generate --out DIR [--seed N] [--jobs N]   # build + save
     repro-study study [--seed N | --corpus DIR]   # run the full study
                [--figure all|4|5|6|7|8|stats] [--csv PATH]
-               [--jobs N] [--cache-dir DIR] [--store-dir DIR]
-               [--profile] [--scale N]
+               [--jobs N] [--store-dir DIR] [--profile] [--scale N]
                [--trace FILE] [--log-json FILE] [--manifest FILE]
                [--progress]
     repro-study report --out report.md            # Markdown study report
@@ -31,7 +30,7 @@ The observability flags (available on ``generate``, ``study`` and
 ``report``) never change results: ``--trace`` writes the hierarchical
 span tree of the run, ``--log-json`` streams structured JSONL events
 (span closes, warnings, progress heartbeats, a closing run marker),
-``--manifest`` records the run's seed, jobs, cache config, versions,
+``--manifest`` records the run's seed, jobs, store config, versions,
 host environment, stage timings, metric snapshot and warnings, and
 ``--progress`` prints a live done/total + ETA line to stderr.
 
@@ -118,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_perf_flags(command) -> None:
+    def add_jobs_flag(command) -> None:
         command.add_argument(
             "--jobs",
             type=int,
@@ -126,19 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="worker processes for the project fan-out (default: 1)",
         )
-        command.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="on-disk parse cache shared across runs and workers",
-        )
+
+    def add_store_flag(command) -> None:
         command.add_argument(
             "--store-dir",
             default=None,
             metavar="DIR",
             help="on-disk artifact store: clean pipeline stages replay "
-            "from DIR instead of recomputing (implies a parse cache "
-            "under DIR unless --cache-dir is given)",
+            "from DIR instead of recomputing",
         )
 
     def add_obs_flags(command) -> None:
@@ -205,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--out", required=True, help="output directory")
     generate.add_argument("--seed", type=int, default=None)
-    add_perf_flags(generate)
+    add_jobs_flag(generate)
     add_obs_flags(generate)
     add_scale_flag(generate)
     add_dialect_flag(generate)
@@ -254,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "run (exit 3) if the cap is crossed, and spills aggregate "
         "partials to disk; results stay byte-identical",
     )
-    add_perf_flags(study)
+    add_jobs_flag(study)
+    add_store_flag(study)
     add_obs_flags(study)
     add_scale_flag(study)
     add_dialect_flag(study)
@@ -273,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--corpus", default=None, help="load a saved corpus instead"
     )
-    add_perf_flags(report)
+    add_jobs_flag(report)
+    add_store_flag(report)
     add_obs_flags(report)
     add_scale_flag(report)
     add_dialect_flag(report)
@@ -378,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=["markdown", "html"],
             help="report format the report stage is keyed on",
         )
-        add_perf_flags(pipe_cmd)
+        add_store_flag(pipe_cmd)
         add_scale_flag(pipe_cmd)
         add_dialect_flag(pipe_cmd)
 
@@ -665,26 +661,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_context(args):
     """The one :class:`~repro.obs.context.RunContext` a command runs in.
 
-    ``--store-dir`` implies a parse cache under it unless
-    ``--cache-dir`` is given — one flag, both layers, so a warm run is
-    warm all the way down.  Directories no flag names come from
-    ``REPRO_CACHE_DIR`` / ``REPRO_STORE_DIR``; both layers are built on
-    first use, so a command that runs no pipeline creates neither.
+    Without ``--store-dir`` the store directory comes from
+    ``REPRO_STORE_DIR``; the store is built on first use, so a command
+    that runs no pipeline creates no directory.
     """
     from .obs.context import RunContext
 
-    cache_dir = getattr(args, "cache_dir", None)
-    store_dir = getattr(args, "store_dir", None)
-    if store_dir and not cache_dir:
-        cache_dir = str(Path(store_dir) / "parse-cache")
     return RunContext.from_env(
         command=args.command,
         trace_path=getattr(args, "trace", None),
         log_path=getattr(args, "log_json", None),
         manifest_path=getattr(args, "manifest", None),
         progress=bool(getattr(args, "progress", False)),
-        cache_dir=cache_dir,
-        store_dir=store_dir,
+        store_dir=getattr(args, "store_dir", None),
     )
 
 

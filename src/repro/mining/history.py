@@ -74,11 +74,11 @@ class SchemaHistory:
     ) -> "SchemaHistory":
         """Parse and diff a chronological sequence of DDL file versions.
 
-        The parse cache's in-memory layers live for this one history:
+        The parse cache lives for this one history:
         versions, fragments and elements are reused across its versions
         and dropped on the way out, so mining memory tracks the largest
-        history rather than the corpus.  Only the opt-in disk layer
-        carries parses from one history to the next.
+        history rather than the corpus.  No parse carries from one
+        history to the next; reuse across runs is the artifact store's.
         """
         if not file_versions:
             raise ValueError("a schema history needs at least one version")
@@ -95,9 +95,7 @@ class SchemaHistory:
         metrics.inc("versions.parsed", len(file_versions))
         versions: list[SchemaVersion] = []
         for fv in file_versions:
-            # content-addressed: the same DDL text again (within this
-            # history or, with a disk store, from any earlier run) skips
-            # the parser
+            # the same DDL text again within this history skips the parser
             result = cached_parse_schema(fv.content, dialect=dialect)
             if result.issues:
                 metrics.inc("parse.issues", len(result.issues))

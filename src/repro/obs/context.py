@@ -18,7 +18,8 @@ context with no sinks from ``worker_init``, and whether it traces
 rides on each task it is sent, so one warm pool serves traced and
 untraced runs alike.
 
-The parse cache and the artifact store are built on first use, so a
+The parse cache is memory-only.  The artifact store, the one layer that
+can outlive the run (``store_dir``), is built on first use, so a
 command that never runs a pipeline creates no directory.
 """
 
@@ -49,9 +50,8 @@ class RunContext:
     ...``), then call :meth:`finalize` to write the trace file and
     manifest, publish the closing run marker and close the event log.
 
-    ``cache_dir`` and ``store_dir`` are taken as given — ``None`` means
-    memory only; :meth:`from_env` fills them from ``REPRO_CACHE_DIR``
-    and ``REPRO_STORE_DIR`` instead.
+    ``store_dir`` is taken as given — ``None`` means a memory store;
+    :meth:`from_env` fills it from ``REPRO_STORE_DIR`` instead.
     """
 
     def __init__(
@@ -62,14 +62,12 @@ class RunContext:
         log_path: str | Path | None = None,
         manifest_path: str | Path | None = None,
         progress: bool = False,
-        cache_dir: str | Path | None = None,
         store_dir: str | Path | None = None,
     ):
         self.command = command
         self.trace_path = Path(trace_path) if trace_path else None
         self.log_path = Path(log_path) if log_path else None
         self.manifest_path = Path(manifest_path) if manifest_path else None
-        self.cache_dir = cache_dir
         self.store_dir = store_dir
         self.bus = TelemetryBus()
         self.metrics = MetricsRegistry()
@@ -102,32 +100,30 @@ class RunContext:
             self.bus.add_sink(self._emit_envelope, kinds=EVENT_LOG_KINDS)
 
     @classmethod
-    def from_env(cls, *, cache_dir=None, store_dir=None, **options):
-        """A context whose unset directories come from the environment."""
-        from ..perf.cache import CACHE_DIR_ENV
+    def from_env(cls, *, store_dir=None, **options):
+        """A context whose unset store directory comes from the environment."""
         from ..pipeline.store import STORE_DIR_ENV
 
         return cls(
-            cache_dir=cache_dir or os.environ.get(CACHE_DIR_ENV) or None,
             store_dir=store_dir or os.environ.get(STORE_DIR_ENV) or None,
             **options,
         )
 
     # -- the lazily built layers ---------------------------------------
-    # built inside the context, so a degraded directory's warning lands
-    # in this run's recorder (and manifest) whoever asks first
-
     @cached_property
     def cache(self):
-        """The run's parse cache (on disk under ``cache_dir`` if set)."""
+        """The run's parse cache (memory only, one history at a time)."""
         from ..perf.cache import ParseCache
 
-        with self.active():
-            return ParseCache(cache_dir=self.cache_dir)
+        return ParseCache()
 
     @cached_property
     def store(self):
-        """The run's artifact store (a ``DirStore`` under ``store_dir``)."""
+        """The run's artifact store (a ``DirStore`` under ``store_dir``).
+
+        Built inside the context, so a degraded directory's warning
+        lands in this run's recorder (and manifest) whoever asks first.
+        """
         from ..pipeline.store import DirStore, MemoryStore
 
         with self.active():

@@ -15,7 +15,7 @@ Four event kinds exist:
 ``warning``
     emitted by :func:`warn` for anomalies that would otherwise be silent
     skips — an unparseable DDL version, an empty (zero-activity)
-    history, a ``find_ddl_path`` tie-break, a parse-cache directory
+    history, a ``find_ddl_path`` tie-break, a store directory
     degrading to memory-only;
 ``progress``
     periodic heartbeats from the executor fan-outs (see

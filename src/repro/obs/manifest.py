@@ -2,7 +2,7 @@
 
 Written next to the study outputs (``--manifest FILE``), the manifest is
 the auditable record replication work needs: the seed and corpus size,
-the parallelism and cache configuration, toolchain versions, per-stage
+the parallelism and artifact store, toolchain versions, per-stage
 wall-clock timings, the final metrics snapshot and every warning the run
 raised (aggregated by code).  It always round-trips through
 ``json.loads`` — enforced on a real traced run by
@@ -64,16 +64,15 @@ def build_manifest(
     the only manifest block that differs between a served and an
     unserved run.  ``context`` is the run's
     :class:`~repro.obs.context.RunContext` (default: the current one),
-    whose parse cache, artifact store and metrics the manifest reports.
-    The ``env`` entries echo the environment as the user set it.
+    whose artifact store and metrics the manifest reports.  The run's
+    parse counts are in ``timings.parse_cache``.  The store's ``env``
+    entry echoes the environment as the user set it.
     """
     from .. import __version__
-    from ..perf.cache import CACHE_DIR_ENV
     from ..pipeline.store import STORE_DIR_ENV
     from .context import current
 
     context = context if context is not None else current()
-    cache = context.cache
     store = context.store
     manifest: dict = {
         "format": MANIFEST_FORMAT,
@@ -88,11 +87,6 @@ def build_manifest(
             "platform": platform.platform(),
         },
         "environment": runtime_environment(),
-        "cache": {
-            "dir": str(cache.cache_dir) if cache.cache_dir else None,
-            "env": os.environ.get(CACHE_DIR_ENV),
-            "stats": cache.stats.as_dict(),
-        },
         "store": {
             "kind": store.kind,
             "dir": str(getattr(store, "root", None) or "") or None,

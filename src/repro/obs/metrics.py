@@ -136,7 +136,6 @@ class MetricsSnapshot:
         for name, value in (
             ("parse_cache.hits", stats.hits),
             ("parse_cache.misses", stats.misses),
-            ("parse_cache.disk_hits", stats.disk_hits),
             ("parse_cache.statement_hits", stats.statement_hits),
             ("parse_cache.statement_misses", stats.statement_misses),
             ("parse_cache.fallback_parses", stats.fallback_parses),

@@ -59,6 +59,10 @@ DEFAULT_HOST = "127.0.0.1"
 #: Seconds between ``: keepalive`` comments on an idle SSE stream.
 SSE_KEEPALIVE_SECONDS = 5.0
 
+#: Seconds between the accept loop's shutdown checks — the longest
+#: :meth:`ObservabilityServer.stop` waits for the loop to notice.
+SERVE_POLL_SECONDS = 0.05
+
 #: Live servers in this process, for post-fork socket hygiene.
 _active_servers: "weakref.WeakSet[ObservabilityServer]" = weakref.WeakSet()
 
@@ -301,6 +305,7 @@ class ObservabilityServer:
         self.started_at = time.time()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SERVE_POLL_SECONDS,),
             name="repro-obs-server",
             daemon=True,
         )

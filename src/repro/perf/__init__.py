@@ -5,9 +5,8 @@ embarrassingly parallel across projects and dominated by DDL parsing;
 this package supplies the three pieces of engineering that make the
 study scale:
 
-* :mod:`repro.perf.cache` — a content-addressed memo of ``parse_schema``
-  keyed on (sha256 of the DDL text, dialect), with an optional on-disk
-  store shared across processes and runs;
+* :mod:`repro.perf.cache` — a memo of ``parse_schema`` keyed on
+  (dialect, DDL text) that lives for one schema history;
 * :mod:`repro.perf.timing` — the per-stage wall-clock breakdown carried
   by :class:`~repro.analysis.study.StudyResult`;
 * :mod:`repro.perf.parallel` — picklable worker functions and the

@@ -1,22 +1,19 @@
-"""Content-addressed memoisation of DDL parsing.
+"""Memoisation of DDL parsing within one schema history.
 
-Mining re-parses every version of every project's schema file; across a
-study run that is thousands of ``parse_schema`` calls, and across
-repeated CLI / benchmark runs the very same scripts are re-lexed from
-scratch.  A :class:`ParseCache` keys parse results on the SHA-256 of the
-script text plus the dialect hint, so identical inputs are parsed once:
+Mining parses every version of every project's schema file, and
+consecutive versions are mostly the same statements.  A
+:class:`ParseCache` keys whole-version parse results on the dialect
+hint plus the script text, and its miss path re-parses only the
+statements and body elements that history has not seen yet.
 
-* the in-memory layers (whole versions, statement fragments, body
-  elements) are process-local and always on, and live for one schema
-  history: :meth:`SchemaHistory.from_file_versions
-  <repro.mining.history.SchemaHistory.from_file_versions>` clears them
-  when it returns, so a process's parse memory is bounded by its
-  largest history, not by how many it has mined;
-* the optional on-disk layer (``cache_dir`` / ``REPRO_CACHE_DIR``)
-  persists pickled :class:`~repro.sqlparser.ParseResult` objects across
-  histories, processes and runs — the only reuse across histories.
-  Writes are atomic (temp file + ``os.replace``), so concurrent workers
-  sharing a directory never observe torn entries.
+The layers (whole versions, statement fragments, body elements) are
+process-local and live for one schema history:
+:meth:`SchemaHistory.from_file_versions
+<repro.mining.history.SchemaHistory.from_file_versions>` clears them
+when it returns, so a process's parse memory is bounded by its
+largest history, not by how many it has mined.  Nothing here outlives
+a history; reuse across runs goes through the artifact store, whose
+``mine`` shard keys carry the stage's code version.
 
 Cached results are shared objects: callers must treat the returned
 schema as immutable (the mining pipeline only ever reads parsed
@@ -25,12 +22,10 @@ schemas).  Hit/miss counters feed the study's timing instrumentation.
 
 from __future__ import annotations
 
-import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..obs.context import current
-from ..pipeline.store import atomic_write_pickle, read_pickle
 from ..sqlparser import ParseResult, parse_schema
 from ..sqlparser.parser import set_element_cache
 from .fragments import (
@@ -40,10 +35,6 @@ from .fragments import (
     parse_schema_fragmented,
 )
 
-#: Environment variable naming the on-disk layer of a run's cache
-#: when ``--cache-dir`` is not given.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -51,7 +42,7 @@ class CacheStats:
 
     Three granularities are tracked:
 
-    * whole-version lookups (``hits`` / ``misses`` / ``disk_hits``) —
+    * whole-version lookups (``hits`` / ``misses``) —
       near-zero hit rate on a cold run by construction, since every
       version of every file is new text;
     * statement-fragment lookups inside each whole-version miss
@@ -74,7 +65,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
     statement_hits: int = 0
     statement_misses: int = 0
     fallback_parses: int = 0
@@ -87,7 +77,7 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups answered from memory or disk (0 if none)."""
+        """Fraction of whole-version lookups answered (0 if none)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
     @property
@@ -104,7 +94,6 @@ class CacheStats:
         return CacheStats(
             hits=self.hits - other.hits,
             misses=self.misses - other.misses,
-            disk_hits=self.disk_hits - other.disk_hits,
             statement_hits=self.statement_hits - other.statement_hits,
             statement_misses=self.statement_misses - other.statement_misses,
             fallback_parses=self.fallback_parses - other.fallback_parses,
@@ -116,7 +105,6 @@ class CacheStats:
         return CacheStats(
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
-            disk_hits=self.disk_hits + other.disk_hits,
             statement_hits=self.statement_hits + other.statement_hits,
             statement_misses=self.statement_misses + other.statement_misses,
             fallback_parses=self.fallback_parses + other.fallback_parses,
@@ -128,7 +116,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
             "hit_rate": round(self.hit_rate, 4),
             "statements": {
                 "hits": self.statement_hits,
@@ -143,12 +130,12 @@ class CacheStats:
     @classmethod
     def from_dict(cls, data: dict) -> "CacheStats":
         """Rebuild from :meth:`as_dict` output (older records lack the
-        ``statements`` block; their statement counters read as zero)."""
+        ``statements`` block; their statement counters read as zero,
+        and counters of retired cache layers are ignored)."""
         statements = data.get("statements") or {}
         return cls(
             hits=int(data.get("hits", 0)),
             misses=int(data.get("misses", 0)),
-            disk_hits=int(data.get("disk_hits", 0)),
             statement_hits=int(statements.get("hits", 0)),
             statement_misses=int(statements.get("misses", 0)),
             fallback_parses=int(statements.get("fallback_parses", 0)),
@@ -157,71 +144,35 @@ class CacheStats:
         )
 
 
-def content_key(text: str, dialect: str | None) -> str:
-    """The cache key: sha256 over the dialect hint and the script text."""
-    hasher = hashlib.sha256()
-    hasher.update((dialect or "").encode())
-    hasher.update(b"\x00")
-    hasher.update(text.encode("utf-8", errors="surrogateescape"))
-    return hasher.hexdigest()
-
-
 class ParseCache:
-    """Memoises ``parse_schema`` on (content hash, dialect).
+    """Memoises ``parse_schema`` on (dialect, script text)."""
 
-    Args:
-        cache_dir: when given, parse results are also pickled under this
-            directory so later processes and runs start warm.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None):
-        self._memory: dict[str, ParseResult] = {}
+    def __init__(self):
+        # whole versions: dialect hint -> script text -> result; nested
+        # because a (dialect, text) tuple allocated per lookup raised the
+        # serial study's peak RSS by about 1 MiB
+        self._memory: defaultdict[str | None, dict[str, ParseResult]] = (
+            defaultdict(dict)
+        )
         # statement-fragment layer: exact segment text -> compiled
-        # fragment.  Memory-only: the shared Table objects inside would
-        # lose their cross-version identity if round-tripped to disk.
+        # fragment, whose Table objects keep their identity across the
+        # history's versions
         self._fragments: dict[str, StatementFragment] = {}
         self._elements = ElementCache()
         self._hits = 0
         self._misses = 0
-        self._disk_hits = 0
         self._stmt_hits = 0
         self._stmt_misses = 0
         self._fallbacks = 0
-        self._degrade_warned = False
-        self.cache_dir: Path | None = None
-        if cache_dir is not None:
-            try:
-                Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                # an unusable cache dir (e.g. the path is an existing
-                # file, or a read-only parent) degrades to memory-only
-                self._warn_degraded(cache_dir, exc)
-            else:
-                self.cache_dir = Path(cache_dir)
-
-    def _warn_degraded(self, cache_dir, exc: OSError) -> None:
-        """Emit the cache-degrade warning event (once per cache)."""
-        if self._degrade_warned:
-            return
-        self._degrade_warned = True
-        from ..obs.events import warn
-
-        warn(
-            "cache-dir-degraded",
-            f"parse cache dir {str(cache_dir)!r} unusable "
-            f"({exc.__class__.__name__}: {exc}); running memory-only",
-            cache_dir=str(cache_dir),
-        )
 
     def __len__(self) -> int:
-        return len(self._memory)
+        return sum(map(len, self._memory.values()))
 
     @property
     def stats(self) -> CacheStats:
         return CacheStats(
             hits=self._hits,
             misses=self._misses,
-            disk_hits=self._disk_hits,
             statement_hits=self._stmt_hits,
             statement_misses=self._stmt_misses,
             fallback_parses=self._fallbacks,
@@ -230,7 +181,7 @@ class ParseCache:
         )
 
     def clear(self) -> None:
-        """Drop the in-memory layers (the disk store is left intact).
+        """Drop every layer (the end of a schema history).
 
         Counters are monotone and survive a clear (stats consumers
         subtract snapshots, so counters must never run backwards).
@@ -246,23 +197,16 @@ class ParseCache:
     def parse(self, text: str, *, dialect: str | None = None) -> ParseResult:
         """``parse_schema`` through the cache.
 
-        Whole-version hits come from memory or disk; misses go through
-        the incremental fragment engine, which re-lexes only statements
-        never seen before.  Inputs that cannot be segmented fall back
-        to the monolithic parser.
+        A version seen before in this history is a hit; a miss goes
+        through the incremental fragment engine, which re-lexes only
+        statements never seen before.  Inputs that cannot be segmented
+        fall back to the monolithic parser.
         """
-        key = content_key(text, dialect)
-        cached = self._memory.get(key)
+        versions = self._memory[dialect]
+        cached = versions.get(text)
         if cached is not None:
             self._hits += 1
             return cached
-        if self.cache_dir is not None:
-            from_disk = self._load(key)
-            if from_disk is not None:
-                self._hits += 1
-                self._disk_hits += 1
-                self._memory[key] = from_disk
-                return from_disk
         self._misses += 1
         previous = set_element_cache(self._elements)
         try:
@@ -274,9 +218,7 @@ class ParseCache:
                 result = parse_schema(text, dialect=dialect)
         finally:
             set_element_cache(previous)
-        self._memory[key] = result
-        if self.cache_dir is not None:
-            self._store(key, result)
+        versions[text] = result
         return result
 
     def _fragment_for(self, fragment_text: str) -> StatementFragment:
@@ -299,23 +241,6 @@ class ParseCache:
             self._stmt_hits += 1
             self._elements.hits += fragment.units
         return fragment
-
-    # ------------------------------------------------------------------
-    def _path_for(self, key: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.pkl"
-
-    def _load(self, key: str) -> ParseResult | None:
-        result = read_pickle(self._path_for(key))
-        return result if isinstance(result, ParseResult) else None
-
-    def _store(self, key: str, result: ParseResult) -> None:
-        path = self._path_for(key)
-        try:
-            atomic_write_pickle(path, result)
-        except OSError as exc:
-            # a read-only or full cache dir degrades to memory-only
-            self._warn_degraded(path.parent, exc)
 
 
 def cached_parse_schema(

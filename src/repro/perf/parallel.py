@@ -7,8 +7,7 @@ own stage timings, parse-cache deltas, metrics deltas, warning window
 and (when tracing is enabled) the serialised span tree of its work, so
 the driver can aggregate a corpus-wide breakdown and reattach every
 worker span under its own dispatching span.  A worker's parse cache
-holds one history at a time in memory (and shares the on-disk store
-when one is configured).
+holds one history at a time in memory.
 
 The same functions run in-process on the serial path, so serial and
 parallel runs flow through identical instrumentation and produce
@@ -46,7 +45,7 @@ _worker_cpu_baseline: tuple[float, float] | None = None
 _worker_gc: GcClock | None = None
 
 
-def worker_init(cache_dir: str | None = None) -> None:
+def worker_init() -> None:
     """Give a pool worker its own run context, with no sinks.
 
     A forked worker inherits the driver's current context, including
@@ -54,17 +53,16 @@ def worker_init(cache_dir: str | None = None) -> None:
     in place, every worker span and warning would be written twice —
     once from the worker and once when the driver replays it at
     attach time.  The worker records into a fresh context instead
-    (parse cache under ``cache_dir``, no bus consumers, tracing off
-    until a task asks for it): its spans, warnings and metrics travel
-    back inside the :class:`MinedHistory` and the driver alone emits
-    them.
+    (no bus consumers, tracing off until a task asks for it): its
+    spans, warnings and metrics travel back inside the
+    :class:`MinedHistory` and the driver alone emits them.
 
     Also marks the worker's CPU baseline and starts its GC clock, so
     shipped resource samples report the worker's *work*, not its
     import/fork overhead, and so the serial path (where this
     initializer never runs) ships no sample at all.
     """
-    activate(RunContext(cache_dir=cache_dir))
+    activate(RunContext())
     # a worker forked while --serve is up inherits the listening
     # socket fd; left open, the kernel keeps accepting on the port
     # after the driver shuts the server down (guarded import: a no-op

@@ -298,7 +298,7 @@ class StudyTimings:
         cache = self.cache
         lines.append(
             f"  parse cache: {cache.hits} hits / {cache.misses} misses "
-            f"({cache.hit_rate:.0%} hit rate, {cache.disk_hits} from disk)"
+            f"({cache.hit_rate:.0%} hit rate)"
         )
         if cache.statement_lookups:
             # the incremental engine's own block: whole-version misses

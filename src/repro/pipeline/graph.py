@@ -43,6 +43,7 @@ import gc
 import tempfile
 import time
 from dataclasses import replace
+from functools import cached_property
 from typing import Iterable
 
 from ..analysis.study import StudyResult
@@ -104,7 +105,9 @@ class Pipeline:
     ``context`` is the :class:`~repro.obs.context.RunContext` the run
     records into — its tracer, warnings, metrics, bus and progress —
     and whose parse cache and artifact store it uses unless ``store``
-    is given.  It defaults to the current context.
+    is given.  It defaults to the current context.  The context's
+    store is built on first use, so a pipeline that resolves no stage
+    (the ``generate`` command's) creates no store directory.
     """
 
     def __init__(
@@ -149,7 +152,8 @@ class Pipeline:
         self.window = window
         self.jobs = max(1, jobs)
         self.report_format = report_format
-        self.store = store if store is not None else self.context.store
+        if store is not None:
+            self.store = store
         self.code_versions = {**CODE_VERSIONS, **(code_versions or {})}
         self.project_overrides = dict(project_overrides or {})
         self.timings = StudyTimings(jobs=self.jobs)
@@ -171,6 +175,11 @@ class Pipeline:
         self._resolved: dict[str, Artifact] = {}
         self._map_delta = MetricsSnapshot()
         self._study = None
+
+    @cached_property
+    def store(self) -> ArtifactStore:
+        """The artifact store: the context's, unless one was given."""
+        return self.context.store
 
     # -- planning ------------------------------------------------------
     def profiles(self):
@@ -515,10 +524,7 @@ class Pipeline:
 
         gc.freeze()
         try:
-            executor = (
-                warm_pool(self.jobs, self.context.cache.cache_dir)
-                if self.jobs > 1 else None
-            )
+            executor = warm_pool(self.jobs) if self.jobs > 1 else None
             with self.context.tracer.span("map", shards=total):
                 for shard, value in window_map(
                     map_shard,

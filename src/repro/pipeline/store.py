@@ -20,11 +20,11 @@ Two implementations share the interface:
   fails the digest (or the unpickle) and is treated as a miss with a
   ``store-corrupt`` warning — the pipeline recomputes, it never serves
   bad bytes.  An unusable root degrades to memory-only with a
-  ``store-dir-degraded`` warning, mirroring the parse cache.
+  ``store-dir-degraded`` warning.
 
-The atomic pickle-file helpers (:func:`atomic_write_pickle`,
-:func:`read_pickle`) are shared with :class:`repro.perf.cache.ParseCache`
-— the parse cache is just another client of the same storage idiom.
+The store is the one cache that outlives a schema history: every
+artifact key carries its stage's code version, so a version bump
+recomputes instead of replaying stale work.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ ARTIFACT_FORMAT = "repro-artifact-v1"
 
 
 # ----------------------------------------------------------------------
-# shared atomic pickle-file I/O (also used by the parse cache)
+# atomic pickle-file I/O
 
 def atomic_write_pickle(path: Path, obj: object) -> None:
     """Pickle ``obj`` to ``path`` atomically (temp file + replace).

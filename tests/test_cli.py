@@ -282,13 +282,12 @@ def test_bad_input_file_prints_one_line_naming_it(
 
 
 class TestRunContextDirectories:
-    """Where a command's store and parse cache land on disk."""
+    """Where a command's artifact store lands on disk."""
 
     def test_commands_without_a_pipeline_create_no_directory(
         self, ddl_files, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({"format": "repro-trace-v1", "spans": []}))
         record = Path(__file__).resolve().parents[1] / "BENCH_study.json"
@@ -298,11 +297,28 @@ class TestRunContextDirectories:
             ["trace-view", str(trace)],
             ["obs", "export", "chrome", str(trace)],
             ["bench-check", str(record), str(record)],
+            # generate samples and saves a corpus; it resolves no stage
+            ["generate", "--out", str(tmp_path / "corpus"), "--scale", "64"],
         ):
             assert main(argv) == 0, argv
         capsys.readouterr()
         assert not (tmp_path / "store").exists()
-        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "corpus", "--store-dir", "store"],
+            ["pipeline", "status", "--jobs", "2"],
+            ["pipeline", "explain", "mine", "--jobs", "2"],
+            ["pipeline", "invalidate", "--jobs", "2"],
+            ["study", "--cache-dir", "cache"],
+        ],
+    )
+    def test_flags_no_command_reads_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_degraded_directories_warn_into_the_manifest(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -316,4 +332,4 @@ class TestRunContextDirectories:
             entry["code"]
             for entry in json.loads(manifest.read_text())["warnings"]
         }
-        assert {"store-dir-degraded", "cache-dir-degraded"} <= codes
+        assert "store-dir-degraded" in codes

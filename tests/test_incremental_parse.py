@@ -19,7 +19,7 @@ import pytest
 from repro.diff import diff_schemas
 from repro.diff.engine import diff_schemas_reference
 from repro.mining.history import SchemaHistory, parse_history_reference
-from repro.obs.context import RunContext, current
+from repro.obs.context import current
 from repro.perf.cache import ParseCache
 from repro.sqlparser import parse_schema
 from repro.sqlparser.segment import segment_statements
@@ -194,19 +194,6 @@ class TestCacheLifetime:
         with pytest.raises(RuntimeError, match="diff failed"):
             SchemaHistory.from_file_versions(_random_history(5, length=12))
         assert cache.stats.misses > 0
-        _assert_cache_empty(cache)
-
-    def test_disk_layer_carries_parses_across_histories(self, tmp_path):
-        versions = _random_history(7, length=10)
-        with RunContext(cache_dir=tmp_path).active() as context:
-            cache = context.cache
-            SchemaHistory.from_file_versions(versions)
-            before = cache.stats
-            again = SchemaHistory.from_file_versions(versions)
-        delta = cache.stats - before
-        assert delta.disk_hits == delta.hits == len(versions)
-        assert delta.misses == 0
-        _assert_histories_equal(again, parse_history_reference(versions))
         _assert_cache_empty(cache)
 
 

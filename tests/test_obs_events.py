@@ -65,7 +65,7 @@ class TestEventRecorder:
         assert json.loads(json.dumps(window)) == window
 
     def test_module_level_warn_uses_the_active_recorder(self):
-        record = warn("cache-dir-degraded", "dir unusable", cache_dir="/x")
+        record = warn("store-dir-degraded", "dir unusable", store_dir="/x")
         assert current().recorder.warnings == [record]
 
 

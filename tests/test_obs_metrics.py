@@ -131,10 +131,10 @@ class TestSnapshotAlgebra:
 
     def test_fold_cache_adds_parse_cache_counters(self):
         snap = MetricsSnapshot(counters={"parse_cache.hits": 1})
-        snap.fold_cache(CacheStats(hits=4, misses=2, disk_hits=1))
+        snap.fold_cache(CacheStats(hits=4, misses=2, statement_hits=1))
         assert snap.counters["parse_cache.hits"] == 5
         assert snap.counters["parse_cache.misses"] == 2
-        assert snap.counters["parse_cache.disk_hits"] == 1
+        assert snap.counters["parse_cache.statement_hits"] == 1
 
     def test_as_dict_is_json_ready_and_sorted(self):
         snap = MetricsSnapshot(counters={"b": 2, "a": 1}, gauges={"g": 0.5})

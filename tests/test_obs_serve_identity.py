@@ -90,9 +90,8 @@ def _normalized_manifest(path):
     manifest = json.loads(path.read_text())
     for field in ("created_at", "timings", "outputs", "server"):
         manifest.pop(field, None)
-    for block in ("cache", "store"):
-        manifest[block].pop("dir", None)
-        manifest[block].pop("env", None)
+    manifest["store"].pop("dir", None)
+    manifest["store"].pop("env", None)
     metrics = manifest.get("metrics") or {}
     metrics.pop("histograms", None)  # carry observed seconds
     metrics.pop("gauges", None)

@@ -122,7 +122,11 @@ class TestEvents:
         assert tail == full[3:]
 
     def test_replay_is_bounded_by_the_ring(self, monkeypatch):
+        import repro.obs.server as server_mod
+
         monkeypatch.setenv(BUS_CAPACITY_ENV, "4")
+        # the bounded read ends at the first quiet keepalive window
+        monkeypatch.setattr(server_mod, "SSE_KEEPALIVE_SECONDS", 0.05)
         srv = ObservabilityServer(port=0, context=RunContext()).start()
         bus = srv.context.bus
         try:

@@ -1,16 +1,15 @@
 """Warning events replace the pipeline's formerly-silent skips.
 
-Each anomaly that used to disappear — a ``find_ddl_path`` tie-break, a
-parse-cache directory degrading to memory-only, an unparseable DDL
-version, an empty history — must now leave a typed warning record on
-the current run's recorder, where the run manifest picks it up.
+Each anomaly that used to disappear — a ``find_ddl_path`` tie-break, an
+unparseable DDL version, an empty history — must now leave a typed
+warning record on the current run's recorder, where the run manifest
+picks it up.
 """
 
 from repro.analysis import run_study
 from repro.mining.history import SchemaHistory
 from repro.mining.miner import find_ddl_path
 from repro.obs.context import current
-from repro.perf.cache import ParseCache
 from repro.vcs import Commit, FileChange, FileVersion, Repository, synthetic_sha, utc
 
 
@@ -42,27 +41,6 @@ class TestDdlTieBreak:
     def test_unique_winner_stays_silent(self):
         repo = self._repo_with_touches("a.sql", "b.sql", "b.sql")
         assert find_ddl_path(repo) == "b.sql"
-        assert _codes() == []
-
-
-class TestCacheDirDegraded:
-    def test_unusable_dir_warns_and_runs_memory_only(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("a file where the cache dir should go")
-        cache = ParseCache(cache_dir=blocker)
-        assert cache.cache_dir is None
-        assert _codes() == ["cache-dir-degraded"]
-        assert current().recorder.warnings[0]["context"]["cache_dir"] == (
-            str(blocker)
-        )
-        # degraded but functional: parsing memoises in memory
-        cache.parse("CREATE TABLE t (id INT);")
-        cache.parse("CREATE TABLE t (id INT);")
-        assert cache.stats.hits == 1
-
-    def test_usable_dir_stays_silent(self, tmp_path):
-        cache = ParseCache(cache_dir=tmp_path / "cache")
-        assert cache.cache_dir is not None
         assert _codes() == []
 
 

@@ -106,13 +106,13 @@ class TestTimings:
         worker = StudyTimings(jobs=1)
         worker.record("mine", 0.5)
         worker.record("figures", 0.25)
-        worker.merge_cache(CacheStats(hits=1, misses=3, disk_hits=1))
+        worker.merge_cache(CacheStats(hits=1, misses=3, statement_hits=1))
         merged = driver.merge(worker)
         assert merged is driver  # chains
         assert driver.stages["mine"] == pytest.approx(1.5)
         assert driver.stages["figures"] == pytest.approx(0.25)
         assert driver.jobs == 4
-        assert driver.cache == CacheStats(hits=3, misses=4, disk_hits=1)
+        assert driver.cache == CacheStats(hits=3, misses=4, statement_hits=1)
 
 
 class TestParallelObservability:

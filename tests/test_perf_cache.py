@@ -1,32 +1,35 @@
-"""Unit tests for the content-addressed parse cache (repro.perf.cache)."""
+"""Unit tests for the parse cache (repro.perf.cache)."""
 
 import os
-import pickle
 
 from repro.obs.context import RunContext, current
-from repro.perf.cache import (
-    CACHE_DIR_ENV,
-    CacheStats,
-    ParseCache,
-    cached_parse_schema,
-    content_key,
-)
-from repro.sqlparser import ParseResult, parse_schema
+from repro.perf.cache import CacheStats, ParseCache, cached_parse_schema
+from repro.sqlparser import parse_schema
 
 DDL = "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(40));"
 DDL2 = "CREATE TABLE posts (pid INT);"
 
 
 class TestContentKey:
+    """Whole versions are keyed on (dialect, script text), by value."""
+
     def test_distinct_texts_distinct_keys(self):
-        assert content_key(DDL, None) != content_key(DDL2, None)
+        cache = ParseCache()
+        assert cache.parse(DDL) is not cache.parse(DDL2)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
 
     def test_dialect_is_part_of_the_key(self):
-        assert content_key(DDL, None) != content_key(DDL, "mysql")
-        assert content_key(DDL, "mysql") != content_key(DDL, "postgres")
+        cache = ParseCache()
+        cache.parse(DDL, dialect="mysql")
+        cache.parse(DDL, dialect="postgres")
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
 
     def test_key_is_stable(self):
-        assert content_key(DDL, "mysql") == content_key(DDL, "mysql")
+        cache = ParseCache()
+        first = cache.parse(DDL, dialect="mysql")
+        rebuilt = "".join(list(DDL))  # an equal text, another object
+        assert rebuilt is not DDL
+        assert cache.parse(rebuilt, dialect="mysql") is first
 
 
 class TestMemoryCache:
@@ -81,58 +84,12 @@ class TestMemoryCache:
         )
 
 
-class TestDiskCache:
-    def test_unusable_cache_dir_degrades_to_memory_only(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("occupied")
-        cache = ParseCache(cache_dir=blocker)
-        assert cache.cache_dir is None
-        result = cache.parse(DDL)
-        assert cache.parse(DDL) is result
-        assert cache.stats == CacheStats(
-            hits=1, misses=1, disk_hits=0, statement_misses=1, unit_misses=2
-        )
-
-    def test_roundtrip_across_instances(self, tmp_path):
-        writer = ParseCache(cache_dir=tmp_path)
-        written = writer.parse(DDL)
-        reader = ParseCache(cache_dir=tmp_path)
-        read = reader.parse(DDL)
-        assert reader.stats == CacheStats(hits=1, misses=0, disk_hits=1)
-        assert read.schema == written.schema
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        writer = ParseCache(cache_dir=tmp_path)
-        writer.parse(DDL)
-        (entry,) = tmp_path.glob("*.pkl")
-        entry.write_bytes(b"not a pickle")
-        reader = ParseCache(cache_dir=tmp_path)
-        result = reader.parse(DDL)
-        assert reader.stats == CacheStats(
-            hits=0, misses=1, statement_misses=1, unit_misses=2
-        )
-        assert len(result.schema) == 1
-
-    def test_wrong_object_on_disk_degrades_to_miss(self, tmp_path):
-        cache = ParseCache(cache_dir=tmp_path)
-        key = content_key(DDL, None)
-        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps({"not": "it"}))
-        result = cache.parse(DDL)
-        assert isinstance(result, ParseResult)
-        assert cache.stats.misses == 1
-
-    def test_creates_directory(self, tmp_path):
-        target = tmp_path / "deep" / "cache"
-        ParseCache(cache_dir=target)
-        assert target.is_dir()
-
-
 class TestStats:
     def test_arithmetic(self):
-        a = CacheStats(hits=3, misses=1, disk_hits=2)
-        b = CacheStats(hits=1, misses=1, disk_hits=1)
-        assert a - b == CacheStats(hits=2, misses=0, disk_hits=1)
-        assert a + b == CacheStats(hits=4, misses=2, disk_hits=3)
+        a = CacheStats(hits=3, misses=1, statement_hits=2)
+        b = CacheStats(hits=1, misses=1, statement_hits=1)
+        assert a - b == CacheStats(hits=2, misses=0, statement_hits=1)
+        assert a + b == CacheStats(hits=4, misses=2, statement_hits=3)
 
     def test_empty_hit_rate_is_zero(self):
         assert CacheStats().hit_rate == 0.0
@@ -144,17 +101,19 @@ class TestStats:
 
     def test_as_dict_from_dict_roundtrip(self):
         stats = CacheStats(
-            hits=3, misses=1, disk_hits=2, statement_hits=40,
+            hits=3, misses=1, statement_hits=40,
             statement_misses=4, fallback_parses=1, unit_hits=360,
             unit_misses=12,
         )
         assert CacheStats.from_dict(stats.as_dict()) == stats
 
     def test_from_dict_tolerates_old_records(self):
-        # pre-statement-cache payloads have no "statements" block
+        # pre-statement-cache payloads have no "statements" block, and
+        # records of the retired on-disk layer carry "disk_hits"
         old = {"hits": 5, "misses": 2, "disk_hits": 1, "hit_rate": 0.71}
         stats = CacheStats.from_dict(old)
-        assert stats.hits == 5
+        assert stats == CacheStats(hits=5, misses=2)
+        assert "disk_hits" not in stats.as_dict()
         assert stats.statement_lookups == 0
         assert stats.statement_reuse_rate == 0.0
 
@@ -170,17 +129,7 @@ class TestGlobalCache:
         assert delta.hits == 1
         assert delta.misses == 1
 
-    def test_cache_dir_comes_from_the_environment(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
-        assert RunContext.from_env().cache.cache_dir == tmp_path / "env"
-        flagged = RunContext.from_env(cache_dir=tmp_path / "flag")
-        assert flagged.cache.cache_dir == tmp_path / "flag"
-        # an explicit context never reads the environment
-        assert RunContext().cache.cache_dir is None
-
-    def test_the_environment_is_only_read(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        RunContext.from_env(cache_dir=tmp_path).cache
-        assert CACHE_DIR_ENV not in os.environ
+    def test_the_environment_is_only_read(self):
+        before = dict(os.environ)
+        RunContext.from_env().cache.parse(DDL)
+        assert dict(os.environ) == before

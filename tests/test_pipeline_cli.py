@@ -1,7 +1,10 @@
 """CLI surface of the sharded pipeline: --store-dir, status (with
 --shards), invalidate (stage or --project), drift warnings."""
 
+import json
+
 from repro.cli import main
+from repro.pipeline import stages
 from repro.pipeline.store import MemoryStore
 
 #: seed 77 at scale 32 plans 7 projects; the first is stable by
@@ -34,8 +37,29 @@ class TestStoreDirStudy:
         assert main(_study_args(store_dir)) == 0
         capsys.readouterr()
         assert list(store_dir.glob("objects/*/*.pkl"))
-        # one flag configures both layers: the parse cache lands inside
-        assert (store_dir / "parse-cache").is_dir()
+        # artifacts and the run registry; the parse cache keeps nothing
+        assert sorted(p.name for p in store_dir.iterdir()) == [
+            "objects", "runs",
+        ]
+
+    def test_mine_version_bump_reparses_every_version(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store_dir = tmp_path / "artifacts"
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        assert main([*_study_args(store_dir), "--manifest", str(first)]) == 0
+        monkeypatch.setitem(stages.CODE_VERSIONS, "mine", "bumped")
+        assert main([*_study_args(store_dir), "--manifest", str(second)]) == 0
+        capsys.readouterr()
+        manifest = json.loads(second.read_text())
+        assert manifest["timings"]["artifact_store"]["stages"]["mine"] == {
+            "hits": 0, "recomputes": N_PROJECTS,
+        }
+        # no parse outlives the first run: the re-mine parses every
+        # version its new code reads
+        parsed = manifest["metrics"]["counters"]["versions.parsed"]
+        assert parsed > 0
+        assert manifest["timings"]["parse_cache"]["misses"] == parsed
 
 
 class TestPipelineStatus:
