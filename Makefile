@@ -40,8 +40,11 @@ bench: test
 
 # mine-only microbenchmark (one cold serial mine over the canonical
 # corpus; writes BENCH_mine.json, a run-registry record); compare
-# against the committed pre-incremental-engine record with
-#   make bench-check BASELINE=BENCH_mine_baseline.json CANDIDATE=BENCH_mine.json STAGE=mine
+# against the committed pre-incremental-engine record as CI does:
+#   python -m repro bench-check BENCH_mine_baseline.json BENCH_mine.json --stage mine --report-only --allow-env-mismatch
+# (the baseline was recorded on another host, so without
+# --allow-env-mismatch the check refuses it as apples-to-oranges, and
+# --report-only keeps timing noise from failing the command)
 bench-mine: test
 	$(PYTHON) -m pytest benchmarks/test_perf_mine.py -q -p no:cacheprovider
 

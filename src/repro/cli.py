@@ -110,6 +110,28 @@ def _read_json_object(path, *, what: str = "file", code: int = 2) -> dict:
     return payload
 
 
+def _corpus_size(text: str) -> int:
+    """``--projects N``: an integer, at least one project per taxon.
+
+    Rejected here, as a usage error, rather than as a traceback from
+    :func:`repro.corpus.profiles.sized_profiles` once the run starts.
+    """
+    from .corpus.profiles import CANONICAL_PROFILES
+
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if count < len(CANONICAL_PROFILES):
+        raise argparse.ArgumentTypeError(
+            f"needs at least {len(CANONICAL_PROFILES)} (one project per "
+            f"taxon), got {count}"
+        )
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -172,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--projects",
-            type=int,
+            type=_corpus_size,
             default=None,
             metavar="N",
             help="absolute corpus size: re-size the canonical taxa mix "

@@ -131,6 +131,15 @@ class RunContext:
                 return DirStore(self.store_dir)
             return MemoryStore()
 
+    @property
+    def built_store(self):
+        """The run's artifact store if the run built it, else ``None``.
+
+        Reading :attr:`store` builds the store (a ``DirStore`` creates
+        its directory); code that only describes the run asks here.
+        """
+        return self.__dict__.get("store")
+
     # -- the current-context pointer -----------------------------------
     @contextmanager
     def active(self):

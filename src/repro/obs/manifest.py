@@ -64,16 +64,18 @@ def build_manifest(
     the only manifest block that differs between a served and an
     unserved run.  ``context`` is the run's
     :class:`~repro.obs.context.RunContext` (default: the current one),
-    whose artifact store and metrics the manifest reports.  The run's
-    parse counts are in ``timings.parse_cache``.  The store's ``env``
-    entry echoes the environment as the user set it.
+    whose metrics the manifest reports.  Its artifact store gets a
+    ``store`` block only if the run built one: a command that resolves
+    no stage, such as ``generate``, has none, and describing its run
+    creates no store directory.  The run's parse counts are in
+    ``timings.parse_cache``.  The store's ``env`` entry echoes the
+    environment as the user set it.
     """
     from .. import __version__
     from ..pipeline.store import STORE_DIR_ENV
     from .context import current
 
     context = context if context is not None else current()
-    store = context.store
     manifest: dict = {
         "format": MANIFEST_FORMAT,
         "command": command,
@@ -87,13 +89,15 @@ def build_manifest(
             "platform": platform.platform(),
         },
         "environment": runtime_environment(),
-        "store": {
+    }
+    store = context.built_store
+    if store is not None:
+        manifest["store"] = {
             "kind": store.kind,
             "dir": str(getattr(store, "root", None) or "") or None,
             "env": os.environ.get(STORE_DIR_ENV),
             "stats": store.stats.as_dict(),
-        },
-    }
+        }
     if dialect is not None:
         manifest["dialect"] = dialect
     if study is not None:
@@ -102,7 +106,7 @@ def build_manifest(
         manifest["timings"] = study.timings.as_dict()
         manifest["metrics"] = study.metrics.as_dict()
         artifact_store = manifest["timings"].get("artifact_store")
-        if artifact_store and "map" in artifact_store:
+        if store is not None and artifact_store and "map" in artifact_store:
             # surface the map/reduce split in the store block so an
             # auditor sees shard reuse without digging through timings
             manifest["store"]["shards"] = {

@@ -225,6 +225,12 @@ def _exact_sum(
     return p_total
 
 
+#: Samples the Monte Carlo sampler carries through one step at a time.
+#: Its temporaries are this long, however many samples it draws; only
+#: the per-sample state spans them all.
+_MC_CHUNK = 16_384
+
+
 def _monte_carlo_p(
     row_sums: list[int],
     col_sums: list[int],
@@ -234,18 +240,96 @@ def _monte_carlo_p(
     samples: int,
     seed: int,
 ) -> float:
-    """Monte Carlo Freeman–Halton p-value (vectorised with numpy).
+    """Monte Carlo Freeman–Halton p-value, streamed in chunks.
 
     Random tables with the observed margins are drawn by filling rows
     top to bottom; within a row, each cell is a hypergeometric draw from
     the remaining column capacities (the correct conditional
-    distribution given fixed margins).  All ``samples`` tables are drawn
-    simultaneously via numpy's element-wise hypergeometric sampler, so
-    the cost is ``(rows − 1) × (cols − 1)`` vectorised draws.  Every
-    cell's log-factorial is a lookup into ``log_fact``, the exact path's
+    distribution given fixed margins).
+
+    Each cell is drawn for all ``samples`` tables, ``_MC_CHUNK`` at a
+    time in sample order, before the next cell, so numpy's generator
+    consumes the stream :func:`_monte_carlo_p_reference` consumes with
+    one call per cell, and every table gets the same cells.  Between
+    cells a sample keeps its remaining column capacities and what its
+    row has left to place, in 1-D arrays of the smallest unsigned type
+    that holds the table total, and its running sum of cell
+    log-factorials, added in the reference's order: the p-value is the
+    reference's to the last bit, at about a fifth of its memory.  A
+    chunk in which every sample can draw, as in every row's first
+    cell, goes to the sampler as it is; only a chunk with an exhausted
+    row gathers the samples that still draw.  Every cell's
+    log-factorial is a lookup into ``log_fact``, the exact path's
     :func:`_log_factorials` table over ``0..total``, and ``log_margin``
     is the exact path's too, so both paths score a table from the same
     floats.
+    """
+    rng = default_rng(seed)
+    n_cols = len(col_sums)
+    log_fact = np.array(log_fact)
+    count_type = np.min_scalar_type(sum(col_sums))
+    remaining = [np.full(samples, s, dtype=count_type) for s in col_sums]
+    row_left = np.empty(samples, dtype=count_type)
+    cell_log_fact = np.zeros(samples)
+    chunks = [
+        (lo, min(lo + _MC_CHUNK, samples))
+        for lo in range(0, samples, _MC_CHUNK)
+    ]
+    for row_sum in row_sums[:-1]:
+        row_left.fill(row_sum)
+        for j in range(n_cols - 1):
+            for lo, hi in chunks:
+                ngood = remaining[j][lo:hi].astype(np.int64)
+                nbad = remaining[j + 1][lo:hi].astype(np.int64)
+                for column in remaining[j + 2:]:
+                    nbad += column[lo:hi]
+                left = row_left[lo:hi].astype(np.int64)
+                if left.all():
+                    take = rng.hypergeometric(ngood, nbad, left)
+                else:
+                    take = np.zeros(hi - lo, dtype=np.int64)
+                    can_draw = left > 0
+                    if can_draw.any():
+                        take[can_draw] = rng.hypergeometric(
+                            ngood[can_draw], nbad[can_draw], left[can_draw]
+                        )
+                remaining[j][lo:hi] = ngood - take
+                left -= take
+                cell_log_fact[lo:hi] += log_fact[take]
+                if j < n_cols - 2:
+                    row_left[lo:hi] = left
+                else:
+                    # the row's last cell takes what is left; ``nbad``
+                    # is that column's capacity
+                    remaining[j + 1][lo:hi] = nbad - left
+                    cell_log_fact[lo:hi] += log_fact[left]
+    hits = 1
+    for lo, hi in chunks:
+        # the last row is forced to the remaining column capacities
+        last_row = np.stack([column[lo:hi] for column in remaining], axis=1)
+        log_p = log_margin - (
+            cell_log_fact[lo:hi] + log_fact[last_row].sum(axis=1)
+        )
+        hits += int(np.count_nonzero(log_p <= observed_log_p + 1e-9))
+    return hits / (samples + 1)
+
+
+def _monte_carlo_p_reference(
+    row_sums: list[int],
+    col_sums: list[int],
+    log_fact: list[float],
+    log_margin: float,
+    observed_log_p: float,
+    samples: int,
+    seed: int,
+) -> float:
+    """:func:`_monte_carlo_p` with all ``samples`` tables drawn at once.
+
+    The oracle the streamed sampler is tested against: one
+    ``samples × cols`` matrix of remaining capacities, one vectorised
+    hypergeometric draw per cell over every sample that can still draw,
+    and one full-size log-factorial gather per cell.  Same draws, same
+    floats, about five times the memory.
     """
     rng = default_rng(seed)
     n_rows = len(row_sums)

@@ -199,6 +199,38 @@ class TestGenerateCommand:
         assert "projects: 195" in out
 
 
+class TestProjectsFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "corpus", "--projects", "1"],
+            ["study", "--projects", "1"],
+            ["report", "--out", "r.md", "--projects", "0"],
+            ["pipeline", "status", "--projects", "5"],
+            ["pipeline", "explain", "mine", "--projects", "-3"],
+        ],
+    )
+    def test_fewer_projects_than_taxa_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"argument --projects: needs at least 6 (one project per "
+            f"taxon), got {argv[-1]}" in err
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_a_non_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "--projects", "many"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_clean_workload_exits_zero(self, tmp_path, capsys):
         schema = tmp_path / "schema.sql"
@@ -299,10 +331,16 @@ class TestRunContextDirectories:
             ["bench-check", str(record), str(record)],
             # generate samples and saves a corpus; it resolves no stage
             ["generate", "--out", str(tmp_path / "corpus"), "--scale", "64"],
+            # ... and its manifest describes no store
+            ["generate", "--out", str(tmp_path / "corpus2"), "--scale", "64",
+             "--manifest", str(tmp_path / "manifest.json")],
         ):
             assert main(argv) == 0, argv
         capsys.readouterr()
         assert not (tmp_path / "store").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["projects"] == 6
+        assert "store" not in manifest
 
     @pytest.mark.parametrize(
         "argv",

@@ -43,6 +43,7 @@ class TestBuildManifest:
     ):
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         context = RunContext(store_dir=tmp_path / "artifacts")
+        context.store  # the run resolved a stage, which builds the store
         manifest = build_manifest(command="study", seed=42, context=context)
         assert manifest["store"]["kind"] == "dir"
         assert manifest["store"]["dir"] == str(tmp_path / "artifacts")
@@ -55,6 +56,18 @@ class TestBuildManifest:
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
         manifest = build_manifest(command="study", context=context)
         assert manifest["store"]["env"] == str(tmp_path / "from-env")
+
+    def test_a_store_the_run_never_built_is_not_reported(self, tmp_path):
+        context = RunContext(store_dir=tmp_path / "artifacts")
+        context.metrics.inc("projects.generated", 12)
+        manifest = build_manifest(
+            command="generate", corpus_size=12, context=context
+        )
+        assert "store" not in manifest
+        assert manifest["metrics"]["counters"]["projects.generated"] == 12
+        # describing the run built nothing
+        assert context.built_store is None
+        assert not (tmp_path / "artifacts").exists()
 
     def test_default_store_block_is_memory(self):
         manifest = build_manifest(command="study")

@@ -90,8 +90,9 @@ def _normalized_manifest(path):
     manifest = json.loads(path.read_text())
     for field in ("created_at", "timings", "outputs", "server"):
         manifest.pop(field, None)
-    manifest["store"].pop("dir", None)
-    manifest["store"].pop("env", None)
+    store = manifest.get("store") or {}
+    store.pop("dir", None)
+    store.pop("env", None)
     metrics = manifest.get("metrics") or {}
     metrics.pop("histograms", None)  # carry observed seconds
     metrics.pop("gauges", None)

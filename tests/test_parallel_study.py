@@ -12,6 +12,7 @@ from repro.analysis import canonical_study, run_study
 from repro.corpus import generate_corpus
 from repro.perf.cache import CacheStats
 from repro.perf.timing import StudyTimings
+from repro.pipeline.store import MemoryStore
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,15 @@ class TestTimings:
         # every DDL version is looked up exactly once per study pass
         assert cache.hits + cache.misses == cache.lookups
 
-    def test_canonical_study_records_generate_stage(self):
-        study = canonical_study()
+    def test_canonical_study_records_generate_stage(self, run_context):
+        # a cold store and an empty memo: a study an earlier test left
+        # in either would replay and record no generate stage
+        run_context.store = MemoryStore()
+        canonical_study.cache_clear()
+        try:
+            study = canonical_study()
+        finally:
+            canonical_study.cache_clear()
         assert study.timings.stages.get("generate", 0) > 0
 
     def test_timings_do_not_affect_result_equality(self, serial):

@@ -3,12 +3,21 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.stats import chi_square, fisher_exact_rxc
+from repro.stats.contingency import (
+    _MC_CHUNK,
+    _log_factorials,
+    _monte_carlo_p,
+    _monte_carlo_p_reference,
+)
 
 
 class TestChiSquare:
@@ -140,6 +149,95 @@ class TestMonteCarloPinned:
         result = fisher_exact_rxc(table)
         assert result.details["method"] == "monte_carlo"
         assert result.p_value == p_value
+
+
+@st.composite
+def _tables(draw):
+    """2–6 × 2–4 tables drawn near independence, with zero cells.
+
+    Counts land in cells by row and column weights, so the observed
+    table is a typical one and its p-value is seldom 1 or
+    1/(samples + 1).  With few counts and uneven weights many cells
+    stay zero, and small rows run out before their last column, so the
+    sampler's ``left == 0`` masks apply.  A zero-sum row or column gets
+    one count: every margin is positive, as in the tables
+    ``fisher_exact_rxc`` samples.
+    """
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(2, 4))
+    weights = st.integers(1, 6)
+    row_weights = draw(st.lists(weights, min_size=n_rows, max_size=n_rows))
+    col_weights = draw(st.lists(weights, min_size=n_cols, max_size=n_cols))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [[0] * n_cols for _ in range(n_rows)]
+    for _ in range(draw(st.integers(n_rows + n_cols, 80))):
+        [i] = rng.choices(range(n_rows), row_weights)
+        [j] = rng.choices(range(n_cols), col_weights)
+        table[i][j] += 1
+    for i, row in enumerate(table):
+        if not sum(row):
+            row[i % n_cols] = 1
+    for j in range(n_cols):
+        if not sum(row[j] for row in table):
+            table[j % n_rows][j] = 1
+    return table
+
+
+def _sampler_arguments(table, samples, seed):
+    row_sums = [sum(row) for row in table]
+    col_sums = [sum(col) for col in zip(*table)]
+    total = sum(row_sums)
+    log_fact = _log_factorials(total)
+    log_margin = (
+        sum(log_fact[s] for s in row_sums)
+        + sum(log_fact[s] for s in col_sums)
+        - log_fact[total]
+    )
+    observed_log_p = log_margin - sum(
+        log_fact[c] for row in table for c in row
+    )
+    return (row_sums, col_sums, log_fact, log_margin, observed_log_p,
+            samples, seed)
+
+
+class TestMonteCarloStreaming:
+    """The chunked sampler is the all-at-once reference, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        table=_tables(),
+        samples=st.sampled_from([
+            1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 7,
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # totals past 2**15 and 2**16: a counter type chosen too narrow wraps
+    @example(table=[[9_000, 7_400], [9_300, 7_200]],
+             samples=_MC_CHUNK + 1, seed=7)
+    @example(table=[[12_000, 9_000, 3_000], [11_000, 8_300, 2_700],
+                    [12_500, 9_300, 3_200]],
+             samples=_MC_CHUNK + 1, seed=11)
+    # nine columns: numpy sums the forced last row pairwise past seven
+    @example(table=[[3, 0, 1, 4, 0, 2, 5, 1, 2], [1, 2, 0, 0, 3, 1, 0, 4, 2],
+                    [0, 1, 6, 2, 1, 0, 1, 0, 3]],
+             samples=2 * _MC_CHUNK + 3, seed=20230331)
+    def test_matches_the_reference(self, table, samples, seed):
+        arguments = _sampler_arguments(table, samples, seed)
+        assert _monte_carlo_p(*arguments) == _monte_carlo_p_reference(
+            *arguments
+        )
+
+    def test_canonical_lag_table_peaks_under_4_mib(self):
+        # the all-at-once reference peaks at 15.7 MiB here
+        table = [[18, 15], [26, 36], [17, 12], [22, 19], [7, 3], [3, 17]]
+        tracemalloc.start()
+        try:
+            result = fisher_exact_rxc(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.details["method"] == "monte_carlo"
+        assert peak <= 4 * 2**20
 
 
 def _brute_force_fisher(table: list[list[int]]) -> tuple[Fraction, Fraction]:
