@@ -110,6 +110,27 @@ def _read_json_object(path, *, what: str = "file", code: int = 2) -> dict:
     return payload
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    """``--scale``, ``--jobs``, ``--limit-memory``: an integer, at least 1.
+
+    A usage error here rather than a silent default: ``--jobs 0`` is
+    not a serial run and ``--limit-memory 0`` is not "no cap".
+    """
+    value = _int_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _corpus_size(text: str) -> int:
     """``--projects N``: an integer, at least one project per taxon.
 
@@ -118,12 +139,7 @@ def _corpus_size(text: str) -> int:
     """
     from .corpus.profiles import CANONICAL_PROFILES
 
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
+    count = _int_arg(text)
     if count < len(CANONICAL_PROFILES):
         raise argparse.ArgumentTypeError(
             f"needs at least {len(CANONICAL_PROFILES)} (one project per "
@@ -142,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_jobs_flag(command) -> None:
         command.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             metavar="N",
             help="worker processes for the project fan-out (default: 1)",
@@ -185,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_scale_flag(command) -> None:
         command.add_argument(
             "--scale",
-            type=int,
+            type=_positive_int,
             default=1,
             metavar="N",
             help="shrink the canonical corpus by N (each taxon keeps "
@@ -262,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--limit-memory",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="MB",
         help="cap driver RSS at MB MiB: the streaming map loop warns "
@@ -738,10 +754,10 @@ def _pipeline(args, context):
     seed = getattr(args, "seed", None)
     return Pipeline(
         seed=DEFAULT_SEED if seed is None else seed,
-        scale=max(1, getattr(args, "scale", 1) or 1),
+        scale=getattr(args, "scale", 1),
         projects=getattr(args, "projects", None),
         corpus=corpus,
-        jobs=max(1, getattr(args, "jobs", 1) or 1),
+        jobs=getattr(args, "jobs", 1),
         report_format=getattr(args, "format", "markdown"),
         limit_memory_mb=getattr(args, "limit_memory", None),
         dialect=_dialect_of(args),

@@ -25,6 +25,7 @@ the shard's ``generate`` stage is the given project itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from ..corpus.generator import ProjectSpec
@@ -47,8 +48,14 @@ def spec_digest(spec: ProjectSpec) -> str:
     ))
 
 
+@functools.lru_cache(maxsize=64)
 def profile_digest(profile: TaxonProfile) -> str:
-    """A content digest of one taxon profile's generative parameters."""
+    """A content digest of one taxon profile's generative parameters.
+
+    Memoised on the profile's value: a corpus has a handful of frozen
+    profiles and plans every shard against one of them, so each
+    distinct profile is digested once instead of once per shard.
+    """
     return digest_text("taxon-profile", canonical_params(
         dataclasses.asdict(profile)
     ))

@@ -231,6 +231,52 @@ class TestProjectsFlag:
         assert "invalid int value: 'many'" in capsys.readouterr().err
 
 
+class TestPositiveIntFlags:
+    """``--scale``, ``--jobs`` and ``--limit-memory`` below 1 are refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "corpus", "--scale", "0"],
+            ["study", "--scale", "0"],
+            ["report", "--out", "r.md", "--scale", "-4"],
+            ["pipeline", "status", "--json", "--scale", "0"],
+            ["pipeline", "explain", "mine", "--scale", "0"],
+            ["pipeline", "invalidate", "--scale", "-1"],
+            ["obs", "serve", "--scale", "0"],
+            ["generate", "--out", "corpus", "--jobs", "0"],
+            ["study", "--jobs", "0"],
+            ["report", "--out", "r.md", "--jobs", "-2"],
+            ["study", "--limit-memory", "0"],
+            ["study", "--limit-memory", "-1"],
+        ],
+    )
+    def test_below_one_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert errors[0].endswith(
+            f"argument {argv[-2]}: must be at least 1, got {argv[-1]}"
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--scale", "--jobs", "--limit-memory"])
+    def test_a_non_integer_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", flag, "1.5"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: '1.5'" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_clean_workload_exits_zero(self, tmp_path, capsys):
         schema = tmp_path / "schema.sql"

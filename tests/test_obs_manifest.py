@@ -51,7 +51,8 @@ class TestBuildManifest:
         # as a flag is not written back into it
         assert manifest["store"]["env"] is None
         assert set(manifest["store"]["stats"]) == {
-            "hits", "misses", "writes", "corrupt", "hit_rate",
+            "hits", "misses", "writes", "corrupt", "bytes_written",
+            "hit_rate",
         }
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
         manifest = build_manifest(command="study", context=context)

@@ -42,6 +42,26 @@ class TestStoreDirStudy:
             "objects", "runs",
         ]
 
+    def test_manifest_reports_the_bytes_the_store_wrote(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "artifacts"
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        argv = ["study", "--scale", "16", "--store-dir", str(store_dir)]
+        assert main([*argv, "--manifest", str(cold)]) == 0
+        assert main([*argv, "--manifest", str(warm)]) == 0
+        capsys.readouterr()
+        on_disk = sum(
+            path.stat().st_size for path in store_dir.glob("objects/*/*.pkl")
+        )
+        stats = json.loads(cold.read_text())["store"]["stats"]
+        assert stats["writes"] == 3 * 12 + 3
+        assert stats["bytes_written"] == on_disk > 0
+        # the rerun replays every stage and writes nothing
+        stats = json.loads(warm.read_text())["store"]["stats"]
+        assert stats["writes"] == stats["corrupt"] == 0
+        assert stats["bytes_written"] == 0
+
     def test_mine_version_bump_reparses_every_version(
         self, tmp_path, capsys, monkeypatch
     ):

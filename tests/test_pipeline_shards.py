@@ -3,7 +3,10 @@ the stage-version drift guard."""
 
 import dataclasses
 
+import repro.pipeline.shards as shards
+from repro.corpus import DEFAULT_SEED
 from repro.corpus.generator import corpus_specs
+from repro.corpus.profiles import CANONICAL_PROFILES
 from repro.pipeline import (
     CODE_VERSIONS,
     MemoryStore,
@@ -41,6 +44,40 @@ class TestSpecDigests:
     def test_profile_digest_is_deterministic(self):
         profile = _pairs()[0][1]
         assert profile_digest(profile) == profile_digest(profile)
+
+
+class TestProfileDigestMemo:
+    def test_canonical_plan_keys_match_the_unmemoised_digest(
+        self, monkeypatch
+    ):
+        pairs = corpus_specs(seed=DEFAULT_SEED)
+        memoised = plan_shards(pairs, CODE_VERSIONS)
+        monkeypatch.setattr(
+            shards, "profile_digest", profile_digest.__wrapped__
+        )
+        plain = plan_shards(pairs, CODE_VERSIONS)
+        assert len(plain) == 195
+        assert [s.keys for s in memoised] == [s.keys for s in plain]
+        assert [s.identity for s in memoised] == [s.identity for s in plain]
+
+    def test_a_plan_digests_each_profile_once(self):
+        profile_digest.cache_clear()
+        plan_shards(corpus_specs(seed=DEFAULT_SEED), CODE_VERSIONS)
+        info = profile_digest.cache_info()
+        assert info.misses == len(CANONICAL_PROFILES)
+        assert info.hits == 195 - len(CANONICAL_PROFILES)
+
+    def test_a_replaced_profile_rekeys_its_shards(self):
+        spec, profile = _pairs()[0]
+        recounted = dataclasses.replace(profile, count=profile.count + 1)
+        before = plan_shards([(spec, profile)], CODE_VERSIONS)[0]
+        after = plan_shards([(spec, recounted)], CODE_VERSIONS)[0]
+        assert profile_digest(recounted) == profile_digest.__wrapped__(
+            recounted
+        )
+        assert after.identity["profile"] != before.identity["profile"]
+        for stage in ("generate", "mine", "analyze"):
+            assert after.keys[stage] != before.keys[stage]
 
 
 class TestPlanShards:
