@@ -1,8 +1,7 @@
 # Developer entry points for the study toolkit.
 #
 # `make test` is the tier-1 suite, and every gate this project keeps is
-# a tier-1 test: the traced-run telemetry contract (test_obs_study), the
-# served-run identity and --serve-linger path (test_obs_serve_identity),
+# a tier-1 test: the traced-run telemetry contract (test_obs_study),
 # warm-store replay and invalidation cones (test_pipeline_graph,
 # test_pipeline_study) and the sqlite workload (test_workloads).  The
 # one gate too slow for tier-1 is marked `gate`, deselected by default

@@ -21,8 +21,6 @@ Subcommands::
     repro-study obs export {chrome,prom,flame} FILE      # export telemetry
     repro-study obs history [--json] [--limit N] [--since ISO]
     repro-study obs timeline --stage mine         # cross-run trend line
-    repro-study obs serve --store-dir DIR [--port N]     # telemetry HTTP
-    repro-study obs top --url http://...          # live terminal dashboard
     repro-study bench-check BASELINE CANDIDATE    # perf-regression check
     repro-study bench-check CANDIDATE --against-history N  # vs registry
 
@@ -30,6 +28,7 @@ The observability flags (available on ``generate``, ``study`` and
 ``report``) never change results: ``--trace`` writes the hierarchical
 span tree of the run, ``--log-json`` streams structured JSONL events
 (span closes, warnings, progress heartbeats, a closing run marker),
+flushed per record so the file can be followed while the run goes,
 ``--manifest`` records the run's seed, jobs, store config, versions,
 host environment, stage timings, metric snapshot and warnings, and
 ``--progress`` prints a live done/total + ETA line to stderr.
@@ -40,12 +39,10 @@ folded stacks); ``bench-check`` compares two perf records (run-registry
 records such as the ``BENCH_*.json`` files, or run manifests) and fails
 on perf regressions.
 
-Live telemetry: ``repro-study study --serve [PORT]`` binds a loopback
-HTTP server next to the run (``/healthz``, ``/metrics``, ``/events``
-SSE, ``/runs``, ``/status``) that observes the telemetry bus without
-changing any result; ``obs serve`` runs the same server standalone over
-a store, and ``obs top`` renders the event stream as a terminal
-dashboard.
+A run is read from what it leaves behind: ``pipeline status --json``
+for stage state, ``obs history --json`` for the run registry, ``obs
+export prom`` for the manifest's counters and the ``--log-json`` file
+for the events.
 
 Also runnable as ``python -m repro``.
 """
@@ -257,24 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the per-stage timing breakdown and cache hit rates",
-    )
-    study.add_argument(
-        "--serve",
-        nargs="?",
-        const=0,
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live telemetry over HTTP while the run executes "
-        "(/healthz /metrics /events /runs /status on 127.0.0.1; "
-        "PORT 0 or omitted picks an ephemeral port, announced on "
-        "stderr); never changes results",
-    )
-    study.add_argument(
-        "--serve-linger",
-        action="store_true",
-        help="with --serve: keep serving after the run finishes, "
-        "until interrupted",
     )
     study.add_argument(
         "--limit-memory",
@@ -544,88 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="plot only the last N records",
     )
-    serve = obs_sub.add_parser(
-        "serve",
-        help="serve live telemetry and store state over HTTP",
-        description=(
-            "binds a loopback ThreadingHTTPServer exposing /healthz, "
-            "/metrics (Prometheus), /events (SSE over the telemetry "
-            "bus, Last-Event-ID replay), /runs (registry history) and "
-            "/status (stage warm/stale/cold via provenance); serves "
-            "until interrupted"
-        ),
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="ADDR",
-        help="bind address (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        metavar="N",
-        help="bind port (default: 0 = ephemeral, announced on stderr)",
-    )
-    serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument(
-        "--format",
-        default="markdown",
-        choices=["markdown", "html"],
-        help="report format the /status report stage is keyed on",
-    )
-    add_scale_flag(serve)
-    top = obs_sub.add_parser(
-        "top",
-        help="live terminal dashboard over a served event stream",
-        description=(
-            "consumes the /events SSE feed of a --serve run and "
-            "renders per-stage progress bars, ETA, cache-reuse rates, "
-            "peak RSS and warning counts"
-        ),
-    )
-    top.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="base URL of a serving run (e.g. http://127.0.0.1:8437)",
-    )
-    top.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="ADDR",
-        help="server host when --url is not given",
-    )
-    top.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="N",
-        help="server port when --url is not given",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="minimum seconds between redraws (default: 0.5)",
-    )
-    top.add_argument(
-        "--max-events",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N envelopes (default: run until the stream "
-        "ends)",
-    )
-    top.add_argument(
-        "--plain",
-        action="store_true",
-        help="print frames as blocks instead of clearing the screen "
-        "(forced when stdout is not a terminal)",
-    )
-    for obs_cmd in (history, timeline, serve):
+    for obs_cmd in (history, timeline):
         obs_cmd.add_argument(
             "--store-dir",
             default=None,
@@ -730,9 +628,8 @@ def _pipeline(args, context):
     """The :class:`~repro.pipeline.graph.Pipeline` a command's flags ask for.
 
     The one place the CLI turns flags into a run: ``study``, ``report``,
-    ``case``, ``generate``, every ``pipeline`` subcommand and the
-    ``/status`` endpoint of ``--serve`` / ``obs serve`` all build here,
-    so they agree on seed, corpus size, workload, jobs and report
+    ``case``, ``generate`` and every ``pipeline`` subcommand all build
+    here, so they agree on seed, corpus size, workload, jobs and report
     format.  ``--corpus DIR`` loads a saved corpus as a materialised,
     content-keyed corpus; flags a command lacks take their defaults.
     The pipeline records into, and stores through, the command's
@@ -768,10 +665,9 @@ def _pipeline(args, context):
 def _run_pipeline(args, context):
     """Build the pipeline and resolve its study, noting the run facts.
 
-    The pipeline goes on ``args`` before it runs: the ``--serve``
-    ``/status`` endpoint reads the running pipeline instead of loading
-    the corpus a second time, and the closing run-registry record names
-    its seed, workload and reduce-stage fingerprints.
+    The pipeline goes on ``args``: the closing run-registry record
+    reads the pipeline that ran, instead of loading the corpus a second
+    time, and names its seed, workload and reduce-stage fingerprints.
     """
     pipe = _pipeline(args, context)
     args._pipeline = pipe
@@ -1154,10 +1050,6 @@ def _cmd_obs(args, context) -> int:
         return _cmd_obs_history(args, context)
     if args.obs_command == "timeline":
         return _cmd_obs_timeline(args, context)
-    if args.obs_command == "serve":
-        return _cmd_obs_serve(args, context)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
     return _cmd_obs_export(args)
 
 
@@ -1273,50 +1165,6 @@ def _cmd_obs_timeline(args, context) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_obs_serve(args, context) -> int:
-    from .obs.server import ObservabilityServer
-
-    server = ObservabilityServer(
-        host=args.host, port=args.port, context=context,
-        pipeline_factory=lambda: _pipeline(args, context),
-    ).start()
-    print(
-        f"observability server listening on {server.url} "
-        "(/healthz /metrics /events /runs /status; Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-    server.wait()
-    return 0
-
-
-def _cmd_obs_top(args) -> int:
-    from .obs.top import run_top, url_envelopes
-
-    if not (args.url or args.port is not None):
-        print(
-            "obs top: pass --url (or --port) of a serving run",
-            file=sys.stderr,
-        )
-        return 2
-    url = args.url or f"http://{args.host}:{args.port}"
-    source = url_envelopes(url, limit=args.max_events)
-    try:
-        run_top(
-            source,
-            out=sys.stdout,
-            interval=args.interval,
-            max_events=args.max_events,
-            plain=args.plain or not sys.stdout.isatty(),
-        )
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:
-        print(f"obs top: cannot read the event stream: {exc}",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1468,38 +1316,10 @@ def _append_run_record(args, context) -> None:
         print(f"warning: run registry append failed: {exc}", file=sys.stderr)
 
 
-def _start_server(args, context):
-    """Start the --serve observability server, if requested.
-
-    Runs before the command, so SSE clients can connect from the first
-    published envelope; the bound port is announced on stderr because
-    ``--serve`` without a port picks an ephemeral one.
-    """
-    port = getattr(args, "serve", None)
-    if port is None:
-        return None
-    from .obs.server import ObservabilityServer
-
-    server = ObservabilityServer(
-        port=port,
-        context=context,
-        pipeline_factory=(
-            lambda: getattr(args, "_pipeline", None)
-            or _pipeline(args, context)
-        ),
-    ).start()
-    print(
-        f"observability server listening on {server.url}",
-        file=sys.stderr,
-    )
-    return server
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     context = _run_context(args)
     with context.active():
-        server = context.server = _start_server(args, context)
         try:
             code = _COMMANDS[args.command](args, context)
         except InputError as exc:
@@ -1507,8 +1327,6 @@ def main(argv: list[str] | None = None) -> int:
             code = exc.code
         except BaseException as exc:
             context.finalize(status="error")
-            if server is not None:
-                server.stop()
             from .obs.resources import MemoryLimitExceeded
 
             if isinstance(exc, MemoryLimitExceeded):
@@ -1521,15 +1339,6 @@ def main(argv: list[str] | None = None) -> int:
         context.finalize(status="ok" if code == 0 else "error")
         if code == 0 and args.command in ("study", "report"):
             _append_run_record(args, context)
-        if server is not None:
-            if getattr(args, "serve_linger", False) and code == 0:
-                print(
-                    f"run finished — still serving on {server.url} "
-                    "(Ctrl-C to stop)",
-                    file=sys.stderr,
-                )
-                server.wait()
-            server.stop()
     return code
 
 

@@ -4,20 +4,19 @@ The study pipeline is a long fan-out batch job; this package makes one
 run auditable end to end without changing any of its results:
 
 * :mod:`repro.obs.context` — the :class:`~repro.obs.context.RunContext`
-  a run records into: its tracer, warning recorder, metrics, telemetry
-  bus, progress channel, parse cache and artifact store, plus the
+  a run records into: its tracer, warning recorder, metrics, event log,
+  progress channel, parse cache and artifact store, plus the
   ``--trace``, ``--log-json``, ``--manifest`` and ``--progress``
-  outputs it writes when the run finalizes;
+  outputs it writes;
 * :mod:`repro.obs.trace` — a hierarchical span tracer whose per-project
   span trees cross the worker-process boundary and reattach under the
   driver's dispatching span (zero-overhead no-ops when disabled);
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms with
   snapshot/merge semantics so worker deltas fold into one study total;
 * :mod:`repro.obs.events` — the structured JSONL event log (span closes,
-  warnings, progress heartbeats, run markers) plus its line-by-line
+  warnings, progress heartbeats, run markers), flushed per record so
+  it can be followed while the run is going, plus its line-by-line
   schema validator;
-* :mod:`repro.obs.bus` — the telemetry bus every signal is published
-  on, and the event log, the server and ``obs top`` consume;
 * :mod:`repro.obs.manifest` — the run manifest written next to study
   outputs (seed, jobs, cache config, versions, host environment,
   timings, metric snapshot, warnings, exit status);
@@ -32,9 +31,9 @@ run auditable end to end without changing any of its results:
   and every committed ``BENCH_*.json`` file;
 * :mod:`repro.obs.regress` — the ``bench-check`` perf-regression
   watchdog comparing two such records;
-* :mod:`repro.obs.provenance`, :mod:`repro.obs.server` and
-  :mod:`repro.obs.top` — ``pipeline explain``, the live HTTP endpoint
-  and its terminal dashboard.
+* :mod:`repro.obs.provenance` — ``pipeline explain``.
 
-Import what you use from its module; the package re-exports nothing.
+A run is read from what it leaves behind: the report, the measures
+CSV, the event log, the manifest and the run registry.  Import what you
+use from its module; the package re-exports nothing.
 """

@@ -1,22 +1,31 @@
 """One run's telemetry and storage: the :class:`RunContext`.
 
 A run records into exactly one context.  The context owns the run's
-span tracer, warning recorder, metrics registry, telemetry bus,
-progress channel, parse cache and artifact store, next to the run's
-outputs (``--trace``, ``--log-json``, ``--manifest``, ``--progress``)
-and the facts its manifest reports.  Nothing carries from one run into
-the next: two pipelines with two contexts share no counter, warning,
-span or bus sink, whatever ran before them in the process.
+span tracer, warning recorder, metrics registry, event log, progress
+channel, parse cache and artifact store, next to the run's outputs
+(``--trace``, ``--log-json``, ``--manifest``, ``--progress``) and the
+facts its manifest reports.  Nothing carries from one run into the
+next: two pipelines with two contexts share no counter, warning, span
+or event log, whatever ran before them in the process.
+
+The ``--log-json`` :class:`~repro.obs.events.EventLog` is the one
+place a run's records go while it runs: the tracer, the warning
+recorder and the progress channel each hold it and write to it
+directly, and :meth:`RunContext.finalize` closes it after the
+``resource`` and ``run`` records.  Every record is written on the
+driver thread (a pool worker's spans and warnings are written when the
+driver folds its result), so the log needs no lock; it is flushed per
+record, so a second reader can follow it while the run is going.
 
 The context is passed explicitly at the boundaries: ``cli.main``
-builds one per command, :class:`~repro.pipeline.graph.Pipeline` takes
-one (``context=``) and the observability server reads one.  Leaf call
-sites — :func:`~repro.obs.events.warn`, the diff timer, the parse
-cache, the generator's span — read :func:`current`, the one pointer a
-running pipeline sets to its own context.  A pool worker gets a fresh
-context with no sinks from ``worker_init``, and whether it traces
-rides on each task it is sent, so one warm pool serves traced and
-untraced runs alike.
+builds one per command and :class:`~repro.pipeline.graph.Pipeline`
+takes one (``context=``).  Leaf call sites —
+:func:`~repro.obs.events.warn`, the diff timer, the parse cache, the
+generator's span — read :func:`current`, the one pointer a running
+pipeline sets to its own context.  A pool worker gets a fresh context
+with no event log from ``worker_init``, and whether it traces rides on
+each task it is sent, so one warm pool serves traced and untraced runs
+alike.
 
 The parse cache is memory-only.  The artifact store, the one layer that
 can outlive the run (``store_dir``), is built on first use, so a
@@ -31,15 +40,10 @@ from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
-from .bus import TelemetryBus
 from .events import EventLog, EventRecorder, resource_event, run_event
 from .metrics import MetricsRegistry
 from .progress import ProgressChannel
 from .trace import Tracer, write_trace
-
-#: The bus kinds the ``--log-json`` event log records; bus-only kinds
-#: (artifact probes, metrics snapshots) never change the log's bytes.
-EVENT_LOG_KINDS = ("span", "warning", "progress", "resource", "run")
 
 
 class RunContext:
@@ -48,7 +52,7 @@ class RunContext:
     Build it before the run (tracing starts, the event log opens),
     fill in the run facts as the command executes (``context.study =
     ...``), then call :meth:`finalize` to write the trace file and
-    manifest, publish the closing run marker and close the event log.
+    manifest, log the closing run marker and close the event log.
 
     ``store_dir`` is taken as given — ``None`` means a memory store;
     :meth:`from_env` fills it from ``REPRO_STORE_DIR`` instead.
@@ -69,11 +73,13 @@ class RunContext:
         self.log_path = Path(log_path) if log_path else None
         self.manifest_path = Path(manifest_path) if manifest_path else None
         self.store_dir = store_dir
-        self.bus = TelemetryBus()
+        self.event_log = EventLog(self.log_path) if self.log_path else None
         self.metrics = MetricsRegistry()
-        self.recorder = EventRecorder(self.metrics, self.bus)
-        self.tracer = Tracer(enabled=bool(trace_path or log_path))
-        self.progress = ProgressChannel(self.bus)
+        self.recorder = EventRecorder(self.metrics, self.event_log)
+        self.tracer = Tracer(
+            enabled=bool(trace_path or log_path), log=self.event_log
+        )
+        self.progress = ProgressChannel(self.event_log)
         if progress:
             self.progress.stream = sys.stderr
         # run facts, filled in by the command as it executes
@@ -82,22 +88,11 @@ class RunContext:
         self.dialect: str | None = None
         self.study = None
         self.corpus_size: int | None = None
-        #: The attached observability server (``--serve``), if any —
-        #: finalize records its summary in the manifest ``server`` block.
-        self.server = None
         #: The built manifest document (set by finalize when
         #: ``--manifest`` was given) — the registry append reuses it
         #: for the record's manifest digest.
         self.manifest_document: dict | None = None
         self.finalized = False
-        self.event_log: EventLog | None = None
-        if self.log_path:
-            # span closes, warnings, heartbeats, resource samples and
-            # the run marker all travel the bus; the event log is one
-            # of its sinks
-            self.event_log = EventLog(self.log_path)
-            self.tracer.bus = self.bus
-            self.bus.add_sink(self._emit_envelope, kinds=EVENT_LOG_KINDS)
 
     @classmethod
     def from_env(cls, *, store_dir=None, **options):
@@ -151,9 +146,6 @@ class RunContext:
             activate(previous)
 
     # -- outputs -------------------------------------------------------
-    def _emit_envelope(self, envelope: dict) -> None:
-        self.event_log.emit(envelope["data"])
-
     def finalize(self, status: str = "ok") -> None:
         """Write the requested artifacts and close the event log."""
         if self.finalized:
@@ -174,26 +166,22 @@ class RunContext:
                 corpus_size=self.corpus_size,
                 warnings=self.recorder.warnings,
                 outputs={"trace": self.trace_path, "events": self.log_path},
-                server=(
-                    self.server.summary() if self.server is not None
-                    else None
-                ),
                 context=self,
             )
             write_manifest(self.manifest_document, self.manifest_path)
         self.progress.close_line()
-        # the closing records ride the bus so live SSE consumers see
-        # the run end even when no --log-json file is open
+        log = self.event_log
+        if log is None:
+            return
         if self.study is not None:
             resources = self.study.timings.resources
             for scope in sorted(resources):
-                self.bus.publish(
-                    "resource", resource_event(scope, resources[scope])
-                )
-        self.bus.publish("run", run_event(self.command, status))
-        if self.event_log is not None:
-            self.bus.remove_sink(self._emit_envelope)
-            self.event_log.close()
+                log.emit(resource_event(scope, resources[scope]))
+        log.emit(run_event(self.command, status))
+        log.close()
+        # the run marker is the log's last record: whatever the command
+        # records after finalize is not logged
+        self.tracer.log = self.recorder.log = self.progress.log = None
 
 
 _current: RunContext | None = None

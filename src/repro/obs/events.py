@@ -7,7 +7,7 @@ schema (see :data:`EVENT_FIELDS`); :func:`validate_event` /
 ``tests/test_obs_study.py`` runs that validator over a real traced
 ``jobs=4`` run.
 
-Four event kinds exist:
+Six event kinds exist:
 
 ``span``
     emitted when a span closes — ``name``, ``seconds``, ``status`` and
@@ -51,7 +51,6 @@ import json
 import time
 from pathlib import Path
 
-from .bus import TelemetryBus
 from .metrics import MetricsRegistry
 
 #: The event-log schema generation.  Version 1 had no ``schema`` field
@@ -175,19 +174,19 @@ class EventRecorder:
     """One run's warning collector.
 
     Each warning bumps ``warnings.<code>`` on ``metrics`` and is
-    published on ``bus`` — where the ``--log-json`` event log and any
-    live SSE client see it.  A recorder built without them counts and
-    publishes into private ones.
+    written to ``log``, the run's ``--log-json`` :class:`EventLog`
+    (``None``: the run keeps no log).  A recorder built without
+    ``metrics`` counts into a private registry.
     """
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        bus: TelemetryBus | None = None,
+        log: "EventLog | None" = None,
     ):
         self.warnings: list[dict] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.bus = bus if bus is not None else TelemetryBus()
+        self.log = log
 
     def warn(self, code: str, message: str, **context) -> dict:
         """Record one warning event; returns the record."""
@@ -208,7 +207,8 @@ class EventRecorder:
     def _deliver(self, record: dict) -> None:
         self.warnings.append(record)
         self.metrics.inc(f"warnings.{record['code']}")
-        self.bus.publish("warning", record)
+        if self.log is not None:
+            self.log.emit(record)
 
     # -- windows (the worker protocol) ---------------------------------
     def mark(self) -> int:
@@ -252,7 +252,11 @@ def aggregate_warnings(warnings: list[dict]) -> list[dict]:
 # the JSONL writer
 
 class EventLog:
-    """An append-only JSONL event stream (one record per line)."""
+    """An append-only JSONL event stream (one record per line).
+
+    Each record is flushed as it is written, so a second reader can
+    follow the file while the run is going.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)

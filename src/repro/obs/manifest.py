@@ -49,7 +49,6 @@ def build_manifest(
     corpus_size: int | None = None,
     warnings: list[dict] | None = None,
     outputs: dict | None = None,
-    server: dict | None = None,
     context=None,
 ) -> dict:
     """Assemble the manifest document for one run.
@@ -59,17 +58,13 @@ def build_manifest(
     ``study`` (a :class:`~repro.analysis.study.StudyResult`) contributes
     project counts, stage timings and the metrics snapshot when the run
     produced one; corpus-only runs pass ``corpus_size`` instead.
-    ``server`` is the attached observability server's summary (bound
-    URL, request/SSE counters, bus stats) when the run was served —
-    the only manifest block that differs between a served and an
-    unserved run.  ``context`` is the run's
-    :class:`~repro.obs.context.RunContext` (default: the current one),
-    whose metrics the manifest reports.  Its artifact store gets a
-    ``store`` block only if the run built one: a command that resolves
-    no stage, such as ``generate``, has none, and describing its run
-    creates no store directory.  The run's parse counts are in
-    ``timings.parse_cache``.  The store's ``env`` entry echoes the
-    environment as the user set it.
+    ``context`` is the run's :class:`~repro.obs.context.RunContext`
+    (default: the current one), whose metrics the manifest reports.
+    Its artifact store gets a ``store`` block only if the run built
+    one: a command that resolves no stage, such as ``generate``, has
+    none, and describing its run creates no store directory.  The
+    run's parse counts are in ``timings.parse_cache``.  The store's
+    ``env`` entry echoes the environment as the user set it.
     """
     from .. import __version__
     from ..pipeline.store import STORE_DIR_ENV
@@ -119,8 +114,6 @@ def build_manifest(
     warnings = warnings if warnings is not None else []
     manifest["warnings"] = aggregate_warnings(warnings)
     manifest["warning_count"] = len(warnings)
-    if server:
-        manifest["server"] = server
     if outputs:
         manifest["outputs"] = {
             key: str(value) for key, value in outputs.items() if value

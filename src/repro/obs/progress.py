@@ -9,12 +9,10 @@ periodically emits a ``progress`` event —
 ``{"event": "progress", "stage": ..., "done": N, "total": M,
 "percent": ..., "eta_seconds": ..., "slowest": [...]}``
 
-— to the run's :class:`ProgressChannel`.  The channel fans the
-record out to up to two places:
+— to the run's :class:`ProgressChannel`.  The channel writes the
+record to up to two places:
 
-* the run's telemetry bus — where the ``--log-json`` event log (a bus
-  sink) records it next to spans and warnings, and live SSE clients
-  see it;
+* ``log`` — the ``--log-json`` event log, next to spans and warnings;
 * ``stream`` — the opt-in ``--progress`` TTY line on stderr
   (carriage-return refresh on a real terminal, plain lines otherwise).
 
@@ -33,8 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-
-from .bus import TelemetryBus
 
 #: Environment variable overriding the heartbeat interval (seconds).
 PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
@@ -111,15 +107,16 @@ def render_progress_line(record: dict) -> str:
 
 
 class ProgressChannel:
-    """Where heartbeats go: the run's bus and/or a terminal stream.
+    """Where heartbeats go: the run's event log and/or a terminal stream.
 
     The channel (and every tracker feeding it) is inert until something
-    listens: a consumer on ``bus`` or a ``--progress`` ``stream``.  A
-    channel built without a bus publishes into a private one.
+    listens: a ``log`` (the run's ``--log-json``
+    :class:`~repro.obs.events.EventLog`) or a ``--progress`` ``stream``.
     """
 
-    def __init__(self, bus: TelemetryBus | None = None):
-        self.bus = bus if bus is not None else TelemetryBus()
+    def __init__(self, log=None):
+        #: The run's event log, or ``None`` when it keeps none.
+        self.log = log
         #: Optional text stream for the live line (``--progress``).
         self.stream = None
         #: Minimum seconds between heartbeats per tracker.
@@ -128,18 +125,16 @@ class ProgressChannel:
 
     @property
     def active(self) -> bool:
-        """Whether anything is listening (trackers no-op otherwise).
+        """Whether anything is listening: a stream or a log.
 
-        A consumer on the telemetry bus — the ``--log-json`` sink, an
-        SSE client of ``repro obs serve`` attaching mid-run, the ``obs
-        top`` dashboard — counts as listening, so heartbeats start
-        flowing the moment someone subscribes.
+        Trackers no-op otherwise.
         """
-        return self.stream is not None or self.bus.active
+        return self.stream is not None or self.log is not None
 
     def deliver(self, record: dict) -> None:
-        """Publish one progress record; draw it on the stream."""
-        self.bus.publish("progress", record)
+        """Write one progress record to the log; draw it on the stream."""
+        if self.log is not None:
+            self.log.emit(record)
         if self.stream is not None:
             self._write_line(render_progress_line(record))
 

@@ -149,21 +149,20 @@ class Span:
 class Tracer:
     """Collects a forest of spans; no-ops entirely when disabled."""
 
-    def __init__(self, enabled: bool = False, bus=None):
+    def __init__(self, enabled: bool = False, log=None):
         self.enabled = enabled
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        #: The telemetry bus every span close is published on as a
-        #: ``span`` event — the path the event log and live SSE
-        #: consumers observe.  ``None`` (the default, and every pool
-        #: worker's) keeps closes in the tree only; a worker's spans
-        #: are republished by the driver at attach time.
-        self.bus = bus
+        #: The run's ``--log-json`` event log, which gets every span
+        #: close as a ``span`` event.  ``None`` (the default, and every
+        #: pool worker's) keeps closes in the tree only; a worker's
+        #: spans are written by the driver at attach time.
+        self.log = log
 
     def _notify_close(self, span: "Span") -> None:
-        """Publish one span close on the bus, if one is attached."""
-        if self.bus is not None:
-            self.bus.publish("span", span_event(span))
+        """Write one span close to the event log, if the run keeps one."""
+        if self.log is not None:
+            self.log.emit(span_event(span))
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes):
@@ -186,11 +185,11 @@ class Tracer:
     def attach(self, data: dict | None, *, emit: bool = False) -> Span | None:
         """Re-attach a serialised span tree under the innermost open span.
 
-        ``emit=True`` replays the tree's span-close events onto the
-        telemetry bus — used when the tree was built in a worker
-        process whose closes no driver-side consumer could observe.
-        In-process (serial-path) trees already emitted at close time
-        and must be attached with ``emit=False``.
+        ``emit=True`` writes the tree's span-close events to the event
+        log — used when the tree was built in a worker process, whose
+        closes the driver's log never saw.  In-process (serial-path)
+        trees already emitted at close time and must be attached with
+        ``emit=False``.
         """
         if not self.enabled or data is None:
             return None
@@ -199,7 +198,7 @@ class Tracer:
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
-        if emit and self.bus is not None:
+        if emit and self.log is not None:
             for closed in span.walk():
                 self._notify_close(closed)
         return span

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -46,16 +45,16 @@ _worker_gc: GcClock | None = None
 
 
 def worker_init() -> None:
-    """Give a pool worker its own run context, with no sinks.
+    """Give a pool worker its own run context, with no event log.
 
     A forked worker inherits the driver's current context, including
-    any ``--log-json`` sink holding a duplicated file descriptor; left
-    in place, every worker span and warning would be written twice —
-    once from the worker and once when the driver replays it at
-    attach time.  The worker records into a fresh context instead
-    (no bus consumers, tracing off until a task asks for it): its
-    spans, warnings and metrics travel back inside the
-    :class:`MinedHistory` and the driver alone emits them.
+    any ``--log-json`` event log holding a duplicated file descriptor;
+    left in place, every worker span and warning would be written
+    twice — once from the worker and once when the driver replays it
+    at attach time.  The worker records into a fresh context instead
+    (no event log, tracing off until a task asks for it): its spans,
+    warnings and metrics travel back inside the :class:`MinedHistory`
+    and the driver alone writes them.
 
     Also marks the worker's CPU baseline and starts its GC clock, so
     shipped resource samples report the worker's *work*, not its
@@ -63,13 +62,6 @@ def worker_init() -> None:
     initializer never runs) ships no sample at all.
     """
     activate(RunContext())
-    # a worker forked while --serve is up inherits the listening
-    # socket fd; left open, the kernel keeps accepting on the port
-    # after the driver shuts the server down (guarded import: a no-op
-    # unless the driver loaded the server module)
-    server_mod = sys.modules.get("repro.obs.server")
-    if server_mod is not None:
-        server_mod.close_inherited_sockets()
     global _worker_cpu_baseline, _worker_gc
     _worker_cpu_baseline = cpu_times()
     # forked during a study, the worker inherits the driver's study

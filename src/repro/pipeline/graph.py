@@ -103,11 +103,15 @@ class Pipeline:
     stage is the given project, so seed, scale and size do not apply.
 
     ``context`` is the :class:`~repro.obs.context.RunContext` the run
-    records into — its tracer, warnings, metrics, bus and progress —
-    and whose parse cache and artifact store it uses unless ``store``
-    is given.  It defaults to the current context.  The context's
-    store is built on first use, so a pipeline that resolves no stage
-    (the ``generate`` command's) creates no store directory.
+    records into — its tracer, warnings, metrics, event log and
+    progress — and whose parse cache and artifact store it uses unless
+    ``store`` is given.  It defaults to the current context.  The
+    context's store is built on first use, so a pipeline that resolves
+    no stage (the ``generate`` command's) creates no store directory.
+
+    ``scale``, ``jobs`` and ``limit_memory_mb`` below 1 raise
+    ``ValueError``, as the CLI refuses ``--scale``, ``--jobs`` and
+    ``--limit-memory`` below 1.
     """
 
     def __init__(
@@ -127,6 +131,12 @@ class Pipeline:
         dialect: str | None = None,
         context: RunContext | None = None,
     ):
+        for name, value in (
+            ("scale", scale), ("jobs", jobs),
+            ("limit_memory_mb", limit_memory_mb),
+        ):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.context = context if context is not None else current()
         self.seed = seed
         self.scale = scale
@@ -150,7 +160,7 @@ class Pipeline:
         #: In-flight window for the backpressured fan-out; ``None``
         #: derives ``max(2, 2 * jobs)``.
         self.window = window
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.report_format = report_format
         if store is not None:
             self.store = store
@@ -536,7 +546,6 @@ class Pipeline:
                     if isinstance(value, ShardResult):
                         payload = self._finish_shard(shard, value)
                         tracker.update(value.name, value.mined.seconds)
-                        self._publish_metrics()
                     else:
                         kind, warm = value
                         if kind == "analyze":
@@ -599,7 +608,7 @@ class Pipeline:
             tracer.attach(mined.trace, emit=self.jobs > 1)
         if mined.warnings and self.jobs > 1:
             # worker warnings replay here so the driver's recorder (and
-            # any --log-json sink) sees them exactly once
+            # its --log-json event log) sees them exactly once
             for record in mined.warnings:
                 recorder.replay(record)
         entry = MinedProject(
@@ -667,9 +676,6 @@ class Pipeline:
         )
         self.timings.record_artifact(stage, hit=True)
         self.timings.record(stage, load_seconds)
-        self._publish_artifact(
-            stage, "hit", project=shard.project, key=key
-        )
         recorder = self.context.recorder
         for record in artifact.meta.get("warnings") or ():
             recorder.replay(record)
@@ -754,64 +760,6 @@ class Pipeline:
             )
         ]
 
-    # -- live telemetry ------------------------------------------------
-    def _publish_artifact(
-        self,
-        stage: str,
-        outcome: str,
-        *,
-        project: str | None = None,
-        key: str | None = None,
-    ) -> None:
-        """One ``artifact`` bus event per store hit / recompute.
-
-        Gated on live consumers: with nothing subscribed (no server, no
-        dashboard, no event log) this is one attribute check, so the
-        unobserved hot path stays unobserved.  These events never reach
-        the JSONL event log — its bus sink filters them out — so log
-        bytes are unchanged by serving.
-        """
-        bus = self.context.bus
-        if not bus.active:
-            return
-        data: dict = {
-            "event": "artifact",
-            "ts": round(time.time(), 6),
-            "stage": stage,
-            "outcome": outcome,
-        }
-        if project is not None:
-            data["project"] = project
-        if key is not None:
-            data["fingerprint"] = key[:16]
-        bus.publish("artifact", data)
-
-    def _publish_metrics(self) -> None:
-        """A cumulative counter snapshot for live rate displays.
-
-        Published after each shard completes (and once at study end) so
-        ``repro obs top`` can show parse-cache and statement-reuse
-        rates while the run is still going.  Same gating as
-        :meth:`_publish_artifact`.
-        """
-        bus = self.context.bus
-        if not bus.active:
-            return
-        counters = dict(
-            MetricsSnapshot().fold_cache(self.timings.cache).counters
-        )
-        for name in ("artifact.hit", "artifact.miss"):
-            if self.metrics.counters.get(name):
-                counters[name] = self.metrics.counters[name]
-        bus.publish(
-            "metrics",
-            {
-                "event": "metrics",
-                "ts": round(time.time(), 6),
-                "counters": counters,
-            },
-        )
-
     # -- store plumbing ------------------------------------------------
     def _consume_hit(
         self, stage: str, key: str, artifact: Artifact, load_seconds: float
@@ -821,7 +769,6 @@ class Pipeline:
         self.metrics = self.metrics + MetricsSnapshot(
             counters={"artifact.hit": 1}
         )
-        self._publish_artifact(stage, "hit", key=key)
         self.timings.record_artifact(stage, hit=True)
         # the honest cost of a hit: just the load
         self.timings.record(stage, load_seconds)
@@ -852,7 +799,6 @@ class Pipeline:
         self, stage: str, key: str, payload, *,
         seconds: float, warnings, metrics: MetricsSnapshot,
     ) -> Artifact:
-        self._publish_artifact(stage, "recompute", key=key)
         meta = {
             "stage": stage,
             "params": self.params_for(stage),
@@ -874,10 +820,6 @@ class Pipeline:
         self, stage: str, shard: ShardSpec, payload, *,
         seconds: float, warnings, metrics: MetricsSnapshot,
     ) -> Artifact:
-        self._publish_artifact(
-            stage, "recompute",
-            project=shard.project, key=shard.keys[stage],
-        )
         meta = {
             "stage": stage,
             "project": shard.project,
@@ -939,7 +881,6 @@ class Pipeline:
         )
         self.metrics.fold_cache(self.timings.cache)
         self.timings.record_wall(time.perf_counter() - start)
-        self._publish_metrics()
         result = StudyResult(
             projects=list(aggregate.payload["rows"]),
             skipped=list(aggregate.payload["skipped"]),

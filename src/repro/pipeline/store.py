@@ -48,6 +48,10 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 #: corruption.  v2 compresses the payload; v1 stored the plain pickle.
 ARTIFACT_FORMAT = "repro-artifact-v2"
 
+#: Why :meth:`DirStore._read_envelope` refused an envelope of another
+#: :data:`ARTIFACT_FORMAT`: an older layout, a quiet miss.
+OLDER_FORMAT = "older format"
+
 #: zlib level of a stored payload.  Level 1 takes a 195-project store
 #: from 10.1 to 2.8 MiB: a project's git log and DDL versions repeat
 #: themselves, and every DDL version (under 7 KiB) lies within zlib's
@@ -353,34 +357,50 @@ class DirStore(ArtifactStore):
         return self.root / "objects" / key[:2] / f"{key}.pkl"
 
     # -- protocol ------------------------------------------------------
-    def _raw_get(self, key: str) -> Artifact | None:
-        if self.root is None:
-            return self._memory.get(key)
+    def _read_envelope(self, key: str) -> tuple[dict | None, str | None]:
+        """The envelope stored under ``key``, checked as a read checks it.
+
+        ``(envelope, None)`` when the file unpickles to an envelope
+        whose format, key and payload digest all match — everything
+        :meth:`get` checks before it inflates the payload.  Otherwise
+        ``(None, reason)``: ``None`` for no file, :data:`OLDER_FORMAT`
+        for an older layout, and what is wrong for a damaged entry.
+        Reading only: it drops no file, warns nothing, counts nothing.
+        """
         path = self._path_for(key)
         if not path.exists():
-            return None
+            return None, None
         envelope = read_pickle(path)
         if not isinstance(envelope, dict):
-            self._warn_corrupt(key, path, "not an artifact envelope")
-            return None
+            return None, "not an artifact envelope"
         if envelope.get("format") != ARTIFACT_FORMAT:
-            # an older layout's entry, not damage: drop it quietly and
-            # let the stage recompute and rewrite it
-            self._drop(path)
-            return None
+            return None, OLDER_FORMAT
         if envelope.get("key") != key:
-            self._warn_corrupt(key, path, "envelope header mismatch")
-            return None
+            return None, "envelope header mismatch"
         compressed = envelope.get("payload")
-        digest = envelope.get("payload_sha256")
         if (
             not isinstance(compressed, bytes)
-            or hashlib.sha256(compressed).hexdigest() != digest
+            or hashlib.sha256(compressed).hexdigest()
+            != envelope.get("payload_sha256")
         ):
-            self._warn_corrupt(key, path, "payload digest mismatch")
+            return None, "payload digest mismatch"
+        return envelope, None
+
+    def _raw_get(self, key: str) -> Artifact | None:
+        if key in self._memory or self.root is None:
+            return self._memory.get(key)
+        envelope, reason = self._read_envelope(key)
+        path = self._path_for(key)
+        if envelope is None:
+            if reason == OLDER_FORMAT:
+                # an older layout's entry, not damage: drop it quietly
+                # and let the stage recompute and rewrite it
+                self._drop(path)
+            elif reason is not None:
+                self._warn_corrupt(key, path, reason)
             return None
         try:
-            payload_bytes = zlib.decompress(compressed)
+            payload_bytes = zlib.decompress(envelope["payload"])
         except zlib.error:
             self._warn_corrupt(key, path, "payload does not decompress")
             return None
@@ -437,27 +457,23 @@ class DirStore(ArtifactStore):
             self._memory[artifact.key] = artifact
 
     def contains(self, key: str) -> bool:
-        if self.root is None:
+        """Whether ``key`` holds an entry :meth:`get` would serve.
+
+        Checked up to the inflate: an older-format or damaged file reads
+        as absent, as it does to :meth:`get`, but stays on disk — only
+        a read drops it.
+        """
+        if key in self._memory or self.root is None:
             return key in self._memory
-        return key in self._memory or self._path_for(key).exists()
+        return self._read_envelope(key)[0] is not None
 
     def meta_of(self, key: str) -> dict | None:
-        if key in self._memory:
-            return dict(self._memory[key].meta)
-        if self.root is None:
-            return None
-        path = self._path_for(key)
-        if not path.exists():
-            return None
-        envelope = read_pickle(path)
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("format") != ARTIFACT_FORMAT
-            or envelope.get("key") != key
-        ):
-            return None
+        if key in self._memory or self.root is None:
+            artifact = self._memory.get(key)
+            return None if artifact is None else dict(artifact.meta)
+        envelope, _ = self._read_envelope(key)
         # the payload stays opaque bytes — metas are cheap to sweep
-        return dict(envelope.get("meta") or {})
+        return None if envelope is None else dict(envelope.get("meta") or {})
 
     def delete(self, key: str) -> bool:
         removed = self._memory.pop(key, None) is not None

@@ -2,8 +2,8 @@
 
 The autouse :func:`run_context` fixture makes a new
 :class:`~repro.obs.context.RunContext` current for each test: its own
-tracer, warning recorder, metrics, telemetry bus, progress channel and
-parse cache, so nothing one test records reaches the next.  The
+tracer, warning recorder, metrics, progress channel and parse cache,
+so nothing one test records reaches the next.  The
 artifact store is the one exception: a single in-memory store serves
 the whole session — the test's context and every in-process
 ``repro.cli.main`` run without a store directory — so a study one test
@@ -19,6 +19,17 @@ from repro.obs.context import RunContext
 from repro.pipeline.store import MemoryStore
 
 _SESSION_STORE = MemoryStore()
+
+
+class RecordedLog(list):
+    """An event log that keeps its records in a list.
+
+    Stands in for an :class:`~repro.obs.events.EventLog` wherever a
+    test reads back what a tracer, recorder or progress channel wrote.
+    """
+
+    def emit(self, record: dict) -> None:
+        self.append(record)
 
 
 @pytest.fixture(autouse=True)

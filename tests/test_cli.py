@@ -243,7 +243,6 @@ class TestPositiveIntFlags:
             ["pipeline", "status", "--json", "--scale", "0"],
             ["pipeline", "explain", "mine", "--scale", "0"],
             ["pipeline", "invalidate", "--scale", "-1"],
-            ["obs", "serve", "--scale", "0"],
             ["generate", "--out", "corpus", "--jobs", "0"],
             ["study", "--jobs", "0"],
             ["report", "--out", "r.md", "--jobs", "-2"],

@@ -176,11 +176,10 @@ class TestSavedCorpusCommands:
         assert warm["seed"] is None
         assert warm["fingerprints"] == cold["fingerprints"]
 
-    def test_serve_status_reads_the_running_pipeline(
-        self, saved, monkeypatch, capsys
+    def test_run_record_reads_the_pipeline_that_ran(
+        self, saved, tmp_path, monkeypatch, capsys
     ):
         import repro.io
-        from repro.obs.server import ObservabilityServer
 
         loads = []
         load_corpus = repro.io.load_corpus
@@ -188,25 +187,19 @@ class TestSavedCorpusCommands:
             repro.io, "load_corpus",
             lambda root: loads.append(root) or load_corpus(root),
         )
-        servers = []
-        init = ObservabilityServer.__init__
-
-        def capture(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            servers.append(self)
-
-        monkeypatch.setattr(ObservabilityServer, "__init__", capture)
+        store = tmp_path / "artifacts"
         assert main([
             "study", "--corpus", str(saved), "--figure", "headline",
-            "--serve", "0",
+            "--store-dir", str(store),
         ]) == 0
         capsys.readouterr()
-        pipe = servers[0].pipeline_factory()
-        # /status answers from the pipeline that ran: one corpus load
+        # the registry append reads the pipeline that ran: one load
         assert len(loads) == 1
-        assert pipe.study() is pipe.study()
-        rows = {row["stage"]: row for row in pipe.status()}
-        assert rows["generate"]["warm"] and rows["mine"]["warm"]
+        (record,) = RunRegistry(store).records()
+        assert record["command"] == "study"
+        assert record["projects"] == len(
+            [p for p in saved.iterdir() if p.is_dir()]
+        )
 
     def test_manifest_of_a_corpus_run_has_no_seed(
         self, saved, tmp_path, capsys

@@ -24,6 +24,7 @@ from repro.obs.events import (
     warn,
 )
 from repro.obs.trace import Span
+from tests.conftest import RecordedLog
 
 
 class TestEventRecorder:
@@ -44,9 +45,8 @@ class TestEventRecorder:
         assert current().metrics.counter("warnings.empty-history") == 2
 
     def test_sink_sees_every_delivery(self):
-        recorder = EventRecorder()
-        seen = []
-        recorder.bus.add_sink(lambda envelope: seen.append(envelope["data"]))
+        seen = RecordedLog()
+        recorder = EventRecorder(log=seen)
         recorder.warn("a", "first")
         recorder.replay({"event": "warning", "ts": 0.0, "code": "b",
                          "message": "from a worker", "context": {}})
@@ -353,3 +353,35 @@ class TestProgressEvents:
         assert "unexpected field 'speed'" in validate_event(
             self._record(speed=9000)
         )
+
+
+class TestFollowingTheLog:
+    def test_each_record_is_the_last_line_a_second_reader_sees(
+        self, tmp_path, monkeypatch, run_context, capsys
+    ):
+        from repro.cli import main
+        from repro.pipeline.store import MemoryStore
+
+        run_context.store = MemoryStore()  # a cold run, whatever ran before
+        path = tmp_path / "events.jsonl"
+        emit = EventLog.emit
+        followed = []
+
+        def emit_and_follow(log, record):
+            emit(log, record)
+            with path.open(encoding="utf-8") as reader:
+                text = reader.read()
+            assert text.endswith("\n")
+            last = json.loads(text.splitlines()[-1])
+            assert last == json.loads(json.dumps(record, default=str))
+            followed.append(last["event"])
+
+        monkeypatch.setattr(EventLog, "emit", emit_and_follow)
+        assert main([
+            "study", "--scale", "32", "--figure", "headline",
+            "--log-json", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert {"span", "progress", "resource"} <= set(followed)
+        assert followed[-1] == "run"
+        assert len(followed) == len(path.read_text().splitlines())

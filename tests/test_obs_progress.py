@@ -1,7 +1,7 @@
 """Unit tests for live run monitoring (`repro.obs.progress`).
 
 The heartbeat contract: trackers emit schema-valid ``progress`` records
-to whatever listens (a bus sink, TTY stream), throttled by the
+to whatever listens (an event log, a TTY stream), throttled by the
 channel interval, with the final state always emitted exactly once —
 and with nothing listening, an update is just a counter bump.
 """
@@ -22,6 +22,7 @@ from repro.obs.progress import (
     render_progress_line,
 )
 from repro.perf.timing import StudyTimings
+from tests.conftest import RecordedLog
 
 
 class FakeClock:
@@ -41,10 +42,7 @@ class FakeClock:
 def channel():
     """An unthrottled channel capturing every record in ``.records``."""
     chan = ProgressChannel()
-    chan.records = []
-    chan.sink = chan.bus.add_sink(
-        lambda envelope: chan.records.append(envelope["data"])
-    )
+    chan.records = chan.log = RecordedLog()
     chan.interval = 0.0
     return chan
 
@@ -128,7 +126,7 @@ class TestProgressTracker:
         assert [r["done"] for r in channel.records] == [1, 3]
 
     def test_no_listener_means_no_records(self, channel):
-        channel.bus.remove_sink(channel.sink)
+        channel.log = None
         tracker = ProgressTracker("stage", 2, channel=channel)
         tracker.update("a", 1.0)
         tracker.finish()
@@ -226,9 +224,8 @@ class TestChannelStream:
         assert chan.stream.getvalue() == ""
 
     def test_deliver_fans_out_to_both(self):
-        chan = ProgressChannel()
-        seen = []
-        chan.bus.add_sink(lambda envelope: seen.append(envelope["data"]))
+        seen = RecordedLog()
+        chan = ProgressChannel(seen)
         chan.stream = io.StringIO()
         record = progress_event("stage", 1, 2, 0.5, [])
         chan.deliver(record)
@@ -263,7 +260,7 @@ class TestChannelConfig:
         chan.stream = io.StringIO()
         assert chan.active
         chan.stream = None
-        chan.bus.add_sink(lambda envelope: None)
+        chan.log = RecordedLog()
         assert chan.active
 
 
@@ -275,12 +272,8 @@ class TestStudyIntegration:
         from repro.corpus import generate_corpus
         from repro.corpus.profiles import CANONICAL_PROFILES
 
-        records = []
+        records = run_context.progress.log = RecordedLog()
         run_context.progress.interval = 0.0
-        run_context.bus.add_sink(
-            lambda envelope: records.append(envelope["data"]),
-            kinds=("progress",),
-        )
         profiles = (replace(CANONICAL_PROFILES[0], count=3),)
         corpus = generate_corpus(seed=11, profiles=profiles)
         study = run_study(corpus)

@@ -35,6 +35,7 @@ from repro.obs.registry import as_record
 from repro.obs.regress import compare_records
 from repro.perf.pool import shutdown_pools
 from repro.pipeline import Pipeline
+from tests.conftest import RecordedLog
 
 SCALE = 16
 SEED = 97_531
@@ -185,7 +186,7 @@ class TestRunIsolation:
     Worker tracing rides on each task, so a traced run that reuses a
     pool an untraced run started still gets every worker span; and two
     runs with their own contexts share no counter, warning, span or
-    bus sink.
+    event log.
     """
 
     def test_traced_study_on_a_pool_an_untraced_study_warmed(self):
@@ -211,10 +212,10 @@ class TestRunIsolation:
     def test_two_pipelines_share_nothing(self):
         corpus = generate_corpus(seed=SEED, profiles=scaled_profiles(32))
         first, second = _traced_context(), _traced_context()
-        first_log, second_log = [], []
+        first_log, second_log = RecordedLog(), RecordedLog()
         for context, log in ((first, first_log), (second, second_log)):
             context.progress.interval = 0.0
-            context.bus.add_sink(log.append)
+            context.recorder.log = context.progress.log = log
         Pipeline(corpus=corpus, context=first).study()
         with first.active():
             warn("probe", "raised in the first run")

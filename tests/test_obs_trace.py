@@ -3,15 +3,14 @@
 The contract under test: disabled tracing is a shared no-op, enabled
 tracing builds a parent/child forest, detached spans round-trip through
 ``to_dict``/``attach`` (the worker transport), and close events reach
-the tracer's bus exactly once whether a span closed in-process or was
-replayed at attach time.
+the tracer's event log exactly once whether a span closed in-process
+or was replayed at attach time.
 """
 
 import json
 
 import pytest
 
-from repro.obs.bus import TelemetryBus
 from repro.obs.context import RunContext
 from repro.obs.trace import (
     NULL_SPAN,
@@ -146,14 +145,16 @@ class TestSerialisation:
         assert tracer.roots == []
 
 
+class _Closes(list):
+    """The span names a tracer writes to its event log, in close order."""
+
+    def emit(self, record: dict) -> None:
+        assert record["event"] == "span"
+        self.append(record["name"])
+
+
 def _closes(tracer: Tracer) -> list[str]:
-    """Span names the tracer publishes on its bus, in close order."""
-    closed = []
-    tracer.bus = TelemetryBus()
-    tracer.bus.add_sink(
-        lambda envelope: closed.append(envelope["data"]["name"]),
-        kinds=("span",),
-    )
+    tracer.log = closed = _Closes()
     return closed
 
 
@@ -183,11 +184,11 @@ class TestCloseEvents:
         tracer.attach({"name": "project"}, emit=False)
         assert closed == []
 
-    def test_without_a_bus_closes_stay_in_the_tree(self):
+    def test_without_a_log_closes_stay_in_the_tree(self):
         tracer = Tracer(enabled=True)
         with tracer.span("outer"):
             pass
-        assert tracer.bus is None
+        assert tracer.log is None
         assert [span.name for span in tracer.roots] == ["outer"]
 
 
@@ -197,10 +198,10 @@ class TestRunTracing:
         assert RunContext(trace_path=tmp_path / "t.json").tracer.enabled
 
     def test_only_an_event_log_publishes_span_closes(self, tmp_path):
-        assert RunContext(trace_path=tmp_path / "t.json").tracer.bus is None
+        assert RunContext(trace_path=tmp_path / "t.json").tracer.log is None
         context = RunContext(log_path=tmp_path / "events.jsonl")
         assert context.tracer.enabled
-        assert context.tracer.bus is context.bus
+        assert context.tracer.log is context.event_log
         context.finalize()
 
     def test_each_task_says_whether_it_is_traced(self):

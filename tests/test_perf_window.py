@@ -14,6 +14,7 @@ import pytest
 from repro.obs.progress import ProgressChannel, ProgressTracker
 from repro.perf.parallel import WindowStats, window_map
 from repro.perf.timing import StudyTimings
+from tests.conftest import RecordedLog
 
 
 def _tasks(values):
@@ -155,9 +156,8 @@ class TestWindowedEta:
         ) == pytest.approx(2.5)
 
     def test_tracker_parallelism_feeds_eta(self):
-        channel = ProgressChannel()
-        records = []
-        channel.bus.add_sink(lambda envelope: records.append(envelope["data"]))
+        records = RecordedLog()
+        channel = ProgressChannel(records)
         channel.interval = 0.0
         timings = self._timings(jobs=8)
         tracker = ProgressTracker(
@@ -173,9 +173,8 @@ class TestWindowedEta:
 
     def test_throttled_fake_executor_end_to_end(self):
         """Drive a windowed fan-out and check each heartbeat's ETA."""
-        channel = ProgressChannel()
-        records = []
-        channel.bus.add_sink(lambda envelope: records.append(envelope["data"]))
+        records = RecordedLog()
+        channel = ProgressChannel(records)
         channel.interval = 0.0
         timings = StudyTimings(jobs=4)
         tracker = ProgressTracker(

@@ -124,6 +124,74 @@ class TestPipelineStatus:
         ]
         assert shard_lines and "warm" in shard_lines[0]
 
+    def test_status_counts_only_entries_a_study_would_serve(
+        self, tmp_path, capsys
+    ):
+        import pickle
+
+        from repro.obs.context import current
+        from repro.pipeline import DirStore, Pipeline
+
+        store_dir = tmp_path / "artifacts"
+        cold = Pipeline(projects=12, store=DirStore(store_dir))
+        cold_study = cold.study()
+        older, flipped = cold.shards()[2], cold.shards()[7]
+        paths = {
+            shard.project: store_dir / "objects" / key[:2] / f"{key}.pkl"
+            for shard in (older, flipped)
+            for key in [shard.keys["mine"]]
+        }
+        # one mine envelope of the previous format, one bit-flipped
+        envelope = pickle.loads(paths[older.project].read_bytes())
+        envelope["format"] = "repro-artifact-v1"
+        paths[older.project].write_bytes(pickle.dumps(envelope))
+        envelope = pickle.loads(paths[flipped.project].read_bytes())
+        envelope["payload"] = bytes([envelope["payload"][0] ^ 0x01]) + (
+            envelope["payload"][1:]
+        )
+        paths[flipped.project].write_bytes(pickle.dumps(envelope))
+        damaged = {path: path.read_bytes() for path in paths.values()}
+
+        assert main([
+            "pipeline", "status", "--projects", "12", "--json", "--shards",
+            "--store-dir", str(store_dir),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = {row["stage"]: row for row in payload["stages"]}
+        assert (rows["mine"]["warm_shards"], rows["mine"]["warm"]) == (
+            10, False,
+        )
+        assert rows["generate"]["warm"] and rows["analyze"]["warm"]
+        assert {
+            row["project"] for row in payload["shards"] if not row["mine"]
+        } == set(paths)
+        # status only reads: both files are still there, unchanged
+        assert {path: path.read_bytes() for path in paths.values()} == (
+            damaged
+        )
+
+        # the warm analyze shards and reduce tail would mask the mine
+        # shards: drop them, so the study probes mine
+        for shard in (older, flipped):
+            cold.store.delete(shard.keys["analyze"])
+        cold.invalidate("aggregate")
+        rerun = Pipeline(projects=12, store=DirStore(store_dir))
+        study = rerun.study()
+        assert study.projects == cold_study.projects
+        stats = rerun.timings.artifacts
+        assert (stats["mine"].hits, stats["mine"].recomputes) == (0, 2)
+        assert (stats["analyze"].hits, stats["analyze"].recomputes) == (
+            10, 2,
+        )
+        assert (stats["generate"].hits, stats["generate"].recomputes) == (
+            2, 0,
+        )
+        for stage in ("aggregate", "figures", "statistics"):
+            assert (stats[stage].hits, stats[stage].recomputes) == (0, 1)
+        # the flipped entry is damage, the older format is not
+        codes = [record["code"] for record in current().recorder.warnings]
+        assert codes.count("store-corrupt") == 1
+
     def test_stale_stage_version_warns(self, tmp_path, capsys):
         from repro.pipeline import DirStore, Pipeline
 

@@ -25,6 +25,21 @@ def fingerprints(**kwargs) -> dict[str, str]:
     return {stage: pipe.fingerprint(stage) for stage in STAGE_NAMES}
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("scale", 0), ("scale", -3),
+            ("jobs", 0), ("jobs", -2),
+            ("limit_memory_mb", 0), ("limit_memory_mb", -1),
+        ],
+    )
+    def test_below_one_is_refused(self, name, value):
+        # as the CLI refuses --scale, --jobs and --limit-memory below 1
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            Pipeline(store=MemoryStore(), **{name: value})
+
+
 class TestGraphShape:
     def test_declaration_order_is_topological(self):
         seen = set()

@@ -223,6 +223,53 @@ class TestDirStore:
         )
         assert DirStore(tmp_path).meta_of(key) == {"stage": "mine"}
 
+    def test_contains_and_meta_of_refuse_what_get_refuses(self, tmp_path):
+        older, flipped, good = ("88" + "0" * 62, "99" + "0" * 62,
+                                "aa" + "0" * 62)
+        store = DirStore(tmp_path)
+        for key in (older, flipped, good):
+            store.put(key, {"x": 1}, meta={"stage": "mine"})
+        envelope = pickle.loads(_entry(tmp_path, older).read_bytes())
+        _write_envelope(
+            _entry(tmp_path, older),
+            **{**envelope, "format": "repro-artifact-v1"},
+        )
+        envelope = pickle.loads(_entry(tmp_path, flipped).read_bytes())
+        envelope["payload"] = envelope["payload"][:-1] + bytes(
+            [envelope["payload"][-1] ^ 0xFF]
+        )
+        _write_envelope(_entry(tmp_path, flipped), **envelope)
+        damaged = {
+            key: _entry(tmp_path, key).read_bytes() for key in (older, flipped)
+        }
+
+        reader = DirStore(tmp_path)
+        assert reader.contains(good)
+        assert reader.meta_of(good) == {"stage": "mine"}
+        for key, data in damaged.items():
+            assert not reader.contains(key)
+            assert reader.meta_of(key) is None
+            # read-only: the file stays, nothing warns, nothing counts
+            assert _entry(tmp_path, key).read_bytes() == data
+        assert _codes() == []
+        assert reader.stats == StoreStats()
+        # get refuses the same two entries, and drops them
+        assert reader.get(older) is None and reader.get(flipped) is None
+        assert _codes() == ["store-corrupt"]
+        assert not any(_entry(tmp_path, key).exists() for key in damaged)
+
+    def test_a_put_that_could_not_be_written_is_still_served(self, tmp_path):
+        key = "bb" + "0" * 62
+        # a file where the key's prefix directory belongs: the write fails
+        (tmp_path / "objects").mkdir()
+        (tmp_path / "objects" / "bb").write_text("")
+        store = DirStore(tmp_path)
+        store.put(key, {"x": 1}, meta={"stage": "mine"})
+        assert _codes() == ["store-dir-degraded"]
+        assert store.contains(key)
+        assert store.meta_of(key) == {"stage": "mine"}
+        assert store.get(key).payload == {"x": 1}
+
     def test_valid_digest_over_a_non_zlib_stream_is_corrupt(self, tmp_path):
         key = "66" + "0" * 62
         path = _entry(tmp_path, key)
