@@ -22,7 +22,8 @@ test:
 # bounded-memory gate (tests/test_streaming_pipeline.py::
 # TestBoundedMemoryGate): a 2000-project study under a 512 MiB memory
 # cap, driver peak RSS below the cap, the backpressure window bounded,
-# the aggregate spill used, and a byte-identical warm rerun
+# the aggregate spill used, a byte-identical warm rerun, and the same
+# study without a store directory exiting 0 (~2 min)
 scale-smoke:
 	$(PYTHON) -m pytest -m gate
 

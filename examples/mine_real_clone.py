@@ -6,7 +6,8 @@ example builds an actual git repository on disk (six months of commits
 with a schema that grows), then runs the same collection step the paper
 ran (`git log --name-status --no-merges --date=iso` + per-version
 `git show`) and the study pipeline on it — the same sharded, cached
-pipeline the 195-project study runs.
+pipeline the 195-project study runs, over an on-disk artifact store in
+the example's temp directory, as a `--store-dir` run keeps it.
 
 Point `load_clone()` at any local clone with a single-DDL-file schema
 to reproduce the study on real data.
@@ -21,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from repro.mining import load_clone
-from repro.pipeline import MemoryStore, Pipeline
+from repro.pipeline import DirStore, Pipeline
 from repro.report import render_joint_progress
 
 COMMITS = [
@@ -111,7 +112,8 @@ def main() -> int:
         build_repo(clone)
 
         project = load_clone(clone)
-        study = Pipeline(corpus=[project], store=MemoryStore()).study()
+        store = DirStore(Path(tmp) / "store")
+        study = Pipeline(corpus=[project], store=store).study()
         measures = study.projects[0]
         (ddl_path,) = project.repository.file_contents
 

@@ -187,7 +187,8 @@ def run_study(corpus: Iterable, *, jobs: int = 1) -> StudyResult:
     The corpus runs as a :class:`~repro.pipeline.graph.Pipeline` over
     a :class:`~repro.pipeline.store.NullStore`: nothing carries over
     between calls, and each mined history is released once analysed.
-    The §7 statistics are computed on first read, not up front.
+    It resolves the same stages as a run over any other store, the §7
+    statistics included.
     """
     from ..pipeline import NullStore, Pipeline
 

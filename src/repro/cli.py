@@ -1061,7 +1061,7 @@ def _obs_registry(context):
     if registry is None:
         print(
             "no directory artifact store configured — pass --store-dir "
-            "(or set REPRO_STORE_DIR); an in-memory store keeps no "
+            "(or set REPRO_STORE_DIR); a run without one keeps no "
             "run history",
             file=sys.stderr,
         )
@@ -1281,7 +1281,7 @@ def _append_run_record(args, context) -> None:
     """Append one registry record for a finished study/report run.
 
     Runs only for successful ``study``/``report`` runs against a
-    directory store — in-memory stores keep no history, and the append
+    directory store — a run without one keeps no history, and the append
     is best-effort: a registry failure must never fail a run that
     already produced its results.
     """

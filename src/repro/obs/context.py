@@ -29,7 +29,9 @@ alike.
 
 The parse cache is memory-only.  The artifact store, the one layer that
 can outlive the run (``store_dir``), is built on first use, so a
-command that never runs a pipeline creates no directory.
+command that never runs a pipeline creates no directory; without a
+``store_dir`` it is a :class:`~repro.pipeline.store.NullStore`, which
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class RunContext:
     ...``), then call :meth:`finalize` to write the trace file and
     manifest, log the closing run marker and close the event log.
 
-    ``store_dir`` is taken as given — ``None`` means a memory store;
-    :meth:`from_env` fills it from ``REPRO_STORE_DIR`` instead.
+    ``store_dir`` is taken as given — ``None`` means a store that keeps
+    nothing; :meth:`from_env` fills it from ``REPRO_STORE_DIR`` instead.
     """
 
     def __init__(
@@ -114,17 +116,19 @@ class RunContext:
 
     @cached_property
     def store(self):
-        """The run's artifact store (a ``DirStore`` under ``store_dir``).
+        """The run's artifact store: a ``DirStore`` under ``store_dir``.
 
+        Without a ``store_dir`` it is a ``NullStore``: the run keeps
+        only the reduce artifacts its pipeline memoises, never a shard.
         Built inside the context, so a degraded directory's warning
         lands in this run's recorder (and manifest) whoever asks first.
         """
-        from ..pipeline.store import DirStore, MemoryStore
+        from ..pipeline.store import DirStore, NullStore
 
         with self.active():
             if self.store_dir:
                 return DirStore(self.store_dir)
-            return MemoryStore()
+            return NullStore()
 
     @property
     def built_store(self):

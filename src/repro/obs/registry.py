@@ -87,11 +87,10 @@ class RunRegistry:
 
 
 def registry_for_store(store) -> RunRegistry | None:
-    """The store's registry, or ``None`` for in-memory stores.
+    """The store's registry, or ``None`` for a store with no directory.
 
-    Only a directory store has a place for history; a ``MemoryStore``
-    run leaves no registry record (matching its artifacts, which also
-    die with the process).
+    Only a directory store has a place for history; a run over a
+    ``NullStore`` leaves no registry record, as it leaves no artifact.
     """
     root = getattr(store, "root", None)
     return RunRegistry(root) if root else None

@@ -19,7 +19,7 @@ study scale:
 
 from .cache import CacheStats, ParseCache, cached_parse_schema
 from .pool import shutdown_pools, warm_pool
-from .timing import StudyTimings, stage_timer
+from .timing import StudyTimings
 
 __all__ = [
     "CacheStats",
@@ -27,6 +27,5 @@ __all__ = [
     "StudyTimings",
     "cached_parse_schema",
     "shutdown_pools",
-    "stage_timer",
     "warm_pool",
 ]

@@ -154,25 +154,6 @@ class StudyTimings:
     def merge_cache(self, stats: CacheStats) -> None:
         self.cache = self.cache + stats
 
-    def merge(self, other: "StudyTimings") -> "StudyTimings":
-        """Fold another accounting into this one (worker → driver).
-
-        Sum semantics throughout: every stage of ``other`` is added to
-        the same stage here (creating it at zero if absent) and the
-        cache counters add element-wise, so merging per-worker timings
-        yields total worker seconds per stage.  ``jobs`` keeps the
-        receiving (driver) value.  Returns ``self`` for chaining.
-        """
-        for stage, seconds in other.stages.items():
-            self.record(stage, seconds)
-        self.merge_cache(other.cache)
-        for stage, stats in other.artifacts.items():
-            current = self.artifacts.get(stage, ArtifactStats())
-            self.artifacts[stage] = current + stats
-        for scope, sample in other.resources.items():
-            self.record_resource(scope, sample)
-        return self
-
     def eta_seconds(
         self,
         done: int,
@@ -341,10 +322,3 @@ class StudyTimings:
                 f"{window.get('shrinks', 0)} shrinks"
             )
         return "\n".join(lines)
-
-
-@contextmanager
-def stage_timer():
-    """Yield a callable reading elapsed seconds since block entry."""
-    start = time.perf_counter()
-    yield lambda: time.perf_counter() - start

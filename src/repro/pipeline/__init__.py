@@ -32,7 +32,6 @@ from .store import (
     Artifact,
     ArtifactStore,
     DirStore,
-    MemoryStore,
     NullStore,
     StoreStats,
 )
@@ -52,7 +51,6 @@ _LAZY = {
     "stage_source_digest": "stages",
     "ShardSpec": "shards",
     "plan_shards": "shards",
-    "shard_batches": "shards",
     "spec_digest": "shards",
     "profile_digest": "shards",
     "project_digest": "shards",
@@ -66,7 +64,6 @@ __all__ = [
     "DirStore",
     "FINGERPRINT_FORMAT",
     "MAP_STAGE_NAMES",
-    "MemoryStore",
     "MinedProject",
     "NullStore",
     "Pipeline",
@@ -86,7 +83,6 @@ __all__ = [
     "plan_shards",
     "profile_digest",
     "project_digest",
-    "shard_batches",
     "spec_digest",
     "stage_fingerprint",
     "stage_source_digest",

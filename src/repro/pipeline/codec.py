@@ -136,7 +136,8 @@ def encode_mined(payload) -> tuple:
         tuple(table_items),
         versions,
         transitions,
-        payload.true_taxon.value,
+        # a cloned project has no ground-truth taxon
+        None if payload.true_taxon is None else payload.true_taxon.value,
     )
 
 
@@ -245,7 +246,9 @@ def decode_mined(data: tuple):
         ),
     )
     return MinedProject(
-        name=name, history=history, true_taxon=Taxon(taxon_value)
+        name=name,
+        history=history,
+        true_taxon=None if taxon_value is None else Taxon(taxon_value),
     )
 
 

@@ -78,7 +78,7 @@ from .stages import (
     dependents_of,
     stage_source_digest,
 )
-from .store import Artifact, ArtifactStore, NullStore
+from .store import Artifact, ArtifactStore
 
 
 class Pipeline:
@@ -127,7 +127,6 @@ class Pipeline:
         corpus: Iterable | None = None,
         projects: int | None = None,
         limit_memory_mb: int | None = None,
-        window: int | None = None,
         dialect: str | None = None,
         context: RunContext | None = None,
     ):
@@ -157,9 +156,6 @@ class Pipeline:
         #: warn-then-fail watchdog in the streaming map loop, and turns
         #: on the aggregate accumulator's disk spill.
         self.limit_memory_mb = limit_memory_mb
-        #: In-flight window for the backpressured fan-out; ``None``
-        #: derives ``max(2, 2 * jobs)``.
-        self.window = window
         self.jobs = jobs
         self.report_format = report_format
         if store is not None:
@@ -463,8 +459,6 @@ class Pipeline:
 
     def map_window(self) -> int:
         """The fan-out's initial in-flight window (the memory bound)."""
-        if self.window is not None:
-            return max(1, self.window)
         return max(2, 2 * self.jobs)
 
     def _iter_map_payloads(self):
@@ -836,7 +830,6 @@ class Pipeline:
         codec = SHARD_CODECS.get(stage)
         if codec is not None:
             # mine shards go to disk through the compact tuple codec
-            # (MemoryStore keeps the live object and ignores the tag)
             meta["codec"] = codec
         return self.store.put(shard.keys[stage], payload, meta=meta)
 
@@ -847,13 +840,8 @@ class Pipeline:
         The result's figures, headline and statistics are primed from
         the resolved artifacts, so accessors replay stored values
         instead of recomputing.  Memoised per pipeline: a second call
-        returns the same object.
-
-        Over a :class:`~repro.pipeline.store.NullStore` the
-        ``statistics`` stage is skipped: with nothing to replay later,
-        the result's own accessor computes the §7 battery from its rows
-        on first read, so a caller that never reads it never pays for
-        the Monte-Carlo test, the costliest reduce stage.
+        returns the same object.  The same stages resolve over every
+        store.
         """
         if self._study is not None:
             return self._study
@@ -872,10 +860,7 @@ class Pipeline:
         ), MONITOR.window() as window, GcClock() as gc_clock:
             aggregate = self._resolve("aggregate")
             figures = self._resolve("figures")
-            battery = (
-                None if isinstance(self.store, NullStore)
-                else self._resolve("statistics")
-            )
+            battery = self._resolve("statistics")
         self.timings.record_resource(
             "driver", {**window.sample.as_dict(), **gc_clock.as_dict()}
         )
@@ -889,8 +874,7 @@ class Pipeline:
             warnings=list(self.warnings),
         )
         result.prime_artifacts(
-            figures=figures.payload,
-            statistics=None if battery is None else battery.payload,
+            figures=figures.payload, statistics=battery.payload
         )
         self._study = result
         return result

@@ -231,23 +231,3 @@ def plan_shards(
     whole plan anyway (status tables, invalidation, tests).
     """
     return list(iter_shards(pairs, code_versions, dialect))
-
-
-def shard_batches(items: list, count: int) -> list[list]:
-    """Split ``items`` into at most ``count`` contiguous batches.
-
-    Degenerate inputs stay well-formed: ``count`` larger than the item
-    count yields singletons, an empty list yields no batches, and every
-    batch is non-empty (sizes differ by at most one).
-    """
-    if not items or count <= 0:
-        return []
-    count = min(count, len(items))
-    size, extra = divmod(len(items), count)
-    batches: list[list] = []
-    start = 0
-    for i in range(count):
-        stop = start + size + (1 if i < extra else 0)
-        batches.append(list(items[start:stop]))
-        start = stop
-    return batches

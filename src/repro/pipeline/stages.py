@@ -300,11 +300,12 @@ CODE_VERSIONS: dict[str, str] = {
 
 #: Which module's source *is* each stage's computation, for the
 #: stage-version drift guard.  ``generate`` lives in the corpus
-#: generator, ``mine`` in the worker module; everything else is the
+#: generator, ``mine`` in the miner (``mine_project``), not in the
+#: fan-out plumbing that ships it to a worker; everything else is the
 #: compute in this module.
 _SOURCE_MODULES: dict[str, str] = {
     "generate": "repro.corpus.generator",
-    "mine": "repro.perf.parallel",
+    "mine": "repro.mining.miner",
     "analyze": "repro.pipeline.stages",
     "aggregate": "repro.pipeline.stages",
     "figures": "repro.pipeline.stages",

@@ -9,10 +9,10 @@ run can replay the observability side-channels of the cold one.
 
 Two implementations share the interface:
 
-* :class:`MemoryStore` — a process-local dict; the default, and what
-  tests use.  Payloads are stored as live objects (no pickle round
-  trip), so repeated lookups return the *same* object — callers treat
-  artifacts as immutable, exactly like parse-cache entries.
+* :class:`NullStore` — keeps nothing, so every lookup misses; the
+  store of a run without a store directory, which then holds only the
+  reduce artifacts its :class:`~repro.pipeline.graph.Pipeline`
+  memoises for the run.
 * :class:`DirStore` — an on-disk store rooted at ``--store-dir`` /
   :data:`STORE_DIR_ENV`.  Entries are single files written atomically
   (temp file + ``os.replace``), each a pickled envelope whose payload
@@ -102,8 +102,9 @@ class StoreStats:
     """Monotone counters of one store's life so far.
 
     ``bytes_written`` counts the envelope bytes a :class:`DirStore`'s
-    puts wrote to disk (what its directory grew by); stores that keep
-    nothing on disk read 0.
+    puts wrote to disk (what its directory grew by); a
+    :class:`NullStore`, and a ``DirStore`` whose directory is unusable,
+    read 0.
     """
 
     hits: int = 0
@@ -240,39 +241,13 @@ class ArtifactStore:
         raise NotImplementedError
 
 
-class MemoryStore(ArtifactStore):
-    """Process-local artifact store (the default; also the test double)."""
-
-    kind = "memory"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._entries: dict[str, Artifact] = {}
-
-    def _raw_get(self, key: str) -> Artifact | None:
-        return self._entries.get(key)
-
-    def _raw_put(self, artifact: Artifact) -> None:
-        self._entries[artifact.key] = artifact
-
-    def contains(self, key: str) -> bool:
-        return key in self._entries
-
-    def delete(self, key: str) -> bool:
-        return self._entries.pop(key, None) is not None
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class NullStore(ArtifactStore):
     """A store that keeps nothing: every lookup misses.
 
-    For one-shot studies (``run_study``): each shard's history is
-    released once its analysis folds, as if no store were there.
+    The store of every run without a store directory — the CLI without
+    ``--store-dir`` or ``REPRO_STORE_DIR``, ``run_study`` — so each
+    shard's history is released once its analysis folds, and a
+    one-shot run's memory does not grow with the corpus.
     """
 
     def _raw_get(self, key: str) -> Artifact | None:

@@ -4,21 +4,26 @@ The autouse :func:`run_context` fixture makes a new
 :class:`~repro.obs.context.RunContext` current for each test: its own
 tracer, warning recorder, metrics, progress channel and parse cache,
 so nothing one test records reaches the next.  The
-artifact store is the one exception: a single in-memory store serves
-the whole session — the test's context and every in-process
+artifact store is the one exception: a single
+:class:`~repro.pipeline.store.DirStore` under a session temp directory
+serves the whole session — the test's context and every in-process
 ``repro.cli.main`` run without a store directory — so a study one test
-resolved replays for the next instead of being recomputed.  A test
-that needs a cold store sets ``run_context.store`` to a fresh one;
-its CLI runs follow.
+resolved replays for the next instead of being recomputed, through the
+same envelopes (codec, pickle, zlib, digest) a ``--store-dir`` run
+writes.  A test that needs a cold store sets ``run_context.store`` to
+a fresh one; its CLI runs follow.
 """
 
 import pytest
 
 import repro.cli as cli
 from repro.obs.context import RunContext
-from repro.pipeline.store import MemoryStore
+from repro.pipeline.store import DirStore
 
-_SESSION_STORE = MemoryStore()
+#: ``cli._run_context`` as the CLI has it, before :func:`run_context`
+#: wraps it: a test that must see the store a command builds for
+#: itself calls it.
+BUILD_RUN_CONTEXT = cli._run_context
 
 
 class RecordedLog(list):
@@ -32,15 +37,20 @@ class RecordedLog(list):
         self.append(record)
 
 
+@pytest.fixture(scope="session")
+def session_store(tmp_path_factory):
+    """The warm artifact store every test's run context starts over."""
+    return DirStore(tmp_path_factory.mktemp("session-store"))
+
+
 @pytest.fixture(autouse=True)
-def run_context(monkeypatch):
+def run_context(monkeypatch, session_store):
     """The test's current run context, over the session's warm store."""
     context = RunContext()
-    context.store = _SESSION_STORE
-    build_run_context = cli._run_context
+    context.store = session_store
 
     def over_the_test_store(args):
-        command = build_run_context(args)
+        command = BUILD_RUN_CONTEXT(args)
         if command.store_dir is None:
             command.store = context.store
         return command

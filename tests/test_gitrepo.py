@@ -152,12 +152,31 @@ class TestMineClone:
 
 
 class TestCloneInTheStudyPipeline:
-    def test_clone_runs_through_the_pipeline(self, clone):
+    def test_clone_runs_through_the_pipeline(self, clone, tmp_path):
         from repro.analysis import analyze_project
         from repro.mining import load_clone
-        from repro.pipeline import MemoryStore, Pipeline
+        from repro.pipeline import DirStore, Pipeline
 
-        pipe = Pipeline(corpus=[load_clone(clone)], store=MemoryStore())
+        def over_the_store():
+            return Pipeline(
+                corpus=[load_clone(clone)],
+                store=DirStore(tmp_path / "store"),
+            )
+
+        # a clone has no ground-truth taxon: its mine shard still
+        # goes through the codec into the store
+        pipe = over_the_store()
         study = pipe.study()
         assert study.projects == [analyze_project(mine_clone(clone))]
         assert pipe.shards()[0].identity["project"] == "project"
+
+        warm = over_the_store()
+        assert warm.study().projects == study.projects
+        assert warm.timings.artifact_totals.recomputes == 0
+
+        # re-analyzing reads the mine shard back through the codec
+        warm.invalidate("analyze")
+        again = over_the_store()
+        assert again.study().projects == study.projects
+        assert again.timings.artifacts["mine"].hits == 1
+        assert again.timings.artifacts["analyze"].recomputes == 1

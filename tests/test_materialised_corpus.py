@@ -17,7 +17,8 @@ from repro.cli import main
 from repro.corpus import generate_corpus
 from repro.corpus.profiles import scaled_profiles
 from repro.obs.registry import RunRegistry
-from repro.pipeline import MemoryStore, NullStore, Pipeline, project_digest
+from repro.obs.context import RunContext
+from repro.pipeline import DirStore, NullStore, Pipeline, project_digest
 
 SEED = 77
 SCALE = 32
@@ -58,16 +59,16 @@ class TestContentKeys:
         assert len({project_digest(p) for p in corpus}) == len(corpus)
 
     def test_keys_follow_content_not_corpus_position(self, corpus):
-        forward = _keys(Pipeline(corpus=corpus, store=MemoryStore()))
+        forward = _keys(Pipeline(corpus=corpus, store=NullStore()))
         backward = _keys(
-            Pipeline(corpus=corpus[::-1], store=MemoryStore())
+            Pipeline(corpus=corpus[::-1], store=NullStore())
         )
         assert forward == backward
 
     def test_an_edit_rekeys_exactly_its_own_cone(self, corpus):
-        before = _keys(Pipeline(corpus=corpus, store=MemoryStore()))
+        before = _keys(Pipeline(corpus=corpus, store=NullStore()))
         edited = [_edited(corpus[0]), *corpus[1:]]
-        after = _keys(Pipeline(corpus=edited, store=MemoryStore()))
+        after = _keys(Pipeline(corpus=edited, store=NullStore()))
         changed = {
             (name, stage)
             for name, keys in after.items()
@@ -85,8 +86,10 @@ class TestContentKeys:
 
 
 class TestWarmStore:
-    def test_warm_rerun_recomputes_only_the_edited_project(self, corpus):
-        store = MemoryStore()
+    def test_warm_rerun_recomputes_only_the_edited_project(
+        self, corpus, tmp_path
+    ):
+        store = DirStore(tmp_path / "store")
         cold = Pipeline(corpus=corpus, store=store)
         cold.study()
         # a given project is the shard's generate stage: never stored
@@ -101,8 +104,8 @@ class TestWarmStore:
         assert stats["analyze"].hits == len(corpus) - 1
         assert stats["aggregate"].recomputes == 1
 
-    def test_explain_marks_the_edited_shard_stale(self, corpus):
-        store = MemoryStore()
+    def test_explain_marks_the_edited_shard_stale(self, corpus, tmp_path):
+        store = DirStore(tmp_path / "store")
         Pipeline(corpus=corpus, store=store).study()
         edited = [_edited(corpus[0]), *corpus[1:]]
         records = Pipeline(corpus=edited, store=store).explain("mine")
@@ -113,7 +116,7 @@ class TestWarmStore:
     def test_given_projects_are_warm_generate_shards(self, corpus):
         # nothing is stored yet, but a given project is its own
         # generate output: status, shard status and explain agree
-        pipe = Pipeline(corpus=corpus, store=MemoryStore())
+        pipe = Pipeline(corpus=corpus, store=NullStore())
         rows = {row["stage"]: row for row in pipe.status()}
         assert rows["generate"]["warm"]
         assert rows["generate"]["warm_shards"] == len(corpus)
@@ -126,17 +129,24 @@ class TestWarmStore:
         assert {r["state"] for r in pipe.explain("mine")} == {"cold"}
 
 
-class TestDeferredStatistics:
-    def test_run_study_computes_statistics_on_first_read(self, corpus):
-        eager = Pipeline(corpus=corpus, store=MemoryStore())
-        expected = eager.study().statistics()
-        assert eager.timings.artifacts["statistics"].recomputes == 1
-
-        lazy = Pipeline(corpus=corpus, store=NullStore())
-        study = lazy.study()
-        assert "statistics" not in lazy.timings.artifacts
-        assert repr(study.statistics()) == repr(expected)
-        assert repr(run_study(corpus).statistics()) == repr(expected)
+class TestStatisticsStage:
+    def test_statistics_resolves_over_every_store(self, corpus, tmp_path):
+        # which stages resolve never depends on the store: the §7
+        # battery is a stage artifact over a DirStore, over a NullStore
+        # and over the default store, which keeps nothing
+        default = Pipeline(corpus=corpus, context=RunContext())
+        pipes = [
+            Pipeline(corpus=corpus, store=DirStore(tmp_path / "store")),
+            Pipeline(corpus=corpus, store=NullStore()),
+            default,
+        ]
+        reports = {repr(pipe.study().statistics()) for pipe in pipes}
+        for pipe in pipes:
+            assert pipe.timings.artifacts["statistics"].recomputes == 1
+        reports.add(repr(run_study(corpus).statistics()))
+        assert len(reports) == 1
+        assert isinstance(default.store, NullStore)
+        assert default.store.keys() == []
 
 
 class TestSavedCorpusCommands:

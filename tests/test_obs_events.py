@@ -360,9 +360,9 @@ class TestFollowingTheLog:
         self, tmp_path, monkeypatch, run_context, capsys
     ):
         from repro.cli import main
-        from repro.pipeline.store import MemoryStore
+        from repro.pipeline.store import NullStore
 
-        run_context.store = MemoryStore()  # a cold run, whatever ran before
+        run_context.store = NullStore()  # a cold run, whatever ran before
         path = tmp_path / "events.jsonl"
         emit = EventLog.emit
         followed = []

@@ -70,9 +70,11 @@ class TestBuildManifest:
         assert context.built_store is None
         assert not (tmp_path / "artifacts").exists()
 
-    def test_default_store_block_is_memory(self):
-        manifest = build_manifest(command="study")
-        assert manifest["store"]["kind"] == "memory"
+    def test_default_store_block_is_null(self):
+        context = RunContext()
+        context.store  # built, as a run builds it
+        manifest = build_manifest(command="study", context=context)
+        assert manifest["store"]["kind"] == "null"
         assert manifest["store"]["dir"] is None
 
     def test_warnings_are_aggregated_with_a_total_count(self):

@@ -15,7 +15,8 @@ from repro.obs.provenance import (
 from repro.pipeline import (
     MAP_STAGE_NAMES,
     REDUCE_STAGE_NAMES,
-    MemoryStore,
+    DirStore,
+    NullStore,
     Pipeline,
 )
 
@@ -93,8 +94,8 @@ class TestComponents:
 
 
 class TestExplainTarget:
-    def test_warm_when_key_is_stored(self):
-        store = MemoryStore()
+    def test_warm_when_key_is_stored(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         store.put(A, {"x": 1}, meta={"stage": "aggregate"})
         record = explain_target(
             store, "aggregate", A, {"code_version": "1"}
@@ -105,13 +106,13 @@ class TestExplainTarget:
 
     def test_cold_when_no_prior_generation(self):
         record = explain_target(
-            MemoryStore(), "aggregate", A, {"code_version": "1"}
+            NullStore(), "aggregate", A, {"code_version": "1"}
         )
         assert record["state"] == "cold"
         assert "no prior artifact" in render_explanation(record)
 
-    def test_stale_diffs_the_best_matching_candidate(self):
-        store = MemoryStore()
+    def test_stale_diffs_the_best_matching_candidate(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         stored = {
             "code_version": "2", "params": {}, "upstream": {"mine": A},
         }
@@ -130,8 +131,8 @@ class TestExplainTarget:
         text = render_explanation(record)
         assert "stale" in text and "code_version bumped 2→3" in text
 
-    def test_other_stages_and_projects_are_not_candidates(self):
-        store = MemoryStore()
+    def test_other_stages_and_projects_are_not_candidates(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         prov = {"code_version": "1", "params": {}, "upstream": {}}
         store.put(B, {}, meta={"stage": "figures", "provenance": prov})
         store.put(
@@ -143,8 +144,8 @@ class TestExplainTarget:
         )
         assert record["state"] == "cold"
 
-    def test_same_breakdown_different_key_names_the_format(self):
-        store = MemoryStore()
+    def test_same_breakdown_different_key_names_the_format(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         prov = {"code_version": "1", "params": {}, "upstream": {}}
         store.put(B, {}, meta={"stage": "aggregate", "provenance": prov})
         record = explain_target(store, "aggregate", A, dict(prov))
@@ -158,8 +159,8 @@ class TestPipelineExplain:
     """The acceptance scenarios, against one warm store."""
 
     @pytest.fixture(scope="class")
-    def warm_store(self):
-        store = MemoryStore()
+    def warm_store(self, tmp_path_factory):
+        store = DirStore(tmp_path_factory.mktemp("warm-store"))
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         pipe.report()
@@ -172,7 +173,7 @@ class TestPipelineExplain:
             assert all(r["state"] == "warm" for r in records), stage
 
     def test_cold_store_yields_cold_targets(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         records = pipe.explain("mine")
         assert records and all(r["state"] == "cold" for r in records)
 
@@ -249,15 +250,15 @@ class TestPipelineExplain:
 
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError):
-            Pipeline(store=MemoryStore()).explain("figments")
+            Pipeline(store=NullStore()).explain("figments")
 
     def test_unknown_project_raises(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         with pytest.raises(KeyError):
             pipe.explain("mine", project="no/such-project")
 
     def test_project_on_a_reduce_stage_raises(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         with pytest.raises(ValueError, match="per-project"):
             pipe.explain("aggregate", project="x")
 

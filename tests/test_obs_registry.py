@@ -19,7 +19,7 @@ from repro.obs.registry import (
     timeline_values,
 )
 from repro.obs.regress import compare_records
-from repro.pipeline import DirStore, MemoryStore, Pipeline
+from repro.pipeline import DirStore, NullStore, Pipeline
 
 
 def bench_shaped(total=2.0, rss=100 * 2**20, **extra) -> dict:
@@ -86,7 +86,7 @@ class TestRunRegistry:
         assert RunRegistry(tmp_path / "nowhere").records() == []
 
     def test_registry_for_store(self, tmp_path):
-        assert registry_for_store(MemoryStore()) is None
+        assert registry_for_store(NullStore()) is None
         registry = registry_for_store(DirStore(tmp_path / "s"))
         assert registry is not None
         assert registry.root == tmp_path / "s"
@@ -106,7 +106,7 @@ def study_record(study, **identity) -> dict:
 class TestBuildRunRecord:
     @pytest.fixture(scope="class")
     def study(self):
-        return Pipeline(scale=32, seed=77, store=MemoryStore()).study()
+        return Pipeline(scale=32, seed=77, store=NullStore()).study()
 
     def test_record_is_bench_shaped(self, study):
         record = study_record(
@@ -484,10 +484,13 @@ class TestRegistryCli:
         ]) == 2
         assert "no record carries" in capsys.readouterr().err
 
-    def test_no_store_dir_is_an_error(self, capsys, monkeypatch):
+    def test_no_store_dir_is_an_error(
+        self, capsys, monkeypatch, run_context
+    ):
         from repro.cli import main
 
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        run_context.store = NullStore()  # what a storeless run builds
         assert main(["obs", "history"]) == 2
         assert "no directory artifact store" in capsys.readouterr().err
 

@@ -138,19 +138,6 @@ class TestTimingsResources:
         )
         assert timings.resources == {}
 
-    def test_merge_folds_scopes(self):
-        a, b = StudyTimings(), StudyTimings()
-        a.record_resource("workers", {"peak_rss_bytes": 10,
-                                      "cpu_seconds": 1.0})
-        b.record_resource("workers", {"peak_rss_bytes": 20,
-                                      "cpu_seconds": 1.0})
-        b.record_resource("driver", {"peak_rss_bytes": 5,
-                                     "cpu_seconds": 0.5})
-        a.merge(b)
-        assert a.resources["workers"]["peak_rss_bytes"] == 20
-        assert a.resources["workers"]["cpu_seconds"] == 2.0
-        assert a.resources["driver"]["peak_rss_bytes"] == 5
-
     def test_as_dict_surfaces_the_headline_peak(self):
         timings = StudyTimings()
         timings.record_resource("driver", {"peak_rss_bytes": 100,
@@ -199,9 +186,9 @@ class TestEndToEndTelemetry:
         return generate_corpus(seed=77, profiles=scaled_profiles(32))
 
     def test_pipeline_study_records_driver_scope(self):
-        from repro.pipeline import MemoryStore, Pipeline
+        from repro.pipeline import NullStore, Pipeline
 
-        pipe = Pipeline(scale=32, seed=77, store=MemoryStore())
+        pipe = Pipeline(scale=32, seed=77, store=NullStore())
         pipe.study()
         resources = pipe.timings.resources
         assert "driver" in resources

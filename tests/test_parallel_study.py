@@ -10,9 +10,8 @@ import pytest
 
 from repro.analysis import canonical_study, run_study
 from repro.corpus import generate_corpus
-from repro.perf.cache import CacheStats
 from repro.perf.timing import StudyTimings
-from repro.pipeline.store import MemoryStore
+from repro.pipeline.store import NullStore
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ class TestTimings:
     def test_canonical_study_records_generate_stage(self, run_context):
         # a cold store and an empty memo: a study an earlier test left
         # in either would replay and record no generate stage
-        run_context.store = MemoryStore()
+        run_context.store = NullStore()
         canonical_study.cache_clear()
         try:
             study = canonical_study()
@@ -106,22 +105,6 @@ class TestTimings:
         names = [name for name, _ in timings.ordered_stages()]
         # canonical pipeline order first, unknown stages sorted after
         assert names == ["mine", "analyze", "total", "alpha", "zeta"]
-
-    def test_merge_sums_stages_and_cache_keeps_driver_jobs(self):
-        driver = StudyTimings(jobs=4)
-        driver.record("mine", 1.0)
-        driver.merge_cache(CacheStats(hits=2, misses=1))
-        worker = StudyTimings(jobs=1)
-        worker.record("mine", 0.5)
-        worker.record("figures", 0.25)
-        worker.merge_cache(CacheStats(hits=1, misses=3, statement_hits=1))
-        merged = driver.merge(worker)
-        assert merged is driver  # chains
-        assert driver.stages["mine"] == pytest.approx(1.5)
-        assert driver.stages["figures"] == pytest.approx(0.25)
-        assert driver.jobs == 4
-        assert driver.cache == CacheStats(hits=3, misses=4, statement_hits=1)
-
 
 class TestParallelObservability:
     """Satellite checks: cache counters and metrics across workers."""

@@ -3,9 +3,11 @@
 
 import json
 
+import repro.cli as cli
 from repro.cli import main
 from repro.pipeline import stages
-from repro.pipeline.store import MemoryStore
+from repro.pipeline.store import STORE_DIR_ENV, NullStore
+from tests.conftest import BUILD_RUN_CONTEXT
 
 #: seed 77 at scale 32 plans 7 projects; the first is stable by
 #: construction (corpus_specs is deterministic in the seed).
@@ -82,12 +84,40 @@ class TestStoreDirStudy:
         assert manifest["timings"]["parse_cache"]["misses"] == parsed
 
 
+class TestStorelessStudy:
+    """A run without ``--store-dir`` or ``REPRO_STORE_DIR``."""
+
+    def test_study_keeps_nothing(self, tmp_path, capsys, monkeypatch):
+        # the context the CLI builds for itself, not the session store
+        built = []
+
+        def run_context(args):
+            built.append(BUILD_RUN_CONTEXT(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_run_context", run_context)
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        manifest = tmp_path / "m.json"
+        assert main([
+            "study", "--scale", "16", "--figure", "headline", "--profile",
+            "--manifest", str(manifest),
+        ]) == 0
+        out = capsys.readouterr().out
+        (context,) = built
+        assert isinstance(context.store, NullStore)
+        assert context.store.keys() == []
+        # every stage still ran: 12 shards of each map stage, then
+        # aggregate, figures and statistics
+        assert "artifact store: 0 hits / 39 recomputes" in out
+        assert json.loads(manifest.read_text())["store"]["kind"] == "null"
+
+
 class TestPipelineStatus:
-    def test_cold_status_on_memory_store(self, capsys, run_context):
-        run_context.store = MemoryStore()  # one no earlier test warmed
+    def test_cold_status_without_a_store_dir(self, capsys, run_context):
+        run_context.store = NullStore()  # what a storeless run builds
         assert main(["pipeline", "status", *SEED_ARGS]) == 0
         out = capsys.readouterr().out
-        assert "store: memory" in out
+        assert "store: null" in out
         assert out.count("cold") == 7  # one row per stage
         assert "warm" not in out
 
@@ -326,7 +356,7 @@ class TestPipelineStatusJson:
 
 class TestPipelineExplain:
     def test_cold_store_explains_cold(self, capsys, run_context):
-        run_context.store = MemoryStore()  # one no earlier test warmed
+        run_context.store = NullStore()  # one no earlier test warmed
         assert main(["pipeline", "explain", "aggregate", *SEED_ARGS]) == 0
         out = capsys.readouterr().out
         assert "aggregate: cold — no prior artifact" in out

@@ -10,7 +10,8 @@ from repro.pipeline import (
     REDUCE_STAGE_NAMES,
     STAGE_NAMES,
     STAGES,
-    MemoryStore,
+    DirStore,
+    NullStore,
     Pipeline,
     dependents_of,
 )
@@ -21,7 +22,7 @@ SCALE = 16
 
 
 def fingerprints(**kwargs) -> dict[str, str]:
-    pipe = Pipeline(store=MemoryStore(), **kwargs)
+    pipe = Pipeline(store=NullStore(), **kwargs)
     return {stage: pipe.fingerprint(stage) for stage in STAGE_NAMES}
 
 
@@ -37,7 +38,7 @@ class TestArguments:
     def test_below_one_is_refused(self, name, value):
         # as the CLI refuses --scale, --jobs and --limit-memory below 1
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
-            Pipeline(store=MemoryStore(), **{name: value})
+            Pipeline(store=NullStore(), **{name: value})
 
 
 class TestGraphShape:
@@ -106,10 +107,10 @@ class TestFingerprints:
         assert fingerprints(jobs=1) == fingerprints(jobs=4)
 
     def test_project_override_rekeys_one_shard_and_the_reduce_tail(self):
-        base = Pipeline(store=MemoryStore())
+        base = Pipeline(store=NullStore())
         target = base.shards()[0].project
         other = Pipeline(
-            store=MemoryStore(), project_overrides={target: 999_999}
+            store=NullStore(), project_overrides={target: 999_999}
         )
         base_shards = {s.project: s.keys for s in base.shards()}
         other_shards = {s.project: s.keys for s in other.shards()}
@@ -124,13 +125,13 @@ class TestFingerprints:
 
     def test_unknown_project_override_raises(self):
         pipe = Pipeline(
-            store=MemoryStore(), project_overrides={"no/such-project": 1}
+            store=NullStore(), project_overrides={"no/such-project": 1}
         )
         with pytest.raises(ValueError, match="no/such-project"):
             pipe.shards()
 
     def test_unknown_code_version_override_is_inert(self):
-        pipe = Pipeline(store=MemoryStore(), code_versions={"analyze": "9"})
+        pipe = Pipeline(store=NullStore(), code_versions={"analyze": "9"})
         assert pipe.code_versions["analyze"] == "9"
         assert pipe.code_versions["mine"] == CODE_VERSIONS["mine"]
 
@@ -138,16 +139,16 @@ class TestFingerprints:
 class TestResolution:
     def test_resolving_a_map_stage_directly_is_an_error(self):
         with pytest.raises(ValueError, match="per shard"):
-            Pipeline(store=MemoryStore()).resolve("mine")
+            Pipeline(store=NullStore()).resolve("mine")
 
-    def test_cold_study_writes_shard_and_reduce_artifacts(self):
-        store = MemoryStore()
+    def test_cold_study_writes_shard_and_reduce_artifacts(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         n = len(pipe.shards())
         # one artifact per shard per map stage, plus aggregate,
         # figures and statistics; report is only rendered on demand
-        assert len(store) == 3 * n + 3
+        assert len(store.keys()) == 3 * n + 3
         assert store.stats.writes == 3 * n + 3
         assert store.stats.hits == 0
         assert sorted(store.keys()) == sorted(
@@ -157,11 +158,11 @@ class TestResolution:
         )
 
     def test_study_is_memoised_per_pipeline(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         assert pipe.study() is pipe.study()
 
-    def test_warm_aggregate_hit_short_circuits_the_map_phase(self):
-        store = MemoryStore()
+    def test_warm_aggregate_hit_short_circuits_the_map_phase(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         Pipeline(scale=SCALE, store=store).study()
 
         warm = Pipeline(scale=SCALE, store=store, context=RunContext())
@@ -187,19 +188,19 @@ class TestResolution:
             "aggregate": (1, 0), "figures": (0, 1), "statistics": (1, 0),
         }
 
-    def test_warm_rows_equal_cold_rows(self):
-        store = MemoryStore()
+    def test_warm_rows_equal_cold_rows(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         cold = Pipeline(scale=SCALE, store=store).study()
         warm = Pipeline(scale=SCALE, store=store).study()
         assert warm.projects == cold.projects
         assert warm.skipped == cold.skipped
 
-    def test_report_resolves_through_the_store(self):
-        store = MemoryStore()
+    def test_report_resolves_through_the_store(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         text = pipe.report()
         assert "projects analysed" in text
-        assert len(store) == 3 * len(pipe.shards()) + 4
+        assert len(store.keys()) == 3 * len(pipe.shards()) + 4
 
         warm = Pipeline(scale=SCALE, store=store)
         assert warm.report() == text
@@ -208,8 +209,8 @@ class TestResolution:
 
 
 class TestStatus:
-    def test_cold_then_warm(self):
-        store = MemoryStore()
+    def test_cold_then_warm(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         assert all(not row["warm"] for row in pipe.status())
 
@@ -220,8 +221,8 @@ class TestStatus:
             assert by_stage[stage]["warm"], stage
         assert not by_stage["report"]["warm"]
 
-    def test_map_rows_carry_shard_counts(self):
-        store = MemoryStore()
+    def test_map_rows_carry_shard_counts(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         n = len(pipe.shards())
@@ -237,13 +238,13 @@ class TestStatus:
             assert row["shards"] is None
 
     def test_rows_carry_identity(self):
-        row = Pipeline(store=MemoryStore()).status()[0]
+        row = Pipeline(store=NullStore()).status()[0]
         assert row["stage"] == "generate"
         assert row["code_version"] == CODE_VERSIONS["generate"]
         assert len(row["fingerprint"]) == 64
 
-    def test_shard_status_lists_every_project(self):
-        store = MemoryStore()
+    def test_shard_status_lists_every_project(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         rows = pipe.shard_status()
@@ -257,20 +258,22 @@ class TestStatus:
 class TestInvalidate:
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError):
-            Pipeline(store=MemoryStore()).invalidate("figments")
+            Pipeline(store=NullStore()).invalidate("figments")
 
     def test_unknown_project_raises(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         with pytest.raises(KeyError):
             pipe.invalidate(project="no/such-project")
 
     def test_stage_and_project_together_raise(self):
-        pipe = Pipeline(scale=SCALE, store=MemoryStore())
+        pipe = Pipeline(scale=SCALE, store=NullStore())
         with pytest.raises(ValueError):
             pipe.invalidate("analyze", project="x")
 
-    def test_invalidate_stage_drops_exactly_the_dependent_cone(self):
-        store = MemoryStore()
+    def test_invalidate_stage_drops_exactly_the_dependent_cone(
+        self, tmp_path
+    ):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         n = len(pipe.shards())
@@ -284,8 +287,8 @@ class TestInvalidate:
         assert not by_stage["figures"]
         assert not by_stage["statistics"]
 
-    def test_rerun_after_invalidate_reuses_upstream(self):
-        store = MemoryStore()
+    def test_rerun_after_invalidate_reuses_upstream(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         cold = pipe.study()
         n = len(pipe.shards())
@@ -298,11 +301,11 @@ class TestInvalidate:
         assert stats["mine"].hits == n  # every mine shard came warm
         assert stats["analyze"].recomputes == n
 
-    def test_invalidate_project_recomputes_only_its_map_cone(self):
+    def test_invalidate_project_recomputes_only_its_map_cone(self, tmp_path):
         # the acceptance scenario: after a cold sharded run, dropping
         # one project recomputes exactly its generate/mine/analyze
         # shards plus the reduce tail, and reproduces identical rows
-        store = MemoryStore()
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         cold = pipe.study()
         cold_text = pipe.report()
@@ -346,20 +349,20 @@ class TestInvalidate:
         assert retouched_text == touched_text
         assert retouched.timings.artifact_totals.recomputes == 0
 
-    def test_invalidate_all(self):
-        store = MemoryStore()
+    def test_invalidate_all(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         pipe.study()
         n = len(pipe.shards())
         assert pipe.invalidate() == 3 * n + 3
-        assert len(store) == 0
+        assert len(store.keys()) == 0
 
-    def test_other_seeds_survive(self):
-        store = MemoryStore()
+    def test_other_seeds_survive(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         keeper = Pipeline(scale=SCALE, seed=7, store=store)
         keeper.study()
-        kept = len(store)
+        kept = len(store.keys())
         other = Pipeline(scale=SCALE, seed=8, store=store)
         other.study()
         other.invalidate()
-        assert len(store) == kept  # seed-7 artifacts untouched
+        assert len(store.keys()) == kept  # seed-7 artifacts untouched

@@ -1,7 +1,8 @@
-"""Shard planning: key determinism, override locality, batching, and
-the stage-version drift guard."""
+"""Shard planning: key determinism, override locality, and the
+stage-version drift guard."""
 
 import dataclasses
+import inspect
 
 import repro.pipeline.shards as shards
 from repro.corpus import DEFAULT_SEED
@@ -9,12 +10,11 @@ from repro.corpus.generator import corpus_specs
 from repro.corpus.profiles import CANONICAL_PROFILES
 from repro.pipeline import (
     CODE_VERSIONS,
-    MemoryStore,
+    DirStore,
     Pipeline,
     family_fingerprint,
     plan_shards,
     profile_digest,
-    shard_batches,
     spec_digest,
     stage_source_digest,
 )
@@ -121,30 +121,6 @@ class TestPlanShards:
         assert family_fingerprint("analyze", [])
 
 
-class TestShardBatches:
-    def test_even_split(self):
-        assert shard_batches([1, 2, 3, 4], 2) == [[1, 2], [3, 4]]
-
-    def test_remainder_spreads_forward(self):
-        batches = shard_batches(list(range(5)), 2)
-        assert batches == [[0, 1, 2], [3, 4]]
-
-    def test_count_larger_than_items_yields_singletons(self):
-        assert shard_batches([1, 2], 5) == [[1], [2]]
-
-    def test_empty_items(self):
-        assert shard_batches([], 4) == []
-
-    def test_nonpositive_count(self):
-        assert shard_batches([1, 2], 0) == []
-
-    def test_every_batch_nonempty_and_order_preserved(self):
-        items = list(range(13))
-        batches = shard_batches(items, 4)
-        assert all(batches)
-        assert [x for batch in batches for x in batch] == items
-
-
 class TestVersionDriftGuard:
     def _tamper(self, pipe: Pipeline, key: str, **meta_updates) -> None:
         artifact = pipe.store.get(key)
@@ -152,15 +128,15 @@ class TestVersionDriftGuard:
         meta.update(meta_updates)
         pipe.store.put(key, artifact.payload, meta=meta)
 
-    def test_clean_store_reports_no_drift(self):
-        pipe = Pipeline(scale=32, store=MemoryStore())
+    def test_clean_store_reports_no_drift(self, tmp_path):
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         assert pipe.version_drift() == []
 
-    def test_source_change_without_version_bump_is_flagged(self):
+    def test_source_change_without_version_bump_is_flagged(self, tmp_path):
         # simulate: the figures module changed (different source
         # digest) but FIGURES_VERSION was not bumped
-        pipe = Pipeline(scale=32, store=MemoryStore())
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         self._tamper(
             pipe, pipe.fingerprint("figures"), source_digest="0" * 64
@@ -170,18 +146,18 @@ class TestVersionDriftGuard:
         assert drifted[0]["current"] == stage_source_digest("figures")
         assert drifted[0]["stored"] == "0" * 64
 
-    def test_map_stage_drift_checks_a_shard_artifact(self):
-        pipe = Pipeline(scale=32, store=MemoryStore())
+    def test_map_stage_drift_checks_a_shard_artifact(self, tmp_path):
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         self._tamper(
             pipe, pipe.shards()[0].keys["mine"], source_digest="f" * 64
         )
         assert "mine" in [d["stage"] for d in pipe.version_drift()]
 
-    def test_bumped_version_silences_the_warning(self):
+    def test_bumped_version_silences_the_warning(self, tmp_path):
         # a changed digest *with* a changed code_version is the healthy
         # path: the old artifact belongs to the old version
-        pipe = Pipeline(scale=32, store=MemoryStore())
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         self._tamper(
             pipe,
@@ -191,16 +167,44 @@ class TestVersionDriftGuard:
         )
         assert pipe.version_drift() == []
 
-    def test_artifacts_without_digest_are_ignored(self):
+    def test_artifacts_without_digest_are_ignored(self, tmp_path):
         # artifacts written before the drift guard have no digest;
         # they cannot be judged and must not warn
-        pipe = Pipeline(scale=32, store=MemoryStore())
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         self._tamper(pipe, pipe.fingerprint("figures"), source_digest=None)
         assert pipe.version_drift() == []
 
-    def test_stored_artifacts_carry_the_current_digest(self):
-        pipe = Pipeline(scale=32, store=MemoryStore())
+    def test_mine_digests_the_miner_not_the_fan_out(self, monkeypatch):
+        # the fan-out plumbing cannot change a mined byte, so an edit
+        # to it must not trip the guard; an edit to the miner must
+        real = inspect.getsource
+
+        def edited(module_name):
+            def getsource(obj):
+                text = real(obj)
+                if getattr(obj, "__name__", None) == module_name:
+                    text += "\n# edited\n"
+                return text
+
+            return getsource
+
+        before = stage_source_digest("mine")
+        try:
+            for module, moves in (
+                ("repro.perf.parallel", False),
+                ("repro.mining.miner", True),
+            ):
+                monkeypatch.setattr(inspect, "getsource", edited(module))
+                stage_source_digest.cache_clear()
+                moved = stage_source_digest("mine") != before
+                assert moved is moves, module
+        finally:
+            monkeypatch.undo()
+            stage_source_digest.cache_clear()
+
+    def test_stored_artifacts_carry_the_current_digest(self, tmp_path):
+        pipe = Pipeline(scale=32, store=DirStore(tmp_path / "store"))
         pipe.study()
         meta = pipe.store.meta_of(pipe.fingerprint("aggregate"))
         assert meta["source_digest"] == stage_source_digest("aggregate")

@@ -13,7 +13,6 @@ from repro.pipeline.store import (
     ARTIFACT_FORMAT,
     STORE_DIR_ENV,
     DirStore,
-    MemoryStore,
     NullStore,
     StoreStats,
     atomic_write_pickle,
@@ -82,40 +81,6 @@ class TestStoreStats:
         assert StoreStats().hit_rate == 0.0
 
 
-class TestMemoryStore:
-    def test_round_trip_returns_same_object(self):
-        store = MemoryStore()
-        payload = {"rows": [1, 2]}
-        store.put("k1", payload, meta={"stage": "analyze"})
-        artifact = store.get("k1")
-        assert artifact.payload is payload
-        assert artifact.meta == {"stage": "analyze"}
-
-    def test_stats_count_hits_and_misses(self):
-        store = MemoryStore()
-        assert store.get("absent") is None
-        store.put("k", 1)
-        store.get("k")
-        assert store.stats == StoreStats(hits=1, misses=1, writes=1)
-
-    def test_contains_does_not_count(self):
-        store = MemoryStore()
-        store.put("k", 1)
-        assert store.contains("k")
-        assert not store.contains("absent")
-        assert store.stats.lookups == 0
-
-    def test_delete_and_clear(self):
-        store = MemoryStore()
-        store.put("a", 1)
-        store.put("b", 2)
-        assert store.delete("a")
-        assert not store.delete("a")
-        assert store.keys() == ["b"]
-        assert store.clear() == 1
-        assert len(store) == 0
-
-
 class TestNullStore:
     def test_keeps_nothing(self):
         store = NullStore()
@@ -149,6 +114,33 @@ class TestDirStore:
         assert store.size_of(key) > 100
         assert store.keys() == [key]
         assert store.size_of("absent") is None
+
+    def test_stats_count_hits_and_misses(self, tmp_path):
+        store = DirStore(tmp_path)
+        assert store.get("absent") is None
+        store.put("k", 1)
+        store.get("k")
+        assert store.stats == StoreStats(
+            hits=1, misses=1, writes=1,
+            bytes_written=_entry(tmp_path, "k").stat().st_size,
+        )
+
+    def test_contains_does_not_count(self, tmp_path):
+        store = DirStore(tmp_path)
+        store.put("k", 1)
+        assert store.contains("k")
+        assert not store.contains("absent")
+        assert store.stats.lookups == 0
+
+    def test_delete_and_clear(self, tmp_path):
+        store = DirStore(tmp_path)
+        store.put("a", 1)
+        store.put("b", 2)
+        assert store.delete("a")
+        assert not store.delete("a")
+        assert store.keys() == ["b"]
+        assert store.clear() == 1
+        assert store.keys() == []
 
     def test_delete_removes_the_file(self, tmp_path):
         store = DirStore(tmp_path)
@@ -324,8 +316,11 @@ class TestDirStore:
         assert reader.get(keys[1]) is not None
         assert reader.stats.bytes_written == 0
 
-    def test_memory_and_null_stores_write_no_bytes(self):
-        for store in (MemoryStore(), NullStore()):
+    def test_memory_and_null_stores_write_no_bytes(self, tmp_path):
+        # a DirStore whose directory is unusable runs memory-only
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the store dir should be")
+        for store in (DirStore(blocker), NullStore()):
             store.put("k", "x" * 1000)
             assert store.stats.bytes_written == 0
 
@@ -418,8 +413,13 @@ class TestDirStore:
 class TestGlobalStore:
     """The store a run context builds on first use."""
 
-    def test_default_is_memory(self):
-        assert RunContext().store.kind == "memory"
+    def test_default_keeps_nothing(self):
+        store = RunContext().store
+        assert isinstance(store, NullStore)
+        assert store.kind == "null"
+        store.put("k", {"rows": [1]})
+        assert store.get("k") is None
+        assert store.keys() == []
 
     def test_store_dir_builds_a_dir_store_and_exports_nothing(
         self, tmp_path, monkeypatch
@@ -433,7 +433,7 @@ class TestGlobalStore:
     def test_env_var_enables_dir_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "from-env"))
         assert RunContext.from_env().store.kind == "dir"
-        assert RunContext().store.kind == "memory"
+        assert RunContext().store.kind == "null"
 
     def test_the_store_is_built_on_first_use(self, tmp_path):
         context = RunContext(store_dir=tmp_path / "artifacts")

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.study import StudyResult
 from repro.obs.context import RunContext, current
-from repro.pipeline import DirStore, MemoryStore, Pipeline
+from repro.pipeline import DirStore, NullStore, Pipeline
 from repro.vcs import (
     Commit,
     FileChange,
@@ -160,8 +160,8 @@ class TestWarmReplay:
         assert parallel.projects == serial.projects
         assert parallel.skipped == serial.skipped
 
-    def test_warm_run_replays_cold_warnings(self):
-        store = MemoryStore()
+    def test_warm_run_replays_cold_warnings(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         cold = _hollow_pipeline(store, 1)
         cold.study()
         assert _codes() == ["empty-history"]
@@ -179,7 +179,7 @@ class TestWarmReplay:
 
 class TestHeadlineMemo:
     def test_repeated_headline_is_the_same_object(self):
-        study = Pipeline(scale=SCALE, store=MemoryStore()).study()
+        study = Pipeline(scale=SCALE, store=NullStore()).study()
         assert study.headline() is study.headline()
 
     def test_memo_holds_without_pipeline_priming(self):
@@ -187,36 +187,36 @@ class TestHeadlineMemo:
         assert study.headline() is study.headline()
 
     def test_figures_memoised_too(self):
-        study = Pipeline(scale=SCALE, store=MemoryStore()).study()
+        study = Pipeline(scale=SCALE, store=NullStore()).study()
         assert study.fig4() is study.fig4()
         assert study.fig8() is study.fig8()
 
 
 class TestDegenerateCorpora:
-    def test_empty_corpus_studies_cleanly(self):
-        pipe = Pipeline(store=MemoryStore(), corpus=[])
+    def test_empty_corpus_studies_cleanly(self, tmp_path):
+        pipe = Pipeline(store=DirStore(tmp_path / "store"), corpus=[])
         study = pipe.study()
         assert study.projects == []
         assert study.skipped == []
         assert study.headline()["projects"] == 0
         assert study.fig6() is not None  # no ZeroDivisionError
 
-    def test_empty_corpus_report_renders(self):
-        pipe = Pipeline(store=MemoryStore(), corpus=[])
+    def test_empty_corpus_report_renders(self, tmp_path):
+        pipe = Pipeline(store=DirStore(tmp_path / "store"), corpus=[])
         text = pipe.report()
         assert "0 projects analysed" in text
         # the §7 battery cannot run on nothing; the report says so
         assert "not computed" in text
 
-    def test_empty_corpus_warm_replay_is_byte_identical(self):
-        store = MemoryStore()
+    def test_empty_corpus_warm_replay_is_byte_identical(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         cold_text = Pipeline(store=store, corpus=[]).report()
         warm = Pipeline(store=store, corpus=[])
         assert warm.report() == cold_text
         assert warm.timings.artifact_totals.recomputes == 0
 
-    def test_single_all_skipped_shard_still_reports(self):
-        store = MemoryStore()
+    def test_single_all_skipped_shard_still_reports(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         cold = _hollow_pipeline(store, 1)
         cold_text = cold.report()
         assert "0 projects analysed, 1 skipped" in cold_text
@@ -225,8 +225,8 @@ class TestDegenerateCorpora:
         assert warm.report() == cold_text
         assert warm.timings.artifact_totals.recomputes == 0
 
-    def test_all_projects_skipped(self):
-        pipe = _hollow_pipeline(MemoryStore(), 3)
+    def test_all_projects_skipped(self, tmp_path):
+        pipe = _hollow_pipeline(DirStore(tmp_path / "store"), 3)
         study = pipe.study()
         assert study.projects == []
         assert study.skipped == [
@@ -235,13 +235,13 @@ class TestDegenerateCorpora:
         assert _codes() == ["empty-history"] * 3
         assert study.metrics.counters["projects.skipped"] == 3
 
-    def test_all_skipped_report_renders(self):
-        pipe = _hollow_pipeline(MemoryStore(), 2)
+    def test_all_skipped_report_renders(self, tmp_path):
+        pipe = _hollow_pipeline(DirStore(tmp_path / "store"), 2)
         text = pipe.report()
         assert "0 projects analysed, 2 skipped" in text
 
-    def test_statistics_error_replays_from_the_artifact(self):
-        store = MemoryStore()
+    def test_statistics_error_replays_from_the_artifact(self, tmp_path):
+        store = DirStore(tmp_path / "store")
         pipe = Pipeline(store=store, corpus=[])
         with pytest.raises(ValueError):
             pipe.study().statistics()

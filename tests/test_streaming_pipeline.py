@@ -8,6 +8,10 @@ fail loudly on a true breach — surfacing as exit code 3 at the CLI.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from repro.mining.aggregates import AggregateAccumulator
 from repro.obs.context import RunContext, current
 from repro.obs.resources import MemoryLimitExceeded, MemoryWatchdog
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.store import MemoryStore
+from repro.pipeline.store import STORE_DIR_ENV, NullStore
 
 
 class TestMemoryWatchdog:
@@ -142,15 +146,13 @@ class TestStreamingPipeline:
     N = 12
 
     def _report(self, **kwargs):
-        pipe = Pipeline(
-            store=MemoryStore(), projects=self.N, context=RunContext(),
-            **kwargs,
-        )
+        # a fresh context's store keeps nothing: every run is cold
+        pipe = Pipeline(projects=self.N, context=RunContext(), **kwargs)
         return pipe, pipe.report()
 
     def test_capped_run_is_byte_identical_to_uncapped(self):
         _, plain = self._report()
-        capped_pipe, capped = self._report(limit_memory_mb=4096, window=2)
+        capped_pipe, capped = self._report(limit_memory_mb=4096)
         assert capped == plain
         streaming = capped_pipe.timings.streaming
         window = streaming["window"]
@@ -172,7 +174,7 @@ class TestStreamingPipeline:
             graph_module, "MemoryWatchdog", _PressureWatchdog
         )
         _, plain = self._report()
-        pipe, capped = self._report(limit_memory_mb=256, window=8)
+        pipe, capped = self._report(limit_memory_mb=256)
         assert capped == plain, "pressure handling changed report bytes"
         streaming = pipe.timings.streaming
         assert streaming["window"]["final"] == 1
@@ -186,7 +188,7 @@ class TestStreamingPipeline:
 
     def test_breach_propagates_from_study(self):
         pipe = Pipeline(
-            store=MemoryStore(), projects=self.N, limit_memory_mb=1,
+            store=NullStore(), projects=self.N, limit_memory_mb=1,
         )
         with pytest.raises(MemoryLimitExceeded):
             pipe.study()
@@ -225,7 +227,7 @@ class TestStreamingPipeline:
 
 class TestShardStatusPagination:
     def _pipe(self):
-        return Pipeline(store=MemoryStore(), projects=10)
+        return Pipeline(store=NullStore(), projects=10)
 
     def test_page_matches_full_listing_slice(self):
         pipe = self._pipe()
@@ -267,9 +269,10 @@ class TestShardStatusPagination:
 
 @pytest.mark.gate
 class TestBoundedMemoryGate:
-    """A 2000-project study under a 512 MiB cap, cold then warm.
+    """A 2000-project study under a 512 MiB cap: cold then warm over a
+    ``--store-dir``, and once without one.
 
-    About a minute on two cores, so it stays out of tier-1: the
+    About two minutes on two cores, so it stays out of tier-1: the
     ``gate`` marker is deselected by default and ``make scale-smoke``
     runs it with ``pytest -m gate``.
     """
@@ -315,3 +318,20 @@ class TestBoundedMemoryGate:
         warm, warm_text, _ = run()
         assert warm_text == cold_text
         assert warm.timings.artifact_totals.recomputes == 0
+
+    def test_storeless_capped_cli_study_exits_0(self, tmp_path):
+        # without a store directory the run keeps no shard, so a fresh
+        # `repro study` stays under the cap as a --store-dir run does
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop(STORE_DIR_ENV, None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "study",
+             "--projects", str(self.PROJECTS),
+             "--limit-memory", str(self.LIMIT_MB),
+             "--figure", "headline"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"projects: {self.PROJECTS}" in proc.stdout
