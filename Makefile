@@ -23,7 +23,9 @@ test:
 # TestBoundedMemoryGate): a 2000-project study under a 512 MiB memory
 # cap, driver peak RSS below the cap, the backpressure window bounded,
 # the aggregate spill used, a byte-identical warm rerun, and the same
-# study without a store directory exiting 0 (~2 min)
+# study without a store directory exiting 0; a 1000-project study over
+# an unusable --store-dir keeps nothing and peaks as a storeless one
+# does (~3 min)
 scale-smoke:
 	$(PYTHON) -m pytest -m gate
 

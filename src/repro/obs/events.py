@@ -15,8 +15,8 @@ Six event kinds exist:
 ``warning``
     emitted by :func:`warn` for anomalies that would otherwise be silent
     skips — an unparseable DDL version, an empty (zero-activity)
-    history, a ``find_ddl_path`` tie-break, a store directory
-    degrading to memory-only;
+    history, a ``find_ddl_path`` tie-break, a store directory that
+    cannot be written;
 ``progress``
     periodic heartbeats from the executor fan-outs (see
     :mod:`repro.obs.progress`) — projects done/total, percent, the

@@ -114,9 +114,10 @@ class MetricsSnapshot:
         return MetricsSnapshot(counters, gauges, histograms)
 
     def __sub__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        # zero-change counters are dropped: a delta only reports what
-        # actually moved (forked workers inherit the parent's counters,
-        # which would otherwise echo as zeros in every delta)
+        # zero-change counters and histograms are dropped: a delta only
+        # reports what actually moved (forked workers inherit the
+        # parent's metrics, and a serial run's driver keeps the mine
+        # histograms, which would otherwise echo as zeros in every delta)
         counters = {
             name: value - other.counters.get(name, 0)
             for name, value in self.counters.items()
@@ -124,11 +125,13 @@ class MetricsSnapshot:
         }
         histograms = {}
         for name, data in self.histograms.items():
-            histograms[name] = (
+            delta = (
                 data - other.histograms[name]
                 if name in other.histograms
                 else data.copy()
             )
+            if any(delta.counts):
+                histograms[name] = delta
         return MetricsSnapshot(counters, dict(self.gauges), histograms)
 
     def fold_cache(self, stats) -> "MetricsSnapshot":

@@ -12,9 +12,10 @@ the reduce tail.  See ``docs/architecture.md`` for the DAG, the
 shard-key recipe and the on-disk layout.
 
 Import layering: this package's leaves (:mod:`.store`,
-:mod:`.fingerprint`) import nothing from the analysis layer, while the
-graph modules (:mod:`.stages`, :mod:`.graph`) reach into it lazily at
-compute time — so ``repro.analysis`` and ``repro.perf`` may import the
+:mod:`.fingerprint`) import nothing from the analysis layer (the store
+imports :mod:`.codec` only when it encodes or decodes a payload), while
+the graph modules (:mod:`.codec`, :mod:`.stages`, :mod:`.graph`) reach
+into it — so ``repro.analysis`` and ``repro.perf`` may import the
 leaves at module level without a cycle, and the graph names below load
 on first attribute access (PEP 562).
 """

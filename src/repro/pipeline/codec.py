@@ -25,20 +25,50 @@ Pickling tuples of str/int/float is a single fast opcode stream; on the
 195-project corpus the encoded mine shards are roughly 3× smaller and
 decode noticeably faster than the direct dataclass pickle.
 
+The ``analyze-row-v1`` and ``aggregate-rows-v1`` codecs store measure
+rows (``ProjectMeasures``) the same way, one tuple of primitives per
+row.  A row's three cumulative fractional series are a view of two
+monthly integer counts (paper §3.1–3.2), so a row stores its start
+month and those counts: the fractions are their running sums over the
+row's totals, and ``time`` is ``(i + 1) / n``.  The encoder keeps the
+counts only if the decoder rebuilds the series to the original's
+pickled bytes; any other row (a hand-built ``from_series`` one, say)
+keeps its three series verbatim, so no row loses a bit.  On the
+195-project corpus the compressed aggregate falls from 89.5 to 23.2 KiB.
+
 A store that writes an encoded payload records the codec name in its
 envelope; readers decode through :func:`decode_payload`, and an unknown
-codec name is treated like corruption (recompute, never guess).
+codec name is treated like corruption (recompute, never guess).  An
+envelope without a codec holds the plain pickle of the payload.
 """
 
 from __future__ import annotations
 
+import pickle
 from datetime import datetime
+from functools import lru_cache
+from itertools import accumulate
+
+from ..analysis.measures import ProjectMeasures
+from ..coevolution import CoevolutionMeasures, JointProgress
+from ..heartbeat import Month, time_progress
+from ..taxa.model import Taxon
 
 #: Codec name for mine-shard payloads (``MinedProject``).
 MINE_CODEC = "mine-tuple-v1"
 
-#: Which map stage's shard payloads are stored encoded, and with what.
-SHARD_CODECS: dict[str, str] = {"mine": MINE_CODEC}
+#: Codec name for analyze-shard payloads (``{"project", "row"}``).
+ANALYZE_CODEC = "analyze-row-v1"
+
+#: Codec name for the aggregate payload (``{"rows", "skipped"}``).
+AGGREGATE_CODEC = "aggregate-rows-v1"
+
+#: Which stage's payloads are stored encoded, and with what.
+STAGE_CODECS: dict[str, str] = {
+    "mine": MINE_CODEC,
+    "analyze": ANALYZE_CODEC,
+    "aggregate": AGGREGATE_CODEC,
+}
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +289,177 @@ def _decode_issue(line: int, message: str):
 
 
 # ----------------------------------------------------------------------
+# analyze-row-v1 / aggregate-rows-v1: ProjectMeasures <-> primitive tuples
+
+def _same_bytes(a, b) -> bool:
+    """Whether ``a`` and ``b`` pickle alike: ``==`` down to each number's
+    type and bits (``1 == 1.0`` and ``0.0 == -0.0`` hold, yet differ)."""
+    return (
+        pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)
+        == pickle.dumps(b, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+
+
+def _fractions(counts: tuple, total) -> tuple[float, ...]:
+    """Running sums of ``counts`` over ``total``.
+
+    Integer sums stand in for the float sums of
+    :meth:`~repro.heartbeat.Heartbeat.cumulative_fraction`: both are
+    exact, so each quotient is the same float.
+    """
+    return tuple([running / total for running in accumulate(counts)])
+
+
+@lru_cache(maxsize=512)
+def _time(n_points: int) -> tuple[float, ...]:
+    """The time series of an ``n_points`` life; rows of one length
+    share the (immutable) tuple."""
+    return tuple(time_progress(n_points))
+
+
+def _counts(fractions: tuple, total) -> tuple[int, ...]:
+    """The monthly counts whose running sums over ``total`` are
+    ``fractions``, when they are such sums."""
+    sums = [round(fraction * total) for fraction in fractions]
+    return tuple(b - a for a, b in zip([0, *sums], sums))
+
+
+def _series(project_counts, schema_counts, project_total, schema_total
+            ) -> tuple[tuple[float, ...], ...]:
+    """The ``project``, ``schema`` and ``time`` series of two counts."""
+    project = _fractions(project_counts, project_total)
+    return (project, _fractions(schema_counts, schema_total),
+            _time(len(project)))
+
+
+def _encode_joint(joint, project_total, schema_total) -> tuple:
+    """The start month and the two monthly counts, when they rebuild
+    ``joint`` exactly; the start month and the three series otherwise."""
+    start = (joint.start.year, joint.start.month)
+    series = (joint.project, joint.schema, joint.time)
+    try:
+        counts = (_counts(joint.project, project_total),
+                  _counts(joint.schema, schema_total))
+        if _same_bytes(
+            _series(*counts, project_total, schema_total), series
+        ):
+            return (*start, *counts)
+    except (ArithmeticError, TypeError, ValueError):
+        pass  # no counts behind these series: they are kept verbatim
+    return (*start, *series)
+
+
+def _decode_joint(data: tuple, project_total, schema_total) -> JointProgress:
+    if len(data) == 5:
+        year, month, *series = data
+    else:
+        year, month, project_counts, schema_counts = data
+        series = _series(
+            project_counts, schema_counts, project_total, schema_total
+        )
+    project, schema, time = series
+    return JointProgress(
+        start=Month(year, month), project=project, schema=schema, time=time
+    )
+
+
+#: ``Taxon`` by value: a dict lookup instead of an ``Enum`` call.
+_TAXA: dict[str, Taxon] = {taxon.value: taxon for taxon in Taxon}
+
+
+def encode_row(row) -> tuple | None:
+    """``ProjectMeasures`` → a pure-primitive tuple (``None`` stays)."""
+    if row is None:
+        return None
+    measures = row.coevolution
+    return (
+        row.name,
+        row.taxon.value,
+        row.duration_months,
+        row.schema_total_activity,
+        row.project_total_updates,
+        row.schema_commits,
+        row.active_schema_commits,
+        measures.duration_months,
+        measures.sync,
+        measures.advance_over_source,
+        measures.advance_over_time,
+        measures.always_over_time,
+        measures.always_over_source,
+        measures.always_over_both,
+        measures.attainment,
+        _encode_joint(
+            row.joint, row.project_total_updates, row.schema_total_activity
+        ),
+        None if row.true_taxon is None else row.true_taxon.value,
+    )
+
+
+def decode_row(data: tuple | None) -> ProjectMeasures | None:
+    """The inverse of :func:`encode_row`."""
+    if data is None:
+        return None
+    (name, taxon, duration_months, schema_total, project_total,
+     schema_commits, active_schema_commits, measures_months, sync,
+     over_source, over_time, always_time, always_source, always_both,
+     attainment, joint, true_taxon) = data
+    return ProjectMeasures(
+        name=name,
+        taxon=_TAXA[taxon],
+        duration_months=duration_months,
+        schema_total_activity=schema_total,
+        project_total_updates=project_total,
+        schema_commits=schema_commits,
+        active_schema_commits=active_schema_commits,
+        coevolution=CoevolutionMeasures(
+            duration_months=measures_months,
+            sync=sync,
+            advance_over_source=over_source,
+            advance_over_time=over_time,
+            always_over_time=always_time,
+            always_over_source=always_source,
+            always_over_both=always_both,
+            attainment=attainment,
+        ),
+        joint=_decode_joint(joint, project_total, schema_total),
+        true_taxon=None if true_taxon is None else _TAXA[true_taxon],
+    )
+
+
+def encode_analyzed(payload: dict) -> tuple:
+    """An ``analyze`` shard's ``{"project", "row"}`` → a tuple."""
+    return (payload["project"], encode_row(payload["row"]))
+
+
+def decode_analyzed(data: tuple) -> dict:
+    """The inverse of :func:`encode_analyzed`."""
+    project, row = data
+    return {"project": project, "row": decode_row(row)}
+
+
+def encode_aggregate(payload: dict) -> tuple:
+    """The ``aggregate`` payload's ``{"rows", "skipped"}`` → a tuple."""
+    return (
+        tuple(encode_row(row) for row in payload["rows"]),
+        tuple(payload["skipped"]),
+    )
+
+
+def decode_aggregate(data: tuple) -> dict:
+    """The inverse of :func:`encode_aggregate` (lists, as folded)."""
+    rows, skipped = data
+    return {"rows": [decode_row(row) for row in rows],
+            "skipped": list(skipped)}
+
+
+# ----------------------------------------------------------------------
 # codec registry (store-facing)
 
-_CODECS = {MINE_CODEC: (encode_mined, decode_mined)}
+_CODECS = {
+    MINE_CODEC: (encode_mined, decode_mined),
+    ANALYZE_CODEC: (encode_analyzed, decode_analyzed),
+    AGGREGATE_CODEC: (encode_aggregate, decode_aggregate),
+}
 
 
 def encode_payload(codec: str, payload):

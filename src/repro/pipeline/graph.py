@@ -64,7 +64,7 @@ from ..perf.parallel import (
 from ..perf.pool import warm_pool
 from ..perf.timing import StudyTimings
 from ..workload import get_workload
-from .codec import SHARD_CODECS
+from .codec import STAGE_CODECS
 from .fingerprint import family_fingerprint, stage_fingerprint
 from .shards import ShardSpec, iter_shards, plan_given_shard, plan_shards
 from .stages import (
@@ -808,7 +808,7 @@ class Pipeline:
             # canonical meta stays byte-compatible with old stores
             meta["dialect"] = self.dialect
             meta["source"] = self.workload.source
-        return self.store.put(key, payload, meta=meta)
+        return self._store_put(stage, key, payload, meta)
 
     def _store_shard(
         self, stage: str, shard: ShardSpec, payload, *,
@@ -827,11 +827,14 @@ class Pipeline:
         if self.dialect is not None:
             meta["dialect"] = self.dialect
             meta["source"] = self.workload.source
-        codec = SHARD_CODECS.get(stage)
+        return self._store_put(stage, shard.keys[stage], payload, meta)
+
+    def _store_put(self, stage: str, key: str, payload, meta: dict
+                   ) -> Artifact:
+        codec = STAGE_CODECS.get(stage)
         if codec is not None:
-            # mine shards go to disk through the compact tuple codec
             meta["codec"] = codec
-        return self.store.put(shard.keys[stage], payload, meta=meta)
+        return self.store.put(key, payload, meta=meta)
 
     # -- whole-study entry points --------------------------------------
     def study(self):

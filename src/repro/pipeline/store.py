@@ -21,8 +21,10 @@ Two implementations share the interface:
   unpickle) and is treated as a miss with a ``store-corrupt`` warning
   — the pipeline recomputes, it never serves bad bytes.  An envelope
   of another :data:`ARTIFACT_FORMAT` is an older layout, dropped as a
-  plain miss.  An unusable root degrades to memory-only with a
-  ``store-dir-degraded`` warning.
+  plain miss.  An unusable root, or a put that cannot be written,
+  warns ``store-dir-degraded`` once and keeps nothing: a store either
+  writes the envelope or keeps nothing, so an unusable directory never
+  holds a run's artifacts in memory.
 
 The store is the one cache that outlives a schema history: every
 artifact key carries its stage's code version, so a version bump
@@ -274,8 +276,8 @@ class DirStore(ArtifactStore):
     their SHA-256, so corruption is detected before anything is
     inflated or materialised; its ``meta`` stays uncompressed, so
     :meth:`meta_of` sweeps never inflate a payload.  When the root is
-    unusable the store degrades to a memory-backed one (with a
-    warning) rather than failing the run.
+    unusable, or a write fails, the store warns once and keeps nothing,
+    as a :class:`NullStore` would, rather than failing the run.
     """
 
     kind = "dir"
@@ -283,7 +285,6 @@ class DirStore(ArtifactStore):
     def __init__(self, root: str | Path):
         super().__init__()
         self.root: Path | None = None
-        self._memory: dict[str, Artifact] = {}
         self._degrade_warned = False
         try:
             (Path(root) / "objects").mkdir(parents=True, exist_ok=True)
@@ -302,7 +303,7 @@ class DirStore(ArtifactStore):
         warn(
             "store-dir-degraded",
             f"artifact store dir {str(root)!r} unusable "
-            f"({exc.__class__.__name__}: {exc}); running memory-only",
+            f"({exc.__class__.__name__}: {exc}); artifacts are not kept",
             store_dir=str(root),
         )
 
@@ -362,8 +363,8 @@ class DirStore(ArtifactStore):
         return envelope, None
 
     def _raw_get(self, key: str) -> Artifact | None:
-        if key in self._memory or self.root is None:
-            return self._memory.get(key)
+        if self.root is None:
+            return None
         envelope, reason = self._read_envelope(key)
         path = self._path_for(key)
         if envelope is None:
@@ -401,7 +402,6 @@ class DirStore(ArtifactStore):
 
     def _raw_put(self, artifact: Artifact) -> None:
         if self.root is None:
-            self._memory[artifact.key] = artifact
             return
         payload = artifact.payload
         codec = artifact.meta.get("codec")
@@ -427,9 +427,8 @@ class DirStore(ArtifactStore):
             path.parent.mkdir(parents=True, exist_ok=True)
             self._bytes_written += atomic_write_pickle(path, envelope)
         except OSError as exc:
-            # a read-only or full store keeps the artifact in memory
+            # a read-only or full store keeps nothing of this artifact
             self._warn_degraded(path.parent, exc)
-            self._memory[artifact.key] = artifact
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` holds an entry :meth:`get` would serve.
@@ -438,38 +437,32 @@ class DirStore(ArtifactStore):
         as absent, as it does to :meth:`get`, but stays on disk — only
         a read drops it.
         """
-        if key in self._memory or self.root is None:
-            return key in self._memory
+        if self.root is None:
+            return False
         return self._read_envelope(key)[0] is not None
 
     def meta_of(self, key: str) -> dict | None:
-        if key in self._memory or self.root is None:
-            artifact = self._memory.get(key)
-            return None if artifact is None else dict(artifact.meta)
+        if self.root is None:
+            return None
         envelope, _ = self._read_envelope(key)
         # the payload stays opaque bytes — metas are cheap to sweep
         return None if envelope is None else dict(envelope.get("meta") or {})
 
     def delete(self, key: str) -> bool:
-        removed = self._memory.pop(key, None) is not None
-        if self.root is not None:
-            path = self._path_for(key)
-            if path.exists():
-                try:
-                    path.unlink()
-                    removed = True
-                except OSError:
-                    pass
-        return removed
+        if self.root is None:
+            return False
+        try:
+            self._path_for(key).unlink()
+        except OSError:
+            return False
+        return True
 
     def keys(self) -> list[str]:
-        found = set(self._memory)
-        if self.root is not None:
-            found.update(
-                path.stem
-                for path in (self.root / "objects").glob("*/*.pkl")
-            )
-        return sorted(found)
+        if self.root is None:
+            return []
+        return sorted(
+            path.stem for path in (self.root / "objects").glob("*/*.pkl")
+        )
 
     def size_of(self, key: str) -> int | None:
         if self.root is None:

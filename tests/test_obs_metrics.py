@@ -114,6 +114,20 @@ class TestSnapshotAlgebra:
         delta = after - before
         assert delta.counters == {"n": 3}
 
+    def test_sub_keeps_only_histograms_that_moved(self):
+        # a serial run's driver keeps the mine histograms; an analyze
+        # delta taken there must not echo them back as zeros
+        registry = MetricsRegistry()
+        registry.observe("diff.seconds", 0.002)
+        registry.observe("other.seconds", 0.002)
+        before = registry.snapshot()
+        registry.observe("other.seconds", 0.004)
+        registry.observe("new.seconds", 0.004)
+        delta = registry.snapshot() - before
+        assert sorted(delta.histograms) == ["new.seconds", "other.seconds"]
+        assert delta.histograms["other.seconds"].count == 1
+        assert registry.snapshot() - registry.snapshot() == MetricsSnapshot()
+
     def test_worker_delta_round_trip(self):
         registry = MetricsRegistry()
         registry.inc("projects.mined", 7)

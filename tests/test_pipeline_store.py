@@ -250,17 +250,26 @@ class TestDirStore:
         assert _codes() == ["store-corrupt"]
         assert not any(_entry(tmp_path, key).exists() for key in damaged)
 
-    def test_a_put_that_could_not_be_written_is_still_served(self, tmp_path):
+    def test_a_put_that_could_not_be_written_keeps_nothing(self, tmp_path):
         key = "bb" + "0" * 62
+        other = "bc" + "0" * 62
         # a file where the key's prefix directory belongs: the write fails
         (tmp_path / "objects").mkdir()
         (tmp_path / "objects" / "bb").write_text("")
         store = DirStore(tmp_path)
         store.put(key, {"x": 1}, meta={"stage": "mine"})
-        assert _codes() == ["store-dir-degraded"]
-        assert store.contains(key)
-        assert store.meta_of(key) == {"stage": "mine"}
-        assert store.get(key).payload == {"x": 1}
+        store.put(key, {"x": 2}, meta={"stage": "mine"})
+        assert _codes() == ["store-dir-degraded"]  # warned once
+        assert not store.contains(key)
+        assert store.meta_of(key) is None
+        assert store.get(key) is None
+        assert store.keys() == []
+        assert not store.delete(key)
+        assert store.stats.bytes_written == 0
+        # the rest of the directory is still written and served
+        store.put(other, {"x": 3})
+        assert store.keys() == [other]
+        assert DirStore(tmp_path).get(other).payload == {"x": 3}
 
     def test_valid_digest_over_a_non_zlib_stream_is_corrupt(self, tmp_path):
         key = "66" + "0" * 62
@@ -317,7 +326,7 @@ class TestDirStore:
         assert reader.stats.bytes_written == 0
 
     def test_memory_and_null_stores_write_no_bytes(self, tmp_path):
-        # a DirStore whose directory is unusable runs memory-only
+        # a DirStore whose directory is unusable keeps nothing
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the store dir should be")
         for store in (DirStore(blocker), NullStore()):
@@ -400,14 +409,22 @@ class TestDirStore:
         assert "store-corrupt" not in _codes()
         assert all(store.stats.corrupt == 0 for store in writers)
 
-    def test_unusable_root_degrades_to_memory(self, tmp_path):
+    def test_unusable_root_keeps_nothing(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the store dir should be")
         store = DirStore(blocker)
         assert store.root is None
         assert _codes() == ["store-dir-degraded"]
         store.put("k", 1)
-        assert store.get("k").payload == 1  # memory fallback still works
+        assert _codes() == ["store-dir-degraded"]  # warned once
+        # a put neither writes the envelope nor keeps the artifact
+        assert store.get("k") is None
+        assert not store.contains("k")
+        assert store.meta_of("k") is None
+        assert store.keys() == []
+        assert not store.delete("k")
+        assert store.stats == StoreStats(misses=1, writes=1)
+        assert blocker.read_text() == "a file where the store dir should be"
 
 
 class TestGlobalStore:

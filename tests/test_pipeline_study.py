@@ -304,3 +304,37 @@ class TestCorruptedStore:
         assert rerun.report() == cold_text
         assert "store-corrupt" in _codes()
         assert rerun.store.stats.corrupt == 1
+
+
+class TestStoredMetricDeltas:
+    def test_serial_and_parallel_analyze_metas_hold_the_same_keys(
+        self, tmp_path
+    ):
+        # a serial run analyzes beside the mine histograms it keeps; the
+        # stored analyze deltas drop them as zeros, as a --jobs 2 run's
+        # driver (which never mines) has none to drop
+        def run(jobs):
+            context = RunContext()
+            pipe = Pipeline(scale=SCALE, jobs=jobs, context=context,
+                            store=DirStore(tmp_path / f"jobs{jobs}"))
+            study = pipe.study()
+            keys = [
+                (sorted(meta["metrics"].counters),
+                 sorted(meta["metrics"].histograms))
+                for meta in (
+                    pipe.store.meta_of(shard.keys["analyze"])
+                    for shard in pipe.shards()
+                )
+            ]
+            return study, keys, context.metrics.snapshot()
+
+        serial, serial_keys, registry = run(1)
+        parallel, parallel_keys, _ = run(2)
+        assert serial_keys == parallel_keys
+        assert not any(histograms for _, histograms in serial_keys)
+        # the study still counts every diff the serial run timed
+        diffs = registry.histograms["diff.seconds"].count
+        assert diffs > 0
+        for study in (serial, parallel):
+            assert sorted(study.metrics.histograms) == ["diff.seconds"]
+            assert study.metrics.histograms["diff.seconds"].count == diffs

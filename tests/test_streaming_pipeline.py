@@ -8,6 +8,7 @@ fail loudly on a true breach — surfacing as exit code 3 at the CLI.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -246,8 +247,6 @@ class TestShardStatusPagination:
             "--limit", "3", "--offset", "2", "--json",
         ])
         assert code == 0
-        import json
-
         payload = json.loads(capsys.readouterr().out)
         assert payload["shard_total"] == 10
         assert payload["shard_offset"] == 2
@@ -261,8 +260,6 @@ class TestShardStatusPagination:
             "--limit", "0", "--json",
         ])
         assert code == 0
-        import json
-
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["shards"]) == 10
 
@@ -270,9 +267,10 @@ class TestShardStatusPagination:
 @pytest.mark.gate
 class TestBoundedMemoryGate:
     """A 2000-project study under a 512 MiB cap: cold then warm over a
-    ``--store-dir``, and once without one.
+    ``--store-dir``, and once without one; and a 1,000-project study
+    over a ``--store-dir`` that cannot be written, beside one without.
 
-    About two minutes on two cores, so it stays out of tier-1: the
+    About three minutes on two cores, so it stays out of tier-1: the
     ``gate`` marker is deselected by default and ``make scale-smoke``
     runs it with ``pytest -m gate``.
     """
@@ -319,19 +317,49 @@ class TestBoundedMemoryGate:
         assert warm_text == cold_text
         assert warm.timings.artifact_totals.recomputes == 0
 
-    def test_storeless_capped_cli_study_exits_0(self, tmp_path):
-        # without a store directory the run keeps no shard, so a fresh
-        # `repro study` stays under the cap as a --store-dir run does
+    @staticmethod
+    def _cli_study(tmp_path, *args: str):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env.pop(STORE_DIR_ENV, None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "study",
-             "--projects", str(self.PROJECTS),
-             "--limit-memory", str(self.LIMIT_MB),
-             "--figure", "headline"],
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "study", *args],
             capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    def test_storeless_capped_cli_study_exits_0(self, tmp_path):
+        # without a store directory the run keeps no shard, so a fresh
+        # `repro study` stays under the cap as a --store-dir run does
+        proc = self._cli_study(
+            tmp_path,
+            "--projects", str(self.PROJECTS),
+            "--limit-memory", str(self.LIMIT_MB),
+            "--figure", "headline",
         )
         assert proc.returncode == 0, proc.stderr
         assert f"projects: {self.PROJECTS}" in proc.stdout
+
+    def test_an_unusable_store_dir_keeps_nothing(self, tmp_path):
+        # a --store-dir that is a regular file: the run warns and keeps
+        # nothing, so it peaks where the same study without a store
+        # directory does
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the store dir should be")
+        peaks = {}
+        for name, store_args in (
+            ("storeless", ()), ("degraded", ("--store-dir", str(blocker))),
+        ):
+            manifest_path = tmp_path / f"{name}.json"
+            proc = self._cli_study(
+                tmp_path, "--projects", "1000", "--figure", "headline",
+                *store_args, "--manifest", str(manifest_path),
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads(manifest_path.read_text())
+            codes = {entry["code"] for entry in manifest["warnings"]}
+            assert ("store-dir-degraded" in codes) == (name == "degraded")
+            resources = manifest["timings"]["resources"]
+            peaks[name] = resources["scopes"]["driver"]["peak_rss_bytes"]
+        assert blocker.read_text() == "a file where the store dir should be"
+        assert abs(peaks["degraded"] - peaks["storeless"]) < 6 * 2**20
