@@ -9,8 +9,8 @@ study scale:
   (dialect, DDL text) that lives for one schema history;
 * :mod:`repro.perf.timing` — the per-stage wall-clock breakdown carried
   by :class:`~repro.analysis.study.StudyResult`;
-* :mod:`repro.perf.parallel` — picklable worker functions and the
-  backpressured ``window_map`` behind the pipeline's map fan-out;
+* :mod:`repro.perf.parallel` — the map shard's unit (``map_shard``)
+  and the backpressured ``window_map`` behind the pipeline's fan-out;
 * :mod:`repro.perf.fragments` — the incremental statement-level parse
   engine behind the cache's miss path (fragment + element reuse);
 * :mod:`repro.perf.pool` — the reusable warm worker pool shared by the

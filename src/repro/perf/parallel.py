@@ -1,17 +1,16 @@
-"""Picklable worker functions for the process-pool fan-out.
+"""The map shard's unit of work, and the fan-out that runs it.
 
-The pipeline's map phase ships each cold project shard to a
-``ProcessPoolExecutor`` worker through :func:`map_shard` (bound methods
-and closures cannot cross the pickle boundary).  Each worker returns its
-own stage timings, parse-cache deltas, metrics deltas, warning window
-and (when tracing is enabled) the serialised span tree of its work, so
-the driver can aggregate a corpus-wide breakdown and reattach every
-worker span under its own dispatching span.  A worker's parse cache
-holds one history at a time in memory.
-
-The same functions run in-process on the serial path, so serial and
-parallel runs flow through identical instrumentation and produce
-identical results.
+The pipeline's map phase hands each cold project shard to
+:func:`map_shard`: in process when serial, in a ``ProcessPoolExecutor``
+worker under ``--jobs N`` (bound methods and closures cannot cross the
+pickle boundary).  The unit finishes the shard where it runs — it
+generates, mines and analyzes whatever the driver did not find warm,
+and stores each artifact it computed — and hands back only the
+``analyze`` payload and the observability of its work, so no project
+text or history crosses back.  The driver folds that observability
+into a corpus-wide breakdown and reattaches every worker span under
+its own dispatching span.  A worker's parse cache holds one history at
+a time in memory.
 """
 
 from __future__ import annotations
@@ -19,18 +18,17 @@ from __future__ import annotations
 import gc
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..corpus.generator import (
-    GeneratedProject,
-    ProjectSpec,
-    generate_project,
-)
-from ..corpus.profiles import TaxonProfile
+from ..corpus.generator import generate_project
 from ..mining import mine_project
 from ..obs.context import RunContext, activate, current
 from ..obs.metrics import MetricsSnapshot
 from ..obs.resources import GcClock, cpu_times, peak_rss_bytes
+from ..pipeline.shards import ShardSpec
+from ..pipeline.stages import MinedProject, analyze_one, artifact_meta
+from ..pipeline.store import ArtifactStore, StoreStats
 from .cache import CacheStats
 
 
@@ -53,7 +51,7 @@ def worker_init() -> None:
     twice — once from the worker and once when the driver replays it
     at attach time.  The worker records into a fresh context instead
     (no event log, tracing off until a task asks for it): its spans,
-    warnings and metrics travel back inside the :class:`MinedHistory`
+    warnings and metrics travel back inside each :class:`ShardResult`
     and the driver alone writes them.
 
     Also marks the worker's CPU baseline and starts its GC clock, so
@@ -99,144 +97,134 @@ def _worker_sample() -> dict | None:
 
 
 @dataclass
-class MinedHistory:
-    """One project's mine-only worker result (the stage-graph unit).
-
-    The pipeline's ``mine`` stage stops before analysis so its artifact
-    can be reused by every downstream consumer.  Besides the full
-    :class:`~repro.mining.ProjectHistory` plus the ground truth the
-    ``analyze`` stage needs, it carries everything the driver needs to
-    reconstruct cross-process observability: stage seconds and cache
-    deltas (summed into :class:`~repro.perf.timing.StudyTimings`), the
-    metrics delta of the call, the warnings recorded during it, and the
-    project's serialised span tree when tracing is on.
-    """
-
-    name: str
-    history: object  # ProjectHistory (kept untyped: pickled across pools)
-    true_taxon: object
-    seconds: float
-    cache: CacheStats
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    warnings: list[dict] = field(default_factory=list)
-    trace: dict | None = None
-    resources: dict | None = None
-
-
-def mine_one(project, *, source: str = "ddl") -> MinedHistory:
-    """The per-project unit of the pipeline's ``mine`` stage.
-
-    ``project`` is anything with ``name``, ``repository`` and
-    ``true_taxon`` — a generated project or a materialised one.  The
-    project's spans are built detached (no parent) and shipped back as
-    a dict; the driver reattaches them under its dispatching span.  The
-    ``projects.mined`` and ``changes.*`` counters, cache, metrics and
-    warning deltas ship back the same way.  Analysis — and the
-    empty-history skip decision it makes — happens driver-side in the
-    ``analyze`` stage.  ``source`` names the
-    :class:`~repro.mining.sources.HistorySource` the schema half mines
-    through (the workload's source half; ``"ddl"`` is canonical).
-    """
-    context = current()
-    tracer = context.tracer
-    metrics = context.metrics
-    recorder = context.recorder
-    cache_before = context.cache.stats
-    metrics_before = metrics.snapshot()
-    warn_mark = recorder.mark()
-    with tracer.detached(
-        "project", project=project.name, worker=os.getpid()
-    ) as span:
-        start = time.perf_counter()
-        with tracer.span("mine") as mine_span:
-            history = mine_project(project.repository, source=source)
-            mine_span.set(
-                versions=history.schema_history.commit_count,
-                months=history.duration_months,
-            )
-        done = time.perf_counter()
-    metrics.inc("projects.mined")
-    for kind, count in _change_counts(history).items():
-        metrics.inc(f"changes.{kind}", count)
-    return MinedHistory(
-        name=project.name,
-        history=history,
-        true_taxon=project.true_taxon,
-        seconds=done - start,
-        cache=context.cache.stats - cache_before,
-        metrics=metrics.snapshot() - metrics_before,
-        warnings=recorder.since(warn_mark),
-        trace=span.to_dict() if tracer.enabled else None,
-        resources=_worker_sample(),
-    )
-
-
-@dataclass
 class ShardTask:
-    """One cold map shard shipped to the fan-out.
+    """One cold map shard, and what its unit needs to finish it.
 
-    ``project`` carries the project to mine when it already exists — a
-    warm ``generate`` artifact or a materialised corpus's own project;
-    ``None`` means the worker generates it first from ``spec`` and
-    ``profile``.  A generated project pickles as its text, so the
-    worker parses its repository again.  ``source`` names the history
-    source the mine half runs through (the workload's source half; the
-    default keeps canonical tasks pickle-compatible).  ``trace`` is
-    whether the dispatching run traces: the executing context adopts
-    it, so a pool worker traces exactly the tasks of a traced run.
+    The unit starts from the warmest payload the driver found:
+    ``mined``, a warm ``mine`` history; else ``project``, a given
+    project or a warm ``generate`` text (parsed again where it is
+    mined); else it generates the project from ``shard``'s spec.  It
+    stores what it computes in ``store`` — the run's store, a copy of
+    it in a pool worker — under ``code_versions``, stamped with the
+    workload's ``dialect`` and ``source`` (the history source mining
+    reads through).  ``trace`` is whether the dispatching run traces:
+    the executing context adopts it, so a pool worker traces exactly
+    the tasks of a traced run.
     """
 
-    spec: ProjectSpec | None
-    profile: TaxonProfile | None
+    shard: ShardSpec
+    store: ArtifactStore
+    code_versions: dict[str, str]
     project: object = None
+    mined: MinedProject | None = None
+    dialect: str | None = None
     source: str = "ddl"
     trace: bool = False
 
 
 @dataclass
 class ShardResult:
-    """What one fused map-shard unit hands back to the driver.
+    """What a map-shard unit hands back to the driver.
 
-    ``generated`` is the freshly generated project when the worker had
-    to generate (the driver stores it as the shard's ``generate``
-    artifact), ``None`` when the task arrived with its project.  It
-    crosses the process boundary as text: the repository the worker
-    parsed to mine it stays behind, and the driver never reads it.
-    The mine half always runs; its observability channels ride on
-    ``mined`` exactly as in the unsharded stage.
+    ``analyzed`` is the shard's ``analyze`` payload, the row the
+    aggregate folds; the rest is the observability of the unit's work:
+    the ``seconds`` of each stage it computed, its parse-cache, metrics
+    and store-stat deltas, its stages' warnings, its span trees when
+    tracing, a pool worker's resources, and the store's
+    ``store-dir-degraded`` warning if a write failed.
     """
 
     name: str
-    mined: MinedHistory
-    generated: GeneratedProject | None = None
-    generate_seconds: float = 0.0
+    analyzed: dict | None = None
+    seconds: dict[str, float] = field(default_factory=dict)
+    cache: CacheStats = field(default_factory=CacheStats)
+    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    store: StoreStats = field(default_factory=StoreStats)
+    degraded: dict | None = None
+    warnings: list[dict] = field(default_factory=list)
+    spans: list[dict] = field(default_factory=list)
+    resources: dict | None = None
+
+
+@contextmanager
+def _stage_window(context: RunContext):
+    """Time a stage and collect the warnings and metrics it recorded."""
+    window: dict = {}
+    mark, before = context.recorder.mark(), context.metrics.snapshot()
+    start = time.perf_counter()
+    yield window
+    window.update(
+        seconds=time.perf_counter() - start,
+        warnings=context.recorder.since(mark),
+        metrics=context.metrics.snapshot() - before,
+    )
 
 
 def map_shard(task: ShardTask) -> ShardResult:
-    """The fused per-shard unit of the map phase: generate? + mine.
+    """The map phase's unit: finish one cold shard where it runs.
 
     One code path for serial (``map``) and parallel (``executor.map``)
-    runs: a cold shard generates its project from ``spec.seed`` (bit
-    identical regardless of scheduling) and mines it in the same
-    worker, so the project never crosses the process boundary twice.
-    Analysis stays driver-side — it is orders of magnitude cheaper and
-    owns the skip decision.
+    runs: from the warmest payload the task carries, the unit generates
+    the project from ``spec.seed`` (bit identical regardless of
+    scheduling), mines it and analyzes it, storing each artifact it
+    computed with the meta :func:`~repro.pipeline.stages.artifact_meta`
+    builds.  The ``mine`` and ``analyze`` spans nest in one detached
+    ``project`` span, which the driver reattaches under its dispatching
+    span.
     """
-    current().tracer.enabled = task.trace
-    project = task.project
-    generated = None
-    generate_seconds = 0.0
-    if project is None:
+    context = current()
+    tracer = context.tracer
+    tracer.enabled = task.trace
+    shard, store = task.shard, task.store
+    store_before, cache_before = store.stats, context.cache.stats
+    result = ShardResult(name=shard.project)
+
+    def keep(stage, payload, *, seconds, metrics, warnings=()):
+        """Fold one computed stage into the result and store it."""
+        result.seconds[stage] = seconds
+        result.metrics = result.metrics + metrics
+        result.warnings.extend(warnings)
+        store.put(shard.keys[stage], payload, meta=artifact_meta(
+            stage, task.code_versions[stage], shard=shard,
+            dialect=task.dialect, source=task.source,
+            seconds=seconds, warnings=warnings, metrics=metrics,
+        ))
+
+    project, mined = task.project, task.mined
+    if mined is None and project is None:
         start = time.perf_counter()
-        project = generate_project(task.spec, task.profile)
-        generate_seconds = time.perf_counter() - start
-        generated = project
-    return ShardResult(
-        name=project.name,
-        mined=mine_one(project, source=task.source),
-        generated=generated,
-        generate_seconds=generate_seconds,
-    )
+        project = generate_project(shard.spec, shard.profile)
+        seconds = time.perf_counter() - start
+        if project.trace is not None:
+            result.spans.append(project.trace)
+            project.trace = None
+        keep("generate", project, seconds=seconds,
+             metrics=MetricsSnapshot(counters={"projects.generated": 1}))
+    with tracer.detached(
+        "project", project=shard.project, worker=os.getpid()
+    ) as span:
+        if mined is None:
+            with _stage_window(context) as window, tracer.span("mine") as mine:
+                history = mine_project(project.repository, source=task.source)
+                mine.set(
+                    versions=history.schema_history.commit_count,
+                    months=history.duration_months,
+                )
+                context.metrics.inc("projects.mined")
+                for kind, count in _change_counts(history).items():
+                    context.metrics.inc(f"changes.{kind}", count)
+            mined = MinedProject(project.name, history, project.true_taxon)
+            keep("mine", mined, **window)
+        with _stage_window(context) as window, tracer.span("analyze"):
+            result.analyzed = analyze_one(mined)
+        keep("analyze", result.analyzed, **window)
+    if tracer.enabled:
+        result.spans.append(span.to_dict())
+    result.cache = context.cache.stats - cache_before
+    result.store = store.stats - store_before
+    result.degraded = store.degraded
+    result.resources = _worker_sample()
+    return result
 
 
 def _change_counts(history) -> dict[str, int]:

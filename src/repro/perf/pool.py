@@ -2,8 +2,8 @@
 
 Every parallel entry point used to build (and tear down) its own
 ``ProcessPoolExecutor``: ``generate_corpus(jobs=N)`` spun one up, threw
-it away, and the study's mine fan-out immediately paid worker
-start-up *again*.  For the fused generate+mine flow that start-up tax
+it away, and the study's map fan-out immediately paid worker
+start-up *again*.  For the fused per-shard unit that start-up tax
 is pure waste: the worker functions are stateless module-level callables
 and the processes are perfectly reusable.
 

@@ -17,7 +17,9 @@ imports :mod:`.codec` only when it encodes or decodes a payload), while
 the graph modules (:mod:`.codec`, :mod:`.stages`, :mod:`.graph`) reach
 into it — so ``repro.analysis`` and ``repro.perf`` may import the
 leaves at module level without a cycle, and the graph names below load
-on first attribute access (PEP 562).
+on first attribute access (PEP 562).  The map unit,
+:mod:`repro.perf.parallel`, imports :mod:`.stages` at module level too:
+only :mod:`.graph` (and, when it starts a worker, the pool) imports it.
 """
 
 from .fingerprint import (

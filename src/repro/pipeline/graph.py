@@ -52,7 +52,7 @@ from ..corpus.profiles import corpus_size, scaled_profiles, sized_profiles
 from ..obs.context import RunContext, current
 from ..obs.metrics import MetricsSnapshot
 from ..obs.progress import ProgressTracker
-from ..obs.provenance import PROVENANCE_FORMAT, explain_target
+from ..obs.provenance import explain_target
 from ..obs.resources import MONITOR, GcClock, MemoryWatchdog
 from ..perf.parallel import (
     ShardResult,
@@ -64,7 +64,6 @@ from ..perf.parallel import (
 from ..perf.pool import warm_pool
 from ..perf.timing import StudyTimings
 from ..workload import get_workload
-from .codec import STAGE_CODECS
 from .fingerprint import family_fingerprint, stage_fingerprint
 from .shards import ShardSpec, iter_shards, plan_given_shard, plan_shards
 from .stages import (
@@ -73,8 +72,7 @@ from .stages import (
     REDUCE_STAGE_NAMES,
     STAGE_NAMES,
     STAGES,
-    MinedProject,
-    analyze_one,
+    artifact_meta,
     dependents_of,
     stage_source_digest,
 )
@@ -347,26 +345,25 @@ class Pipeline:
         done = self._resolved.get(stage)
         if done is not None:
             return done
-        if stage == "aggregate":
-            return self._resolve_aggregate()
         key = self.fingerprint(stage)
-        load_start = time.perf_counter()
-        artifact = self.store.get(key)
+        artifact = self._lookup(stage, key)
         if artifact is not None:
-            return self._consume_hit(
-                stage, key, artifact, time.perf_counter() - load_start
-            )
-        self._count_miss(stage)
-        inputs = {dep: self._resolve(dep).payload for dep in spec.deps}
+            return self._consume_hit(stage, key, artifact)
         recorder = self.context.recorder
-        mark = recorder.mark()
-        with self.context.tracer.span(
-            f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
-        ), MONITOR.window() as window:
-            start = time.perf_counter()
-            output = spec.compute(self, inputs)
-            seconds = time.perf_counter() - start
-        self.timings.record_resource(stage, window.sample)
+        if stage == "aggregate":
+            mark = recorder.mark()
+            output, seconds, sample = self._map_and_fold(key)
+        else:
+            inputs = {dep: self._resolve(dep).payload for dep in spec.deps}
+            mark = recorder.mark()
+            with self.context.tracer.span(
+                f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
+            ), MONITOR.window() as window:
+                start = time.perf_counter()
+                output = spec.compute(self, inputs)
+                seconds = time.perf_counter() - start
+            sample = window.sample
+        self.timings.record_resource(stage, sample)
         self.timings.record(stage, seconds)
         window = recorder.since(mark)
         self.warnings.extend(window)
@@ -378,35 +375,27 @@ class Pipeline:
         self._resolved[stage] = artifact
         return artifact
 
-    def _resolve_aggregate(self) -> Artifact:
-        """Resolve ``aggregate``: warm hit, or streaming map + fold.
+    def _map_and_fold(self, key: str):
+        """A cold ``aggregate``: the streaming map phase and its fold.
 
-        On a miss the recorder is marked *before* the map phase, so the
+        The caller marks the recorder *before* the map phase, so the
         stored meta window spans every shard warning — replayed warm
-        ones and freshly raised ones alike — and a later warm aggregate
-        hit replays the full map phase's warnings and metrics without
-        touching a single shard key.
+        ones and freshly raised ones alike — and the output's metrics
+        hold every shard's delta: a later warm aggregate hit replays
+        the full map phase's warnings and metrics without touching a
+        single shard key.
 
         The fold *consumes the map generator*: each shard's ``analyze``
         payload streams into the aggregate accumulator and is released,
         so driver memory holds the in-flight window plus the
-        accumulated rows, never the corpus.  The recorded ``aggregate``
-        seconds stay fold-only (producer time is measured out), keeping
-        the stage breakdown comparable with pre-streaming records.
+        accumulated rows, never the corpus.  The returned seconds stay
+        fold-only (producer time is measured out), keeping the stage
+        breakdown comparable with pre-streaming records; the resource
+        sample spans map + fold, since the map phase is where the
+        driver's footprint peaks (shard payloads in flight).
         """
         from .stages import compute_aggregate
 
-        stage = "aggregate"
-        key = self.fingerprint(stage)
-        load_start = time.perf_counter()
-        artifact = self.store.get(key)
-        if artifact is not None:
-            return self._consume_hit(
-                stage, key, artifact, time.perf_counter() - load_start
-            )
-        self._count_miss(stage)
-        recorder = self.context.recorder
-        mark = recorder.mark()
         self._map_delta = MetricsSnapshot()
         produced = [0.0]
 
@@ -429,33 +418,19 @@ class Pipeline:
             if spill is not None:
                 self.spill_dir = spill.name
             with self.context.tracer.span(
-                f"stage:{stage}", artifact="recompute", fingerprint=key[:12]
+                "stage:aggregate", artifact="recompute", fingerprint=key[:12]
             ), MONITOR.window() as window:
                 fold_start = time.perf_counter()
                 output = compute_aggregate(
                     self, {"analyze": timed_payloads()}
                 )
-                seconds = (
-                    time.perf_counter() - fold_start - produced[0]
-                )
+                seconds = time.perf_counter() - fold_start - produced[0]
         finally:
             self.spill_dir = None
             if spill is not None:
                 spill.cleanup()
-        # the window spans map + fold: the map phase is where the
-        # driver's footprint actually peaks (shard payloads in flight)
-        self.timings.record_resource(stage, window.sample)
-        self.timings.record(stage, max(0.0, seconds))
-        window = recorder.since(mark)
-        self.warnings.extend(window)
-        metrics_out = self._map_delta + output.metrics
-        self.metrics = self.metrics + metrics_out
-        artifact = self._put(
-            stage, key, output.payload,
-            seconds=seconds, warnings=window, metrics=metrics_out,
-        )
-        self._resolved[stage] = artifact
-        return artifact
+        output.metrics = self._map_delta + output.metrics
+        return output, max(0.0, seconds), window.sample
 
     def map_window(self) -> int:
         """The fan-out's initial in-flight window (the memory bound)."""
@@ -465,16 +440,20 @@ class Pipeline:
         """Stream every shard's ``analyze`` payload, warmest path first.
 
         Per shard: a warm ``analyze`` artifact wins outright (its
-        ``mine``/``generate`` keys are never probed); a warm ``mine``
-        artifact re-analyzes driver-side; otherwise the shard joins the
-        backpressured fan-out — carrying its given project, or its warm
-        ``generate`` payload if one exists, generating in the worker if
-        neither.  The fan-out runs through
-        :func:`~repro.perf.parallel.window_map`, so at
-        most :meth:`map_window` shards are in flight at once, the
-        planner is not advanced while the window is full, and each
-        payload is yielded — then released — in corpus order, the
-        order the aggregate folds.
+        ``mine``/``generate`` keys are never probed); otherwise the
+        shard joins the backpressured fan-out as a
+        :class:`~repro.perf.parallel.ShardTask` carrying the warmest
+        payload found — a warm ``mine`` history, the given project or a
+        warm ``generate`` text, or nothing — and
+        :func:`~repro.perf.parallel.map_shard` finishes it wherever it
+        runs, storing what it computed.  The driver only plans, probes
+        and folds: each result brings back the analyze payload and the
+        observability of the unit's work.  The fan-out runs through
+        :func:`~repro.perf.parallel.window_map`, so at most
+        :meth:`map_window` shards are in flight at once, the planner is
+        not advanced while the window is full, and each payload is
+        yielded — then released — in corpus order, the order the
+        aggregate folds.
 
         Under ``--limit-memory`` a
         :class:`~repro.obs.resources.MemoryWatchdog` probes the driver
@@ -501,30 +480,29 @@ class Pipeline:
 
         def planned():
             for shard in self.iter_shards():
-                warm_analyze = self._load_shard("analyze", shard)
-                if warm_analyze is not None:
-                    yield (shard, "ready", ("analyze", warm_analyze.payload))
+                warm = self._load_shard("analyze", shard)
+                if warm is not None:
+                    yield shard, "ready", warm.payload
                     continue
-                warm_mine = self._load_shard("mine", shard)
-                if warm_mine is not None:
-                    yield (shard, "ready", ("mine", warm_mine.payload))
-                    continue
-                project = shard.given
-                if project is None:
-                    warm_generate = self._load_shard("generate", shard)
-                    if warm_generate is not None:
-                        project = warm_generate.payload
-                yield (
-                    shard,
-                    "task",
-                    ShardTask(
-                        spec=shard.spec,
-                        profile=shard.profile,
-                        project=project,
-                        source=self.workload.source,
-                        trace=self.context.tracer.enabled,
-                    ),
+                task = ShardTask(
+                    # the project rides on the task, and only when needed
+                    shard=replace(shard, given=None),
+                    store=self.store,
+                    code_versions=self.code_versions,
+                    dialect=self.dialect,
+                    source=self.workload.source,
+                    trace=self.context.tracer.enabled,
                 )
+                warm = self._load_shard("mine", shard)
+                if warm is not None:
+                    task.mined = warm.payload
+                elif shard.given is not None:
+                    task.project = shard.given
+                else:
+                    warm = self._load_shard("generate", shard)
+                    if warm is not None:
+                        task.project = warm.payload
+                yield shard, "task", task
 
         gc.freeze()
         try:
@@ -538,14 +516,11 @@ class Pipeline:
                     stats=stats,
                 ):
                     if isinstance(value, ShardResult):
-                        payload = self._finish_shard(shard, value)
-                        tracker.update(value.name, value.mined.seconds)
+                        self._fold_shard(value)
+                        payload = value.analyzed
+                        tracker.update(value.name, value.seconds.get("mine"))
                     else:
-                        kind, warm = value
-                        if kind == "analyze":
-                            payload = warm
-                        else:
-                            payload = self._analyze_shard(shard, warm)
+                        payload = value
                         tracker.update(shard.project)
                     if (
                         watchdog is not None
@@ -571,71 +546,27 @@ class Pipeline:
                     "memory_watchdog", watchdog.as_dict()
                 )
 
-    def _finish_shard(self, shard: ShardSpec, result) -> dict:
-        """Store one fan-out result's artifacts and analyze the shard."""
-        tracer = self.context.tracer
-        recorder = self.context.recorder
-        if result.generated is not None:
-            project = result.generated
-            if project.trace is not None:
-                tracer.attach(project.trace, emit=self.jobs > 1)
-                project.trace = None
-            self.timings.record("generate", result.generate_seconds)
-            generated_delta = MetricsSnapshot(
-                counters={"projects.generated": 1}
-            )
-            self._map_delta = self._map_delta + generated_delta
-            self._store_shard(
-                "generate", shard, project,
-                seconds=result.generate_seconds,
-                warnings=(), metrics=generated_delta,
-            )
-        mined = result.mined
-        self.timings.record("mine", mined.seconds)
-        self.timings.merge_cache(mined.cache)
-        if mined.resources is not None:
+    def _fold_shard(self, result: ShardResult) -> None:
+        """Fold what one map-shard unit did into the run's accounting."""
+        for stage, seconds in result.seconds.items():
+            self.timings.record(stage, seconds)
+        self.timings.merge_cache(result.cache)
+        if result.resources is not None:
             # worker peaks fold by max into one "workers" scope: the
             # pool's footprint is its worst process, not their sum
-            self.timings.record_resource("workers", mined.resources)
-        self._map_delta = self._map_delta + mined.metrics
-        if mined.trace is not None:
-            tracer.attach(mined.trace, emit=self.jobs > 1)
-        if mined.warnings and self.jobs > 1:
-            # worker warnings replay here so the driver's recorder (and
-            # its --log-json event log) sees them exactly once
-            for record in mined.warnings:
-                recorder.replay(record)
-        entry = MinedProject(
-            name=mined.name,
-            history=mined.history,
-            true_taxon=mined.true_taxon,
-        )
-        self._store_shard(
-            "mine", shard, entry,
-            seconds=mined.seconds,
-            warnings=mined.warnings, metrics=mined.metrics,
-        )
-        return self._analyze_shard(shard, entry)
-
-    def _analyze_shard(self, shard: ShardSpec, mined: MinedProject) -> dict:
-        """Analyze one shard driver-side and store its artifact."""
-        registry = self.context.metrics
-        recorder = self.context.recorder
-        before = registry.snapshot()
-        mark = recorder.mark()
-        start = time.perf_counter()
-        with self.context.tracer.span("analyze", project=shard.project):
-            payload = analyze_one(mined)
-        seconds = time.perf_counter() - start
-        self.timings.record("analyze", seconds)
-        delta = registry.snapshot() - before
-        self._map_delta = self._map_delta + delta
-        self._store_shard(
-            "analyze", shard, payload,
-            seconds=seconds,
-            warnings=recorder.since(mark), metrics=delta,
-        )
-        return payload
+            self.timings.record_resource("workers", result.resources)
+        self._map_delta = self._map_delta + result.metrics
+        in_worker = self.jobs > 1
+        for trace in result.spans:
+            self.context.tracer.attach(trace, emit=in_worker)
+        if in_worker:
+            # the worker wrote through a copy of the run's store and
+            # recorded into its own context: its writes count here, and
+            # its warnings replay so the driver's recorder (and its
+            # --log-json event log) sees each exactly once
+            self.store.absorb(result.store, result.degraded)
+            for record in result.warnings:
+                self.context.recorder.replay(record)
 
     def _shard_present(self, stage: str, shard: ShardSpec) -> bool:
         """Whether a shard's ``stage`` output exists — no accounting.
@@ -657,19 +588,9 @@ class Pipeline:
         same reason; hit/miss *counters* go straight to the live run
         accounting, never into stored meta.
         """
-        key = shard.keys[stage]
-        load_start = time.perf_counter()
-        artifact = self.store.get(key)
+        artifact = self._lookup(stage, shard.keys[stage])
         if artifact is None:
-            self._count_miss(stage)
             return None
-        load_seconds = time.perf_counter() - load_start
-        self.context.metrics.inc("artifact.hit")
-        self.metrics = self.metrics + MetricsSnapshot(
-            counters={"artifact.hit": 1}
-        )
-        self.timings.record_artifact(stage, hit=True)
-        self.timings.record(stage, load_seconds)
         recorder = self.context.recorder
         for record in artifact.meta.get("warnings") or ():
             recorder.replay(record)
@@ -679,37 +600,24 @@ class Pipeline:
         return artifact
 
     # -- provenance ----------------------------------------------------
-    def _reduce_provenance(self, stage: str) -> dict:
-        """The current plan's fingerprint breakdown for a reduce stage."""
-        spec = STAGES[stage]
-        return {
-            "format": PROVENANCE_FORMAT,
-            "stage": stage,
-            "kind": "reduce",
-            "code_version": self.code_versions[stage],
-            "params": dict(self.params_for(stage)),
-            "upstream": {
-                dep: self.fingerprint(dep) for dep in spec.deps
-            },
-            "source_digest": stage_source_digest(stage),
-        }
+    def _meta(
+        self, stage: str, shard: ShardSpec | None = None, **computed
+    ) -> dict:
+        """The meta of ``stage``'s artifact (``shard``'s, for a map stage).
 
-    def _shard_provenance(self, stage: str, shard: ShardSpec) -> dict:
-        """One shard's breakdown: identity params + map-cone upstream."""
-        return {
-            "format": PROVENANCE_FORMAT,
-            "stage": stage,
-            "kind": "map",
-            "project": shard.project,
-            "code_version": self.code_versions[stage],
-            # only generate folds the identity into its params; the
-            # downstream cone inherits it through the upstream chain
-            "params": (
-                dict(shard.identity) if stage == "generate" else {}
-            ),
-            "upstream": shard.upstream(stage),
-            "source_digest": stage_source_digest(stage),
-        }
+        ``computed`` holds the ``seconds``, ``warnings`` and ``metrics``
+        of a put; ``explain`` reads only the provenance.
+        """
+        if shard is None:
+            spec = STAGES[stage]
+            computed.update(
+                params=self.params_for(stage),
+                upstream={dep: self.fingerprint(dep) for dep in spec.deps},
+            )
+        return artifact_meta(
+            stage, self.code_versions[stage], shard=shard,
+            dialect=self.dialect, source=self.workload.source, **computed,
+        )
 
     def explain(
         self, stage: str, *, project: str | None = None
@@ -735,7 +643,7 @@ class Pipeline:
                     self.store,
                     stage,
                     shard.keys[stage],
-                    self._shard_provenance(stage, shard),
+                    self._meta(stage, shard)["provenance"],
                     project=shard.project,
                     present=self._shard_present(stage, shard),
                 )
@@ -750,22 +658,29 @@ class Pipeline:
                 self.store,
                 stage,
                 self.fingerprint(stage),
-                self._reduce_provenance(stage),
+                self._meta(stage)["provenance"],
             )
         ]
 
     # -- store plumbing ------------------------------------------------
+    def _lookup(self, stage: str, key: str) -> Artifact | None:
+        """One store probe for ``stage``, counted as a hit or a miss."""
+        start = time.perf_counter()
+        artifact = self.store.get(key)
+        seconds = time.perf_counter() - start
+        name = "artifact.miss" if artifact is None else "artifact.hit"
+        self.context.metrics.inc(name)
+        self.metrics = self.metrics + MetricsSnapshot(counters={name: 1})
+        self.timings.record_artifact(stage, hit=artifact is not None)
+        if artifact is not None:
+            # the honest cost of a hit: just the load
+            self.timings.record(stage, seconds)
+        return artifact
+
     def _consume_hit(
-        self, stage: str, key: str, artifact: Artifact, load_seconds: float
+        self, stage: str, key: str, artifact: Artifact
     ) -> Artifact:
-        """Account one reduce-stage hit and replay its side-channels."""
-        self.context.metrics.inc("artifact.hit")
-        self.metrics = self.metrics + MetricsSnapshot(
-            counters={"artifact.hit": 1}
-        )
-        self.timings.record_artifact(stage, hit=True)
-        # the honest cost of a hit: just the load
-        self.timings.record(stage, load_seconds)
+        """Replay one reduce-stage hit's side-channels."""
         with self.context.tracer.span(
             f"stage:{stage}", artifact="hit", fingerprint=key[:12]
         ):
@@ -782,58 +697,13 @@ class Pipeline:
         self._resolved[stage] = artifact
         return artifact
 
-    def _count_miss(self, stage: str) -> None:
-        self.context.metrics.inc("artifact.miss")
-        self.metrics = self.metrics + MetricsSnapshot(
-            counters={"artifact.miss": 1}
-        )
-        self.timings.record_artifact(stage, hit=False)
-
     def _put(
         self, stage: str, key: str, payload, *,
         seconds: float, warnings, metrics: MetricsSnapshot,
     ) -> Artifact:
-        meta = {
-            "stage": stage,
-            "params": self.params_for(stage),
-            "code_version": self.code_versions[stage],
-            "source_digest": stage_source_digest(stage),
-            "provenance": self._reduce_provenance(stage),
-            "seconds": round(seconds, 6),
-            "warnings": list(warnings),
-            "metrics": metrics,
-        }
-        if self.dialect is not None:
-            # non-default workloads stamp their (dialect, source) pair;
-            # canonical meta stays byte-compatible with old stores
-            meta["dialect"] = self.dialect
-            meta["source"] = self.workload.source
-        return self._store_put(stage, key, payload, meta)
-
-    def _store_shard(
-        self, stage: str, shard: ShardSpec, payload, *,
-        seconds: float, warnings, metrics: MetricsSnapshot,
-    ) -> Artifact:
-        meta = {
-            "stage": stage,
-            "project": shard.project,
-            "code_version": self.code_versions[stage],
-            "source_digest": stage_source_digest(stage),
-            "provenance": self._shard_provenance(stage, shard),
-            "seconds": round(seconds, 6),
-            "warnings": list(warnings),
-            "metrics": metrics,
-        }
-        if self.dialect is not None:
-            meta["dialect"] = self.dialect
-            meta["source"] = self.workload.source
-        return self._store_put(stage, shard.keys[stage], payload, meta)
-
-    def _store_put(self, stage: str, key: str, payload, meta: dict
-                   ) -> Artifact:
-        codec = STAGE_CODECS.get(stage)
-        if codec is not None:
-            meta["codec"] = codec
+        meta = self._meta(
+            stage, seconds=seconds, warnings=warnings, metrics=metrics
+        )
         return self.store.put(key, payload, meta=meta)
 
     # -- whole-study entry points --------------------------------------

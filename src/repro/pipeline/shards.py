@@ -85,9 +85,6 @@ class ShardSpec:
     #: ``generate`` stage is given, never computed or stored.
     given: object = field(compare=False, default=None)
 
-    def key(self, stage: str) -> str:
-        return self.keys[stage]
-
     def upstream(self, stage: str) -> dict[str, str]:
         """The stage's upstream keys within this shard's map cone."""
         i = SHARD_STAGES.index(stage)

@@ -41,14 +41,17 @@ the fan-out width) plus the payloads of their resolved dependencies,
 and return a :class:`StageOutput` carrying the payload and an explicit
 metrics delta — explicit because worker-process counters never reach
 the driver registry.  Map stages carry no corpus-level compute: the
-graph resolves them shard by shard through
-:func:`~repro.perf.parallel.map_shard` and :func:`analyze_one`.
+graph finishes each cold shard through
+:func:`~repro.perf.parallel.map_shard`, which ends in
+:func:`analyze_one`.  Every artifact, map or reduce, is stored with the
+meta :func:`artifact_meta` builds, wherever it was computed.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -57,6 +60,8 @@ from ..heartbeat import ZeroTotalError
 from ..obs.context import current
 from ..obs.events import warn
 from ..obs.metrics import MetricsSnapshot
+from ..obs.provenance import PROVENANCE_FORMAT
+from .codec import STAGE_CODECS
 from .fingerprint import digest_text
 
 # Per-stage code versions.  Bump a constant when the stage's computation
@@ -110,10 +115,10 @@ class StageSpec:
 class MinedProject:
     """One ``mine`` shard's artifact: history plus ground truth.
 
-    Deliberately slimmer than the worker-transport
-    :class:`~repro.perf.parallel.MinedHistory` — per-worker seconds,
-    cache deltas and span trees are run observability, not artifact
-    content, so they live in the artifact *meta*, never the payload.
+    Seconds, cache deltas and span trees are run observability, not
+    artifact content, so they live in the artifact *meta* (or on the
+    :class:`~repro.perf.parallel.ShardResult` of the unit that mined
+    it), never in the payload.
     """
 
     name: str
@@ -122,15 +127,16 @@ class MinedProject:
 
 
 # ----------------------------------------------------------------------
-# the per-shard analyze unit (driver-side)
+# the per-shard analyze step
 
 def analyze_one(mined: MinedProject) -> dict:
     """``analyze`` one shard: ``{"project", "row"}``, skips in-band.
 
-    Runs driver-side (analysis is orders of magnitude cheaper than
-    mining); the empty-history skip decision — and its
-    ``empty-history`` warning — lives here.  A skipped project stores
-    ``row=None`` so a warm shard replays the skip without recomputing.
+    The last step of :func:`~repro.perf.parallel.map_shard`, in the
+    process that mined the shard (or received its warm history); the
+    empty-history skip decision — and its ``empty-history`` warning —
+    lives here.  A skipped project stores ``row=None`` so a warm shard
+    replays the skip without recomputing.
     """
     from ..analysis.measures import analyze_project
 
@@ -329,6 +335,73 @@ def stage_source_digest(stage: str) -> str:
     """
     module = importlib.import_module(_SOURCE_MODULES[stage])
     return digest_text("stage-source", stage, inspect.getsource(module))
+
+
+def artifact_meta(
+    stage: str,
+    code_version: str,
+    *,
+    shard=None,
+    params: dict | None = None,
+    upstream: dict[str, str] | None = None,
+    dialect: str | None = None,
+    source: str | None = None,
+    seconds: float = 0.0,
+    warnings=(),
+    metrics: MetricsSnapshot | None = None,
+) -> dict:
+    """The envelope meta of one ``stage`` artifact, provenance included.
+
+    A map artifact names its ``shard``
+    (:class:`~repro.pipeline.shards.ShardSpec`), whose identity (for
+    ``generate``) and upstream key its provenance records; a reduce
+    artifact passes the ``params`` and ``upstream`` fingerprints its
+    key folds.  ``seconds``, ``warnings`` and ``metrics`` are what
+    computing it took and recorded; ``pipeline explain`` builds the
+    meta without them and compares only its ``provenance``.
+    Non-default workloads stamp their ``dialect`` and ``source``; a
+    stage with a codec names it.
+    """
+    provenance = {
+        "format": PROVENANCE_FORMAT,
+        "stage": stage,
+        "kind": STAGES[stage].kind,
+    }
+    meta = {"stage": stage}
+    if shard is None:
+        meta["params"] = params
+    else:
+        # a generate key folds the shard's identity; the downstream
+        # cone inherits it through the upstream chain
+        params = shard.identity if stage == "generate" else {}
+        upstream = shard.upstream(stage)
+        provenance["project"] = meta["project"] = shard.project
+    source_digest = stage_source_digest(stage)
+    provenance.update(
+        code_version=code_version,
+        # interned names: a shard unpickled in a pool worker then
+        # shares them with this meta's own keys, as in the planner, so
+        # the envelope pickles to the same bytes in either process
+        params={sys.intern(name): value for name, value in params.items()},
+        upstream=dict(upstream),
+        source_digest=source_digest,
+    )
+    meta.update(
+        code_version=code_version,
+        source_digest=source_digest,
+        provenance=provenance,
+        seconds=round(seconds, 6),
+        warnings=list(warnings),
+        metrics=metrics,
+    )
+    if dialect is not None:
+        # canonical meta stays byte-compatible with old stores
+        meta["dialect"] = dialect
+        meta["source"] = source
+    codec = STAGE_CODECS.get(stage)
+    if codec is not None:
+        meta["codec"] = codec
+    return meta
 
 
 def dependents_of(stage: str) -> set[str]:

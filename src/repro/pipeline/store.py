@@ -166,6 +166,10 @@ class ArtifactStore:
 
     kind = "null"
 
+    #: The ``store-dir-degraded`` warning this store raised (it warns
+    #: once); a store that cannot degrade leaves it unset.
+    degraded: dict | None = None
+
     def __init__(self) -> None:
         self._hits = 0
         self._misses = 0
@@ -200,6 +204,27 @@ class ArtifactStore:
         self._raw_put(artifact)
         self._writes += 1
         return artifact
+
+    def absorb(self, stats: StoreStats, degraded: dict | None = None) -> None:
+        """Count what a copy of this store did in another process.
+
+        A pool worker writes a shard's artifacts through the copy of
+        the run's store its task carried; ``stats`` is what that copy
+        counted there.  ``degraded`` is the copy's
+        ``store-dir-degraded`` warning: it is replayed into the run
+        unless this store has warned already, so a run warns once
+        whichever process first failed to write.
+        """
+        self._hits += stats.hits
+        self._misses += stats.misses
+        self._writes += stats.writes
+        self._corrupt += stats.corrupt
+        self._bytes_written += stats.bytes_written
+        if degraded is not None and self.degraded is None:
+            from ..obs.context import current
+
+            self.degraded = degraded
+            current().recorder.replay(degraded)
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` is present — no hit/miss accounting."""
@@ -285,7 +310,6 @@ class DirStore(ArtifactStore):
     def __init__(self, root: str | Path):
         super().__init__()
         self.root: Path | None = None
-        self._degrade_warned = False
         try:
             (Path(root) / "objects").mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -295,12 +319,11 @@ class DirStore(ArtifactStore):
 
     # -- warnings ------------------------------------------------------
     def _warn_degraded(self, root, exc: OSError) -> None:
-        if self._degrade_warned:
+        if self.degraded is not None:
             return
-        self._degrade_warned = True
         from ..obs.events import warn
 
-        warn(
+        self.degraded = warn(
             "store-dir-degraded",
             f"artifact store dir {str(root)!r} unusable "
             f"({exc.__class__.__name__}: {exc}); artifacts are not kept",

@@ -2,9 +2,10 @@
 
 A generated project holds what the generator wrote: its git-log text
 and its DDL version texts.  Its repository is parsed from that text on
-first read, cached on the object and never pickled, so generate shards,
-fan-out results and warm-generate tasks carry no commit graph, and the
-driver of a parallel study never parses a cold shard's log.
+first read, cached on the object and never pickled, so generate shards
+and warm-generate tasks carry no commit graph.  A fan-out result
+carries no project at all: the unit that mined a shard stored it, and
+the driver of a parallel study never parses a cold shard's log.
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.corpus.profiles import scaled_profiles
 from repro.obs.context import RunContext
 from repro.perf.parallel import ShardTask, map_shard
 from repro.perf.pool import shutdown_pools
-from repro.pipeline import DirStore, Pipeline
+from repro.pipeline import CODE_VERSIONS, DirStore, Pipeline, plan_shards
 
 SCALE = 16  # 12 projects
 
@@ -78,25 +79,43 @@ class TestPickledProject:
 
 
 class TestShardHandOff:
-    def test_cold_shard_result_and_warm_task_are_text(self):
-        spec, profile = corpus_specs(profiles=scaled_profiles(SCALE))[0]
-        result = map_shard(ShardTask(spec=spec, profile=profile))
-        assert result.generated is not None
-        assert not _pushed_strings(pickle.dumps(result)) & GRAPH_CLASSES
+    def test_cold_shard_result_and_warm_task_are_text(self, tmp_path):
+        (shard,) = plan_shards(
+            corpus_specs(profiles=scaled_profiles(SCALE))[:1], CODE_VERSIONS
+        )
+        store = DirStore(tmp_path / "cold")
+        result = map_shard(ShardTask(shard, store, CODE_VERSIONS))
+        # the unit stored its project and history; only the analyze
+        # row and the unit's observability ride back
+        assert list(result.seconds) == ["generate", "mine", "analyze"]
+        assert result.store.writes == 3
+        assert result.analyzed == store.get(shard.keys["analyze"]).payload
+        assert not _pushed_strings(pickle.dumps(result)) & (
+            GRAPH_CLASSES
+            | {"GeneratedProject", "MinedProject", "ProjectHistory"}
+        )
 
-        warm = ShardTask(spec=spec, profile=profile, project=result.generated)
+        generated = store.get(shard.keys["generate"]).payload
+        again_store = DirStore(tmp_path / "again")
+        warm = ShardTask(
+            shard, again_store, CODE_VERSIONS, project=generated
+        )
         assert not _pushed_strings(pickle.dumps(warm)) & GRAPH_CLASSES
         # the worker that receives a warm task parses the text again
         again = map_shard(pickle.loads(pickle.dumps(warm)))
-        assert again.generated is None
-        assert again.mined.history == result.mined.history
+        assert list(again.seconds) == ["mine", "analyze"]
+        assert again.analyzed == result.analyzed
+        assert (
+            again_store.get(shard.keys["mine"]).payload.history
+            == store.get(shard.keys["mine"]).payload.history
+        )
 
     @pytest.mark.parametrize("jobs, driver_parses", [(1, 12), (2, 0)])
     def test_driver_parses_only_what_it_mines(
         self, tmp_path, parses, jobs, driver_parses
     ):
-        # serially the driver mines every cold shard itself; with
-        # workers it only stores their text and parses nothing
+        # serially the driver runs every unit, and so mines every cold
+        # shard itself; with workers it parses nothing
         pipe = Pipeline(scale=SCALE, jobs=jobs, store=DirStore(tmp_path))
         try:
             pipe.study()

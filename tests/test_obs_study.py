@@ -161,18 +161,14 @@ class TestSpanTree:
         dispatch = _find_span(traced["trace"]["spans"], "map")
         assert dispatch is not None
         children = dispatch["children"]
-        # each worker-built project span is followed by the driver-side
-        # analysis of the same project
-        assert len(children) == 2 * traced["corpus_size"]
-        for project_span, analyze_span in zip(children[::2], children[1::2]):
+        # one worker-built project span per cold shard, holding both
+        # the mining and the analysis of that project
+        assert len(children) == traced["corpus_size"]
+        for project_span in children:
             assert project_span["name"] == "project"
             assert project_span["attributes"].get("project")
             child_names = [c["name"] for c in project_span["children"]]
-            assert child_names == ["mine"]
-            assert analyze_span["name"] == "analyze"
-            assert analyze_span["attributes"]["project"] == (
-                project_span["attributes"]["project"]
-            )
+            assert child_names == ["mine", "analyze"]
 
     def test_mine_spans_carry_history_attributes(self, traced):
         mine = _find_span(traced["trace"]["spans"], "mine")

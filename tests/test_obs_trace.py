@@ -210,15 +210,24 @@ class TestRunTracing:
         from repro.corpus import corpus_specs
         from repro.corpus.profiles import scaled_profiles
         from repro.perf.parallel import ShardTask, map_shard
+        from repro.pipeline import CODE_VERSIONS, NullStore, plan_shards
 
-        spec, profile = corpus_specs(seed=7, profiles=scaled_profiles(32))[0]
+        (shard,) = plan_shards(
+            corpus_specs(seed=7, profiles=scaled_profiles(32))[:1],
+            CODE_VERSIONS,
+        )
         with RunContext().active():
-            traced = map_shard(ShardTask(spec, profile, trace=True))
-            untraced = map_shard(ShardTask(spec, profile))
-        assert traced.mined.trace["name"] == "project"
-        assert traced.generated.trace["name"] == "generate_project"
-        assert untraced.mined.trace is None
-        assert untraced.generated.trace is None
+            traced = map_shard(
+                ShardTask(shard, NullStore(), CODE_VERSIONS, trace=True)
+            )
+            untraced = map_shard(ShardTask(shard, NullStore(), CODE_VERSIONS))
+        generate, project = traced.spans
+        assert generate["name"] == "generate_project"
+        assert project["name"] == "project"
+        assert [span["name"] for span in project["children"]] == [
+            "mine", "analyze",
+        ]
+        assert untraced.spans == []
 
 
 class TestTraceFileAndRendering:

@@ -2,6 +2,9 @@
 --shards), invalidate (stage or --project), drift warnings."""
 
 import json
+import pickle
+
+import pytest
 
 import repro.cli as cli
 from repro.cli import main
@@ -21,6 +24,25 @@ def _study_args(store_dir) -> list[str]:
         "study", "--figure", "headline", *SEED_ARGS,
         "--store-dir", str(store_dir),
     ]
+
+
+def _objects(store_dir) -> dict[str, tuple[int, str]]:
+    """Each stored envelope's name, file size and payload digest."""
+    return {
+        path.name: (
+            path.stat().st_size,
+            pickle.loads(path.read_bytes())["payload_sha256"],
+        )
+        for path in store_dir.glob("objects/*/*.pkl")
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_objects(tmp_path_factory):
+    """The envelopes a serial ``study --scale 16`` stores."""
+    store_dir = tmp_path_factory.mktemp("serial") / "artifacts"
+    assert main(["study", "--scale", "16", "--store-dir", str(store_dir)]) == 0
+    return _objects(store_dir)
 
 
 class TestStoreDirStudy:
@@ -44,13 +66,18 @@ class TestStoreDirStudy:
             "objects", "runs",
         ]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_manifest_reports_the_bytes_the_store_wrote(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, serial_objects, jobs
     ):
         store_dir = tmp_path / "artifacts"
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
-        argv = ["study", "--scale", "16", "--store-dir", str(store_dir)]
+        argv = [
+            "study", "--scale", "16", "--jobs", str(jobs),
+            "--store-dir", str(store_dir),
+        ]
         assert main([*argv, "--manifest", str(cold)]) == 0
+        objects = _objects(store_dir)
         assert main([*argv, "--manifest", str(warm)]) == 0
         capsys.readouterr()
         on_disk = sum(
@@ -59,6 +86,8 @@ class TestStoreDirStudy:
         stats = json.loads(cold.read_text())["store"]["stats"]
         assert stats["writes"] == 3 * 12 + 3
         assert stats["bytes_written"] == on_disk > 0
+        # whichever process wrote an envelope, it holds the same bytes
+        assert objects == serial_objects
         # the rerun replays every stage and writes nothing
         stats = json.loads(warm.read_text())["store"]["stats"]
         assert stats["writes"] == stats["corrupt"] == 0
@@ -82,6 +111,33 @@ class TestStoreDirStudy:
         parsed = manifest["metrics"]["counters"]["versions.parsed"]
         assert parsed > 0
         assert manifest["timings"]["parse_cache"]["misses"] == parsed
+
+
+class TestUnwritableStoreDir:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_run_whose_puts_all_fail_warns_once(
+        self, tmp_path, capsys, jobs
+    ):
+        store_dir = tmp_path / "artifacts"
+        (store_dir / "objects").mkdir(parents=True)
+        for prefix in range(256):
+            # a file where each key's prefix directory belongs
+            (store_dir / "objects" / f"{prefix:02x}").write_text("")
+        manifest = tmp_path / "m.json"
+        argv = ["study", "--scale", "16", "--figure", "all",
+                "--jobs", str(jobs)]
+        assert main([
+            *argv, "--store-dir", str(store_dir), "--manifest", str(manifest),
+        ]) == 0
+        degraded = capsys.readouterr().out
+        document = json.loads(manifest.read_text())
+        counts = {w["code"]: w["count"] for w in document["warnings"]}
+        assert counts["store-dir-degraded"] == 1
+        assert document["store"]["stats"]["writes"] == 3 * 12 + 3
+        assert document["store"]["stats"]["bytes_written"] == 0
+        # the run keeps nothing and reports what a writable store's does
+        assert main([*argv, "--store-dir", str(tmp_path / "healthy")]) == 0
+        assert capsys.readouterr().out == degraded
 
 
 class TestStorelessStudy:

@@ -28,10 +28,9 @@ from repro.coevolution import CoevolutionMeasures, JointProgress
 from repro.corpus.generator import corpus_specs, generate_project
 from repro.corpus.profiles import scaled_profiles
 from repro.heartbeat import Heartbeat, Month
-from repro.mining import load_clone
+from repro.mining import load_clone, mine_project
 from repro.obs.context import RunContext
-from repro.perf.parallel import mine_one
-from repro.pipeline import graph
+from repro.pipeline import stages
 from repro.pipeline.codec import (
     AGGREGATE_CODEC,
     MINE_CODEC,
@@ -50,9 +49,10 @@ from tests.test_gitrepo import clone  # noqa: F401  (the fixture)
 
 
 def _mined(project) -> MinedProject:
-    mined = mine_one(project)
     return MinedProject(
-        name=mined.name, history=mined.history, true_taxon=mined.true_taxon
+        name=project.name,
+        history=mine_project(project.repository),
+        true_taxon=project.true_taxon,
     )
 
 
@@ -324,7 +324,7 @@ class TestMixedStore:
         # analyze and aggregate envelopes as an older build wrote them:
         # plain pickles, no codec named
         store_dir = tmp_path / "store"
-        monkeypatch.setattr(graph, "STAGE_CODECS", {"mine": MINE_CODEC})
+        monkeypatch.setattr(stages, "STAGE_CODECS", {"mine": MINE_CODEC})
         cold = Pipeline(scale=16, store=DirStore(store_dir))
         cold_study = cold.study()
         cold_text = cold.report()

@@ -1,6 +1,8 @@
 """Tests for the sharded stage graph: fingerprints, resolution,
 maintenance, and the single-project invalidation contract."""
 
+import pickle
+
 import pytest
 
 from repro.obs.context import RunContext
@@ -19,6 +21,19 @@ from repro.pipeline import (
 #: A small-but-real corpus (12 projects at scale 16) keeps compute
 #: tests fast while exercising every stage.
 SCALE = 16
+
+
+def analyze_envelopes(pipe) -> dict[str, tuple[int, str]]:
+    """Each analyze shard's envelope size and payload digest."""
+    envelopes = {}
+    for shard in pipe.shards():
+        key = shard.keys["analyze"]
+        path = pipe.store.root / "objects" / key[:2] / f"{key}.pkl"
+        envelopes[shard.project] = (
+            path.stat().st_size,
+            pickle.loads(path.read_bytes())["payload_sha256"],
+        )
+    return envelopes
 
 
 def fingerprints(**kwargs) -> dict[str, str]:
@@ -287,19 +302,24 @@ class TestInvalidate:
         assert not by_stage["figures"]
         assert not by_stage["statistics"]
 
-    def test_rerun_after_invalidate_reuses_upstream(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rerun_after_invalidate_reuses_upstream(self, tmp_path, jobs):
         store = DirStore(tmp_path / "store")
         pipe = Pipeline(scale=SCALE, store=store)
         cold = pipe.study()
         n = len(pipe.shards())
+        analyzed = analyze_envelopes(pipe)
         pipe.invalidate("analyze")
 
-        rerun = Pipeline(scale=SCALE, store=store)
+        rerun = Pipeline(scale=SCALE, jobs=jobs, store=store)
         result = rerun.study()
         assert result.projects == cold.projects
         stats = rerun.timings.artifacts
         assert stats["mine"].hits == n  # every mine shard came warm
         assert stats["analyze"].recomputes == n
+        # each warm history re-analyzed where its unit ran, stored as
+        # the serial cold run stored it
+        assert analyze_envelopes(rerun) == analyzed
 
     def test_invalidate_project_recomputes_only_its_map_cone(self, tmp_path):
         # the acceptance scenario: after a cold sharded run, dropping
